@@ -117,7 +117,11 @@ def backward_ops(architecture, batch):
 
 
 def distance_ops(n_pool, n_labeled, dim):
-    """Ops for brute-force pairwise Lp distances."""
+    """Brute-force pair bound on the ops of nearest-labeled Lp distances.
+
+    Counts every pool x labeled pair; the KD-tree query that
+    ``selection.lp_distances`` runs evaluates fewer pairs than this.
+    """
     return n_pool * n_labeled * (3 * dim)
 
 
@@ -207,7 +211,7 @@ def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
 
         arch = model.architecture
         ops = (steps1 + steps2) * train_step_ops(arch, batch, batch)
-        ops += forward_ops(arch, len(Xu)) * 2  # scoring: probs + embeddings
+        ops += forward_ops(arch, len(Xu))  # scoring: one forward, probs + embeddings
         ops += distance_ops(len(Xu), n_lab, model.embedding_dim)
         records.append(BenchRecord(n, elapsed, int(ops)))
     return records

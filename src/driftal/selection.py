@@ -13,7 +13,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
+
+from .net import NumericError
 
 SELECTOR_KINDS = (
     "multi_criteria",
@@ -68,22 +70,22 @@ def margin_scores(probs):
 
 
 def lp_distances(unlabeled_embs, labeled_embs, p_norm=2.0):
-    """Exact minimum Lp distance from each pool embedding to the labeled set."""
+    """Exact minimum Lp distance from each pool embedding to the labeled set.
+
+    One KD-tree nearest-neighbour query over the labeled embeddings; it is
+    exact for any ``p_norm >= 1`` (including inf) and builds no pairwise
+    matrix. Non-finite embeddings raise ``NumericError``.
+    """
     U = np.asarray(unlabeled_embs, dtype=np.float64)
     L = np.asarray(labeled_embs, dtype=np.float64)
     if len(L) == 0:
         raise ValueError("labeled embedding set must be nonempty")
+    for name, E in (("pool", U), ("labeled", L)):
+        if not np.isfinite(E).all():
+            raise NumericError(f"non-finite {name} embedding")
     if len(U) == 0:
         return np.zeros(0)
-    # chunked to bound the pairwise matrix; still exact brute force
-    chunk = max(1, int(4e6) // max(1, len(L)))
-    out = np.empty(len(U))
-    for start in range(0, len(U), chunk):
-        block = U[start : start + chunk]
-        out[start : start + chunk] = cdist(
-            block, L, metric="minkowski", p=p_norm
-        ).min(axis=1)
-    return out
+    return cKDTree(L).query(U, k=1, p=p_norm)[0]
 
 
 def confidence_scores(probs):
@@ -116,8 +118,7 @@ def hybrid_scores(margin_norm, lp_norm, confidence_norm, alpha, beta, gamma):
 
 def score_pool(pool_X, model, labeled_embs, cfg):
     """Compute the full SelectionScore bundle for an unlabeled pool."""
-    probs = model.predict_batch(pool_X)
-    embs = model.embed_batch(pool_X)
+    _, probs, embs, _ = model.forward_batch(pool_X)
     m = margin_scores(probs)
     d = lp_distances(embs, labeled_embs, cfg.p_norm)
     c = confidence_scores(probs)

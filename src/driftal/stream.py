@@ -167,10 +167,13 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
         pool.add_unlabeled(mdata.X, mdata.ids)
         expected_total += len(mdata.ids)
 
-        # (3) score and select under the budget
+        # (3) score and select under the budget; the random selector
+        # never reads the labeled embeddings
+        labeled_embs = (
+            model.embed_batch(pool.Xl) if cfg.selector.kind != "random" else None
+        )
         chosen, scores = sel.select(
-            pool.Xu, model, model.embed_batch(pool.Xl), cfg.selector,
-            cfg.budget, rng=rng,
+            pool.Xu, model, labeled_embs, cfg.selector, cfg.budget, rng=rng,
         )
         if score_sink is not None and scores is not None:
             score_sink(mdata.month, scores, chosen)

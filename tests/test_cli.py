@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from driftal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from driftal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from driftal.net import Classifier
 
 
 def base_config(**extra):
@@ -185,6 +187,19 @@ class TestErrorPaths:
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["stream", "ablate"])
+    def test_non_finite_embeddings_exit_numeric(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        # labeled-set embeddings go NaN; selection must fail as numeric
+        def nan_embed(model, X):
+            return np.full((len(X), model.embedding_dim), np.nan)
+
+        monkeypatch.setattr(Classifier, "embed_batch", nan_embed)
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_NUMERIC
+        assert "non-finite labeled embedding" in capsys.readouterr().err
 
     def test_report_missing_result(self, tmp_path, capsys):
         assert main(["report", "--result", str(tmp_path / "nope.json"),

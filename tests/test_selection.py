@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftal.net import Classifier, LayerSpec
+from driftal.net import Classifier, LayerSpec, NumericError
 from driftal.selection import (
     SelectorConfig,
     confidence_scores,
@@ -20,6 +20,13 @@ def brute_force_nn(U, L, p):
     for u in U:
         out.append(min(np.sum(np.abs(u - l) ** p) ** (1 / p) for l in L))
     return np.array(out)
+
+
+def nn_oracle(U, L, p):
+    """Brute-force nearest distance; ``brute_force_nn`` is wrong at p=inf."""
+    if p == np.inf:
+        return np.array([min(np.max(np.abs(u - l)) for l in L) for u in U])
+    return brute_force_nn(U, L, p)
 
 
 def tiny_model(d=6, seed=0):
@@ -47,16 +54,51 @@ class TestLpDistance:
         d = lp_distances(np.array([[5.0]]), np.array([[1.0], [4.0]]))
         assert np.isclose(d[0], 1.0)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
     def test_matches_brute_force(self, p):
         rng = np.random.default_rng(0)
         U = rng.normal(size=(100, 8))
         L = rng.normal(size=(30, 8))
-        assert np.allclose(lp_distances(U, L, p), brute_force_nn(U, L, p), atol=1e-12)
+        assert np.allclose(lp_distances(U, L, p), nn_oracle(U, L, p), atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    def test_relu_like_with_duplicates(self, p):
+        # ReLU embeddings: about half the coordinates exactly zero, and
+        # repeated rows on both sides
+        rng = np.random.default_rng(2)
+        L = np.maximum(rng.normal(size=(40, 16)), 0)
+        L = np.concatenate([L, L[:10], np.zeros((3, 16))])
+        U = np.maximum(rng.normal(size=(200, 16)), 0)
+        U = np.concatenate([U, U[:20], np.zeros((2, 16))])
+        assert np.allclose(lp_distances(U, L, p), nn_oracle(U, L, p), atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    def test_single_labeled_row(self, p):
+        rng = np.random.default_rng(3)
+        U = rng.normal(size=(50, 5))
+        L = rng.normal(size=(1, 5))
+        assert np.allclose(lp_distances(U, L, p), nn_oracle(U, L, p), atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    def test_pool_rows_in_labeled_set_are_exactly_zero(self, p):
+        rng = np.random.default_rng(4)
+        L = np.maximum(rng.normal(size=(60, 16)), 0)
+        U = np.concatenate([L[::3], rng.normal(size=(10, 16))])
+        d = lp_distances(U, L, p)
+        assert np.all(d[:20] == 0.0)
+        assert np.all(d[20:] > 0.0)
 
     def test_empty_labeled_rejected(self):
         with pytest.raises(ValueError):
             lp_distances(np.ones((2, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["pool", "labeled"])
+    def test_non_finite_embedding_rejected(self, bad, side):
+        U, L = np.ones((4, 3)), np.zeros((5, 3))
+        (U if side == "pool" else L)[2, 1] = bad
+        with pytest.raises(NumericError, match=side):
+            lp_distances(U, L)
 
 
 class TestConfidence:
@@ -193,6 +235,28 @@ class TestSelect:
         warped = copy.deepcopy(scores)
         warped.lp_distance = np.exp(scores.lp_distance)
         assert selection_oracle(warped, SelectorConfig(kind="lp_only"), 10) == base
+
+    def test_score_pool_runs_one_forward(self, monkeypatch):
+        outputs = []
+        forward = Classifier.forward_batch
+
+        def counting_forward(model, X):
+            outputs.append(forward(model, X))
+            return outputs[-1]
+
+        monkeypatch.setattr(Classifier, "forward_batch", counting_forward)
+        scores = score_pool(self.pool, self.model, self.labeled_embs,
+                            SelectorConfig())
+        monkeypatch.undo()
+        assert len(outputs) == 1
+        _, probs, embs, _ = outputs[0]
+        # bit-identical to the two separate forwards it replaces
+        assert np.array_equal(probs, self.model.predict_batch(self.pool))
+        assert np.array_equal(embs, self.model.embed_batch(self.pool))
+        assert np.array_equal(scores.margin, margin_scores(probs))
+        assert np.array_equal(scores.confidence, confidence_scores(probs))
+        assert np.array_equal(scores.lp_distance,
+                              lp_distances(embs, self.labeled_embs, 2.0))
 
     def test_intersection_prefilter(self):
         cfg = SelectorConfig(intersection_quantile=0.8)

@@ -130,6 +130,21 @@ class TestRunStream:
         assert a.selected_ids == b.selected_ids
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("kind,embeds", [("random", 0), ("multi_criteria", 3)])
+    def test_labeled_embedding_only_when_scored(self, monkeypatch, kind, embeds):
+        model, labeled, unlabeled, months, oracle = make_world()
+        calls = []
+        embed = type(model).embed_batch
+
+        def counting_embed(m, X):
+            calls.append(len(X))
+            return embed(m, X)
+
+        monkeypatch.setattr(type(model), "embed_batch", counting_embed)
+        run_stream(model, labeled, unlabeled, months, oracle,
+                   small_cfg(selector=SelectorConfig(kind=kind)))
+        assert len(calls) == embeds
+
     def test_oracle_labels_are_truth(self):
         model, labeled, unlabeled, months, oracle = make_world()
         sink = []
