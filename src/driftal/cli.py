@@ -18,8 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import data as dio
 from . import metrics as met
 from .augment import AugmentConfig, AugmentConfigError
@@ -28,7 +26,7 @@ from .losses import LossConfig
 from .net import NumericError
 from .selection import SelectorConfig
 from .stream import aggregate_runs
-from .trainer import TrainConfig, build_model, train
+from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,14 +60,14 @@ def _build(cls, cfg, path):
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _train_config(cfg, seed=0):
+def _train_config(cfg):
     cfg = dict(cfg)
     loss = _build(LossConfig, cfg.pop("loss", {}), "train.loss")
     augment = _build(AugmentConfig, cfg.pop("augment", {}), "train.augment")
     if "hidden" in cfg:
         cfg["hidden"] = tuple(cfg["hidden"])
     tc = _build(TrainConfig, cfg, "train")
-    return replace(tc, loss=loss, augment=augment, seed=seed)
+    return replace(tc, loss=loss, augment=augment)
 
 
 def _selector_config(cfg):
@@ -106,17 +104,18 @@ def _write_run_json(out_dir, command, resolved, seeds, artifacts):
     (out_dir / "run.json").write_text(json.dumps(payload, indent=2, default=str))
 
 
-def _setup_from_config(config, seed):
+def _fmt_f1(f1):
+    return "n/a" if f1 is None else f"{f1:.3f}"
+
+
+def _setup_from_config(config):
     """Build an ExperimentSetup from the dataset/generator + split sections."""
     has_path = "dataset" in config
     has_gen = "generator" in config
     if has_path == has_gen:
         raise ConfigError("exactly one of 'dataset' or 'generator' is required")
     if has_path:
-        try:
-            _, dataset = dio.load_dataset(config["dataset"])
-        except dio.DataError:
-            raise
+        _, dataset = dio.load_dataset(config["dataset"])
     else:
         gen = _build(dio.DriftGeneratorConfig, dict(config["generator"]), "generator")
         dataset = dio.synth_drift_generate(gen)
@@ -133,6 +132,9 @@ def _setup_from_config(config, seed):
     else:
         k = int(split.get("train_months", 2))
         train_months, stream_months = months[:k], months[k:]
+    shared = sorted(set(train_months) & set(stream_months))
+    if shared:
+        raise ConfigError(f"split.train and split.stream share months {shared}")
     stream_cfg = config.get("stream", {})
     return ExperimentSetup(
         dataset=dataset,
@@ -140,7 +142,7 @@ def _setup_from_config(config, seed):
         stream_months=stream_months,
         label_ratio=float(config.get("label_ratio", 0.4)),
         noise_rate=float(config.get("noise_rate", 0.0)),
-        train_cfg=_train_config(config.get("train", {}), seed=seed),
+        train_cfg=_train_config(config.get("train", {})),
         retrain_epochs=int(stream_cfg.get("retrain_epochs", 10)),
         warm_start=bool(stream_cfg.get("warm_start", True)),
     )
@@ -174,9 +176,8 @@ def cmd_train(args, config):
         config = {**config, "label_ratio": args.label_ratio}
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
+    exp = Experiment(_setup_from_config(config))
     for seed in seeds:
-        setup = _setup_from_config(config, seed)
-        exp = Experiment(setup)
         model, _, _, report = exp.initial_fit(seed)
         ckpt = out_dir / f"checkpoint_seed{seed}.npz"
         model.save(ckpt)
@@ -210,22 +211,17 @@ def cmd_stream(args, config):
     selector = _selector_config(stream_cfg.get("selector", {}))
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
-    results = []
-    for seed in seeds:
-        setup = _setup_from_config(config, seed)
-        exp = Experiment(setup)
-        result = exp.run(selector, budget, seed)
-        results.append(result)
-        paths = met.emit_report(
+    exp = Experiment(_setup_from_config(config))
+    [(_, _, results)] = exp.sweep([selector], [budget], seeds)
+    config_hash = hashlib.sha256(
+        json.dumps(config, sort_keys=True, default=str).encode()
+    ).hexdigest()
+    for seed, result in zip(seeds, results):
+        artifacts += met.emit_report(
             result, out_dir / f"seed{seed}", fmt="both",
-            config_hash=hashlib.sha256(
-                json.dumps(config, sort_keys=True, default=str).encode()
-            ).hexdigest(),
-            seeds=[seed],
+            config_hash=config_hash, seeds=[seed],
         )
-        artifacts += paths
-        print(f"seed {seed}: mean F1 "
-              f"{'n/a' if result.f1_mean is None else f'{result.f1_mean:.3f}'}")
+        print(f"seed {seed}: mean F1 {_fmt_f1(result.f1_mean)}")
     agg = aggregate_runs(results)
     apath = out_dir / "aggregate.json"
     apath.write_text(json.dumps(agg, indent=2))
@@ -243,26 +239,21 @@ def cmd_ablate(args, config):
         ["multi_criteria", "margin_only", "lp_only", "low_confidence_only", "random"],
     )
     budgets = [int(b) for b in (args.budgets or ablate.get("budgets", [50]))]
+    selectors = [_selector_config({"kind": kind}) for kind in kinds]
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
     rows = []
-    exps = {seed: Experiment(_setup_from_config(config, seed)) for seed in seeds}
-    for kind in kinds:
-        selector = _selector_config({"kind": kind})
-        for budget in budgets:
-            runs = [exps[seed].run(selector, budget, seed) for seed in seeds]
-            f1 = aggregate_runs(runs)["f1"]
-            rows.append({
-                "selector": kind, "budget": budget,
-                "f1_mean": f1[0], "f1_std": f1[1],
-                "runs": [r.to_dict() for r in runs],
-            })
-            print(f"{kind:>20s} budget {budget:4d}: mean F1 "
-                  f"{'n/a' if f1[0] is None else f'{f1[0]:.3f}'}")
+    exp = Experiment(_setup_from_config(config))
+    for selector, budget, runs in exp.sweep(selectors, budgets, seeds):
+        f1 = aggregate_runs(runs)["f1"]
+        rows.append({
+            "selector": selector.kind, "budget": budget,
+            "f1_mean": f1[0], "f1_std": f1[1],
+            "runs": [r.to_dict() for r in runs],
+        })
+        print(f"{selector.kind:>20s} budget {budget:4d}: mean F1 {_fmt_f1(f1[0])}")
     mpath = out_dir / "ablation.json"
     mpath.write_text(json.dumps(rows, indent=2))
-    artifacts.append(mpath)
-    _write_run_json(out_dir, "ablate", config, seeds, artifacts)
+    _write_run_json(out_dir, "ablate", config, seeds, [mpath])
     return EXIT_OK
 
 
@@ -301,16 +292,13 @@ def cmd_noise(args, config):
     selector = _selector_config(stream_cfg.get("selector", {}))
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    setup = _setup_from_config(config)
     for rate in rates:
-        rate_cfg = {**config, "noise_rate": rate}
-        runs = []
-        for seed in seeds:
-            exp = Experiment(_setup_from_config(rate_cfg, seed))
-            runs.append(exp.run(selector, budget, seed))
+        exp = Experiment(replace(setup, noise_rate=rate))
+        [(_, _, runs)] = exp.sweep([selector], [budget], seeds)
         f1 = aggregate_runs(runs)["f1"]
         rows.append({"noise_rate": rate, "f1_mean": f1[0], "f1_std": f1[1]})
-        print(f"noise {rate:4.0%}: mean F1 "
-              f"{'n/a' if f1[0] is None else f'{f1[0]:.3f}'}")
+        print(f"noise {rate:4.0%}: mean F1 {_fmt_f1(f1[0])}")
     path = out_dir / "noise_sweep.json"
     path.write_text(json.dumps(rows, indent=2))
     _write_run_json(out_dir, "noise", config, seeds, [path])
@@ -324,18 +312,7 @@ def cmd_report(args, config):
     payload = json.loads(src.read_text())
     out_dir = _out_dir(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / "result.csv"
-    import csv
-
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(met.REPORT_COLUMNS)
-        for mm, sel_ids in zip(payload["monthly"], payload["selected_ids"]):
-            w.writerow([
-                mm["month"], mm["tp"], mm["fp"], mm["tn"], mm["fn"],
-                met._fmt_pct(mm["f1"]), met._fmt_pct(mm["fnr"]),
-                met._fmt_pct(mm["fpr"]), len(sel_ids),
-            ])
+    dest = met.write_report_csv(payload, out_dir / "result.csv")
     print(f"wrote {dest}")
     _write_run_json(out_dir, "report", config, [], [dest])
     return EXIT_OK

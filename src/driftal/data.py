@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,6 @@ class FeatureRecord:
     month: str  # YYYY-MM
     label: int  # 0 benign, 1 malware
     features: np.ndarray  # uint8 {0,1} vector
-    family: str = ""  # reserved; no operation consumes it
 
 
 @dataclass
@@ -119,9 +119,10 @@ def _shard_bytes_binary(records, dim):
     return bytes(buf)
 
 
-def _read_shard_binary(raw, month, dim, path):
-    if raw[:4] != MAGIC:
-        raise DataError(f"shard {path} has bad magic bytes")
+def _read_shard_binary(raw, dim, path):
+    """(ids, labels, X) of one binary shard; every byte must belong to a record."""
+    if raw[:4] != MAGIC or len(raw) < 16:
+        raise DataError(f"shard {path} has bad magic bytes or a short header")
     version, d, count = struct.unpack("<III", raw[4:16])
     if version != BINARY_VERSION:
         raise DataError(f"shard {path} has unsupported version {version}")
@@ -129,16 +130,26 @@ def _read_shard_binary(raw, month, dim, path):
         raise DataError(f"shard {path} has dim {d}, manifest expects {dim}")
     nbytes = (d + 7) // 8
     off = 16
-    records = []
-    for _ in range(count):
-        label, idlen = struct.unpack_from("<BH", raw, off)
-        off += 3
-        rid = raw[off : off + idlen].decode()
-        off += idlen
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8, nbytes, off))[:d]
-        off += nbytes
-        records.append(FeatureRecord(rid, month, int(label), bits.astype(np.uint8)))
-    return records
+    ids, labels, starts = [], [], []
+    try:
+        for _ in range(count):
+            label, idlen = struct.unpack_from("<BH", raw, off)
+            off += 3
+            ids.append(raw[off : off + idlen].decode())
+            labels.append(label)
+            starts.append(off + idlen)
+            off += idlen + nbytes
+    except (struct.error, UnicodeDecodeError) as e:
+        raise DataError(f"shard {path} is truncated or malformed: {e}") from None
+    if off > len(raw):
+        raise DataError(f"shard {path} is truncated: {count} records do not fit "
+                        f"in {len(raw)} bytes")
+    if off < len(raw):
+        raise DataError(f"shard {path} has {len(raw) - off} trailing bytes "
+                        "after its last record")
+    rows = np.add.outer(np.asarray(starts, dtype=np.intp), np.arange(nbytes))
+    X = np.unpackbits(np.frombuffer(raw, np.uint8)[rows], axis=1)[:, :d]
+    return ids, np.array(labels, dtype=np.int64), X
 
 
 def _shard_bytes_csv(records, dim):
@@ -148,19 +159,28 @@ def _shard_bytes_csv(records, dim):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _read_shard_csv(raw, month, dim, path):
-    lines = raw.decode().splitlines()
-    header = lines[0].split(",")
-    if len(header) != dim + 2:
-        raise DataError(f"shard {path} has {len(header) - 2} features, expects {dim}")
-    records = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        bits = np.array(cells[2:], dtype=np.uint8)
-        if len(bits) != dim:
-            raise DataError(f"shard {path} row has dim {len(bits)}, expects {dim}")
-        records.append(FeatureRecord(cells[0], month, int(cells[1]), bits))
-    return records
+def _read_shard_csv(raw, dim, path):
+    """(ids, labels, X) of one CSV shard; every feature cell must be 0 or 1."""
+    try:
+        header, *lines = raw.decode().splitlines()
+        rows = [line.split(",", 2) for line in lines]
+        ids = [r[0] for r in rows]
+        labels = np.array([r[1] for r in rows], dtype=np.int64)
+        cells = [r[2] for r in rows]
+    except (UnicodeDecodeError, ValueError, IndexError) as e:
+        raise DataError(f"shard {path} is not an id,label,features table: {e}") from None
+    if len(header.split(",")) != dim + 2:
+        raise DataError(f"shard {path} has {len(header.split(',')) - 2} features, "
+                        f"expects {dim}")
+    # a valid row's cells are "b,b,...,b" with b in {0, 1}: 2 * dim - 1 bytes
+    body = np.frombuffer(",".join([*cells, ""]).encode(), np.uint8)
+    if set(map(len, cells)) - {2 * dim - 1} or body.size != 2 * dim * len(cells):
+        raise DataError(f"shard {path} has rows that are not {dim} 0/1 cells")
+    body = body.reshape(len(cells), 2 * dim)
+    X = body[:, 0::2] - ord("0")
+    if (X > 1).any() or (body[:, 1::2] != ord(",")).any():
+        raise DataError(f"shard {path} has feature cells other than 0 or 1")
+    return ids, labels, X
 
 
 def save_dataset(dataset, path, fmt="binary"):
@@ -207,6 +227,7 @@ def load_dataset(path):
         raise DataError(f"unsupported manifest version {manifest.get('version')}")
     dim = manifest["feature_dim"]
     dataset = Dataset(manifest["name"], dim)
+    all_ids = []
     for shard in manifest["shards"]:
         month = shard["month"]
         _check_month(month)
@@ -214,14 +235,21 @@ def load_dataset(path):
         digest = hashlib.sha256(raw).hexdigest()
         if digest != shard["sha256"]:
             raise DataError(f"shard {shard['file']} failed checksum validation")
-        if shard["format"] == "binary":
-            records = _read_shard_binary(raw, month, dim, shard["file"])
-        else:
-            records = _read_shard_csv(raw, month, dim, shard["file"])
-        benign = sum(1 for r in records if r.label == 0)
-        if benign != shard["benign"] or len(records) - benign != shard["malware"]:
+        read = _read_shard_binary if shard["format"] == "binary" else _read_shard_csv
+        ids, labels, X = read(raw, dim, shard["file"])
+        if ((labels != 0) & (labels != 1)).any():
+            raise DataError(f"shard {shard['file']} has labels outside {{0, 1}}")
+        benign = int((labels == 0).sum())
+        if benign != shard["benign"] or len(labels) - benign != shard["malware"]:
             raise DataError(f"shard {shard['file']} counts disagree with manifest")
-        dataset.records.extend(records)
+        dataset.records.extend(
+            FeatureRecord(i, month, label, x)
+            for i, label, x in zip(ids, labels.tolist(), X)
+        )
+        all_ids += ids
+    if len(set(all_ids)) != len(all_ids):
+        dups = sorted(i for i, n in Counter(all_ids).items() if n > 1)
+        raise DataError(f"dataset {path} repeats ids: {dups[:5]}")
     return manifest, dataset
 
 
@@ -293,7 +321,7 @@ def inject_label_noise(labeled, noise_rate, seed):
     records = []
     for i, r in enumerate(labeled.records):
         label = 1 - r.label if i in chosen else r.label
-        records.append(FeatureRecord(r.id, r.month, label, r.features, r.family))
+        records.append(FeatureRecord(r.id, r.month, label, r.features))
     return Dataset(labeled.name, labeled.feature_dim, records)
 
 

@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import data as dio
-from . import selection as sel
 from .losses import LossConfig
 from .stream import StreamConfig, months_from_dataset, run_stream
 from .trainer import TrainConfig, build_model, train
@@ -79,15 +76,17 @@ class Experiment:
             score_sink=score_sink,
         )
 
-    def run_suite(self, selectors, budgets, seeds):
-        """Selector x budget x seed grid with shared seeds per cell."""
-        out = {}
-        for selector in selectors:
-            for budget in budgets:
-                out[(selector.kind, budget)] = [
-                    self.run(selector, budget, seed) for seed in seeds
-                ]
-        return out
+    def sweep(self, selectors, budgets, seeds):
+        """Selector x budget x seed grid with shared seeds per cell.
+
+        Returns one ``(selector, budget, runs)`` entry per requested cell,
+        selector-major, so a selector listed twice gives two entries.
+        """
+        return [
+            (selector, budget, [self.run(selector, budget, seed) for seed in seeds])
+            for selector in selectors
+            for budget in budgets
+        ]
 
 
 def default_synthetic_setup(
@@ -114,7 +113,7 @@ def default_synthetic_setup(
     dataset = dio.synth_drift_generate(gen)
     months = dataset.months()
     cfg = TrainConfig(epochs=epochs, hidden=hidden, loss=LossConfig())
-    setup = ExperimentSetup(
+    return ExperimentSetup(
         dataset=dataset,
         train_months=months[:train_months],
         stream_months=months[train_months:],
@@ -123,8 +122,3 @@ def default_synthetic_setup(
         train_cfg=cfg,
         retrain_epochs=retrain_epochs,
     )
-    return setup
-
-
-def selector_by_kind(kind, **overrides):
-    return sel.SelectorConfig(kind=kind, **overrides)

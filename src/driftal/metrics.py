@@ -79,18 +79,20 @@ def emit_report(result, out_dir, fmt="json", config_hash="", seeds=()):
         p.write_text(json.dumps(payload, indent=2))
         paths.append(p)
     if fmt in ("csv", "both"):
-        p = out_dir / "result.csv"
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(REPORT_COLUMNS)
-            for mm, sel in zip(result.monthly, result.selected_ids):
-                w.writerow([
-                    mm.month, mm.tp, mm.fp, mm.tn, mm.fn,
-                    _fmt_pct(mm.f1), _fmt_pct(mm.fnr), _fmt_pct(mm.fpr),
-                    len(sel),
-                ])
-        paths.append(p)
+        paths.append(write_report_csv(payload, out_dir / "result.csv"))
     return paths
+
+
+def write_report_csv(payload, path):
+    """Per-month CSV of a ``StreamResult.to_dict()`` payload; returns ``path``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(REPORT_COLUMNS)
+        for mm, sel in zip(payload["monthly"], payload["selected_ids"]):
+            w.writerow([mm[c] for c in REPORT_COLUMNS[:5]]
+                       + [_fmt_pct(mm[c]) for c in ("f1", "fnr", "fpr")]
+                       + [len(sel)])
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ the contrastive loss and the distance-based selection criterion.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -57,16 +56,6 @@ def validate_architecture(specs):
     last = specs[-1]
     if last.output_dim != 2 or last.activation != "identity":
         raise ShapeError("final layer must emit 2 identity logits")
-
-
-@dataclass
-class ForwardTrace:
-    """Single-sample forward pass record."""
-
-    pre_activations: list
-    activations: list
-    probabilities: np.ndarray
-    embedding: np.ndarray
 
 
 def softmax(logits):
@@ -156,23 +145,6 @@ class Classifier:
         else:
             raise ShapeError(f"input must be 1-D or 2-D, got ndim={X.ndim}")
         return X
-
-    def forward(self, x):
-        """Run one sample through the net and record every intermediate."""
-        x = self._check_input(np.asarray(x))
-        if x.ndim != 1:
-            raise ShapeError("forward takes a single vector; use predict_batch")
-        pres, acts = [], []
-        a = x
-        for spec, w, b in zip(self.architecture, self.weights, self.biases):
-            pre = w @ a + b
-            a = _relu(pre) if spec.activation == "relu" else pre
-            pres.append(pre)
-            acts.append(a)
-        probs = softmax(acts[-1])
-        i = self.embedding_layer_index
-        emb = acts[i] if i >= 0 else x
-        return ForwardTrace(pres, acts, probs, emb)
 
     def forward_batch(self, X):
         """Batched forward returning (logits, probs, embeddings, cache).

@@ -8,18 +8,13 @@ and the model is retrained (warm start by default) on the updated pools.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import selection as sel
-from .metrics import MonthlyMetrics, aggregate, compute_metrics
+from .metrics import aggregate, compute_metrics
 from .trainer import TrainConfig, train
-
-
-class LeakageError(RuntimeError):
-    """A month was labeled before it was evaluated."""
 
 
 class PoolInvariantError(RuntimeError):
@@ -33,7 +28,6 @@ class StreamConfig:
     retrain: TrainConfig = field(default_factory=TrainConfig)
     warm_start: bool = True
     retrain_epochs: int = 10  # warm-start epochs per month
-    pool_cap: int | None = None  # optional sliding-window cap on D_u
     seed: int = 0
 
     def __post_init__(self):
@@ -121,20 +115,21 @@ class _Pool:
         self.Xu = self.Xu[keep]
         self.ids_u = [i for i, k in zip(self.ids_u, keep) if k]
 
-    def cap_unlabeled(self, cap):
-        if cap is not None and len(self.Xu) > cap:
-            self.Xu = self.Xu[-cap:]
-            self.ids_u = self.ids_u[-cap:]
-
     def check(self, expected_total):
+        """Rows are conserved and every id sits in the pools exactly once."""
         total = len(self.ids_l) + len(self.ids_u)
         if total != expected_total:
             raise PoolInvariantError(
                 f"pool total {total} != expected {expected_total}"
             )
-        overlap = set(self.ids_l) & set(self.ids_u)
+        set_l, set_u = set(self.ids_l), set(self.ids_u)
+        overlap = set_l & set_u
         if overlap:
             raise PoolInvariantError(f"ids in both pools: {sorted(overlap)[:5]}")
+        if len(set_l) + len(set_u) != total:
+            raise PoolInvariantError(
+                f"{total - len(set_l) - len(set_u)} repeated ids within a pool"
+            )
 
 
 def run_stream(model, labeled, unlabeled, months, oracle, cfg,
@@ -155,11 +150,8 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
     monthly = []
     selected_per_month = []
     expected_total = len(pool.ids_l) + len(pool.ids_u)
-    eval_times = {}
-    label_times = {}
     for mdata in months:
         # (1) evaluate before the month's data can influence anything
-        eval_times[mdata.month] = time.monotonic_ns()
         preds = model.predict_batch(mdata.X).argmax(axis=1) if len(mdata.X) else []
         monthly.append(compute_metrics(preds, mdata.y, month=mdata.month))
 
@@ -181,9 +173,6 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
         # (4) oracle labels the selection
         chosen_ids = [pool.ids_u[i] for i in chosen]
         selected_per_month.append(chosen_ids)
-        label_times[mdata.month] = time.monotonic_ns()
-        if eval_times[mdata.month] >= label_times[mdata.month]:
-            raise LeakageError(f"month {mdata.month} labeled before evaluation")
         labels = [oracle[i] for i in chosen_ids]
         pool.promote(chosen, labels)
         pool.check(expected_total)
@@ -201,24 +190,7 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
 
                 model = build_model(model.input_dim, replace(rcfg, seed=cfg.seed))
             model, _ = train(model, (pool.Xl, pool.yl), pool.Xu, rcfg)
-        pool.cap_unlabeled(cfg.pool_cap)
-        if cfg.pool_cap is not None:
-            expected_total = len(pool.ids_l) + len(pool.ids_u)
     return _result(monthly, selected_per_month, cfg.seed)
-
-
-def run_ablation_suite(run_one, selectors, budgets, seeds):
-    """Cross product of selector x budget x seed with shared seeds.
-
-    ``run_one(selector_cfg, budget, seed)`` must return a StreamResult;
-    the return value maps (selector.kind, budget) to the per-seed list.
-    """
-    out = {}
-    for selector in selectors:
-        for budget in budgets:
-            runs = [run_one(selector, budget, seed) for seed in seeds]
-            out[(selector.kind, budget)] = runs
-    return out
 
 
 def aggregate_runs(results):

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from driftal import data as dio
 from driftal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from driftal.net import Classifier
+
+from test_data import rewrite_shard
 
 
 def base_config(**extra):
@@ -104,6 +107,37 @@ class TestAblate:
         assert {r["selector"] for r in rows} == {"multi_criteria", "random"}
         assert all(r["budget"] == 2 for r in rows)
 
+    def test_runs_equal_single_stream_runs(self, tmp_path):
+        """One Experiment shared across seeds gives what a fresh one per seed does."""
+        kinds = ["multi_criteria", "random"]
+        cfg = write_config(tmp_path, seeds=[0, 1],
+                           ablate={"selectors": kinds, "budgets": [3]})
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = json.loads((out / "ablation.json").read_text())
+        assert [r["selector"] for r in rows] == kinds
+        for row in rows:
+            for seed, run in zip([0, 1], row["runs"]):
+                sout = tmp_path / f"stream_{row['selector']}_{seed}"
+                assert main(["stream", "--config", cfg, "--out", str(sout),
+                             "--seed", str(seed), "--budget", "3",
+                             "--selector", row["selector"]]) == EXIT_OK
+                single = json.loads((sout / f"seed{seed}" / "result.json").read_text())
+                del single["config_hash"], single["seeds"]
+                assert run == single
+
+    def test_duplicated_selector_one_row_per_cell(self, tmp_path):
+        cfg = write_config(tmp_path,
+                           ablate={"selectors": ["random", "random"],
+                                   "budgets": [2, 3]})
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", cfg, "--out", str(out),
+                     "--seed", "0"]) == EXIT_OK
+        rows = json.loads((out / "ablation.json").read_text())
+        assert [(r["selector"], r["budget"]) for r in rows] == [
+            ("random", 2), ("random", 3), ("random", 2), ("random", 3)]
+        assert rows[0] == rows[2] and rows[1] == rows[3]
+
 
 class TestBench:
     def test_csv(self, tmp_path):
@@ -134,8 +168,8 @@ class TestReport:
         rout = tmp_path / "report"
         assert main(["report", "--result", str(out / "seed0" / "result.json"),
                      "--out", str(rout)]) == EXIT_OK
-        converted = (rout / "result.csv").read_text()
-        original = (out / "seed0" / "result.csv").read_text()
+        converted = (rout / "result.csv").read_bytes()
+        original = (out / "seed0" / "result.csv").read_bytes()
         assert converted == original
 
 
@@ -187,6 +221,28 @@ class TestErrorPaths:
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_DATA
+
+    def test_bad_shard_exits_data(self, tmp_path, capsys):
+        gen = dio.DriftGeneratorConfig(dim=20, months=4,
+                                       samples_per_month_per_class=25)
+        ds_dir = tmp_path / "ds"
+        dio.save_dataset(dio.synth_drift_generate(gen), ds_dir)
+        rewrite_shard(ds_dir, ".bfv", lambda raw: raw[:-3])
+        cfg = base_config(dataset=str(ds_dir))
+        del cfg["generator"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "stream"])
+    def test_overlapping_split_periods(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, split={"train": "2020-01..2020-02",
+                                            "stream": "2020-02..2020-04"})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_CONFIG
+        assert "2020-02" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["stream", "ablate"])
     def test_non_finite_embeddings_exit_numeric(self, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -22,6 +23,32 @@ def make_dataset(n=100, d=10, months=("2020-01", "2020-02"), seed=0):
             )
         )
     return ds
+
+
+def rewrite_shard(ds_dir, suffix, edit, **fields):
+    """Replace the first ``suffix`` shard's bytes with ``edit(raw)``.
+
+    The manifest checksum is rewritten to match (and any ``fields`` set on
+    the shard's entry), so only the shard reader can catch the damage.
+    """
+    mpath = ds_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    shard = next(s for s in manifest["shards"] if s["file"].endswith(suffix))
+    path = ds_dir / shard["file"]
+    raw = edit(path.read_bytes())
+    path.write_bytes(raw)
+    shard["sha256"] = hashlib.sha256(raw).hexdigest()
+    shard.update(fields)
+    mpath.write_text(json.dumps(manifest))
+
+
+def set_csv_cell(raw, col, value):
+    """CSV shard bytes with the first data row's column ``col`` set to ``value``."""
+    lines = raw.decode().split("\n")
+    cells = lines[1].split(",")
+    cells[col] = value
+    lines[1] = ",".join(cells)
+    return "\n".join(lines).encode()
 
 
 class TestRoundTrip:
@@ -63,6 +90,91 @@ class TestRoundTrip:
             records = by_month[shard["month"]]
             assert shard["benign"] == sum(1 for r in records if r.label == 0)
             assert shard["malware"] == sum(1 for r in records if r.label == 1)
+
+
+class TestShardValidation:
+    """Damaged shards with valid checksums fail as DataError, never silently."""
+
+    @staticmethod
+    def saved(tmp_path, fmt="binary", ds=None):
+        dio.save_dataset(ds or make_dataset(), tmp_path / "ds", fmt=fmt)
+        return tmp_path / "ds"
+
+    def test_truncated_binary(self, tmp_path):
+        ds_dir = self.saved(tmp_path)
+        rewrite_shard(ds_dir, ".bfv", lambda raw: raw[:-3])
+        with pytest.raises(dio.DataError, match="truncated"):
+            dio.load_dataset(ds_dir)
+
+    def test_truncated_binary_header(self, tmp_path):
+        ds_dir = self.saved(tmp_path)
+        rewrite_shard(ds_dir, ".bfv", lambda raw: raw[:10])
+        with pytest.raises(dio.DataError):
+            dio.load_dataset(ds_dir)
+
+    def test_trailing_bytes_binary(self, tmp_path):
+        ds_dir = self.saved(tmp_path)
+        rewrite_shard(ds_dir, ".bfv", lambda raw: raw + b"\x00\x01")
+        with pytest.raises(dio.DataError, match="trailing"):
+            dio.load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("value", ["7", "10", "", "x", "0.0"])
+    def test_csv_feature_outside_bits(self, tmp_path, value):
+        ds_dir = self.saved(tmp_path, fmt="csv")
+        rewrite_shard(ds_dir, ".csv", lambda raw: set_csv_cell(raw, 2, value))
+        with pytest.raises(dio.DataError):
+            dio.load_dataset(ds_dir)
+
+    def test_csv_short_row(self, tmp_path):
+        ds_dir = self.saved(tmp_path, fmt="csv")
+        rewrite_shard(ds_dir, ".csv", lambda raw: raw + b"r9999,1\n")
+        with pytest.raises(dio.DataError):
+            dio.load_dataset(ds_dir)
+
+    def test_csv_cell_moved_between_rows(self, tmp_path):
+        # one row one cell long and the next one cell short: the byte count
+        # of the shard is unchanged, only the row boundaries move
+        def shift(raw):
+            lines = raw.decode().split("\n")
+            lines[1] += ",1"
+            lines[2] = lines[2][:-2]
+            return "\n".join(lines).encode()
+
+        ds_dir = self.saved(tmp_path, fmt="csv")
+        rewrite_shard(ds_dir, ".csv", shift)
+        with pytest.raises(dio.DataError, match="cells"):
+            dio.load_dataset(ds_dir)
+
+    def test_binary_label_outside_classes(self, tmp_path):
+        ds_dir = self.saved(tmp_path)
+        # the first record's label byte follows the 16-byte header
+        rewrite_shard(ds_dir, ".bfv", lambda raw: raw[:16] + b"\x02" + raw[17:])
+        with pytest.raises(dio.DataError, match="labels"):
+            dio.load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("value", ["2", "-1"])
+    def test_csv_label_outside_classes(self, tmp_path, value):
+        ds_dir = self.saved(tmp_path, fmt="csv")
+        rewrite_shard(ds_dir, ".csv", lambda raw: set_csv_cell(raw, 1, value))
+        with pytest.raises(dio.DataError, match="labels"):
+            dio.load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_duplicate_ids_across_shards(self, tmp_path, fmt):
+        ds = make_dataset()
+        ds.records[1].id = ds.records[0].id  # consecutive rows alternate months
+        ds_dir = self.saved(tmp_path, fmt=fmt, ds=ds)
+        with pytest.raises(dio.DataError, match=ds.records[0].id):
+            dio.load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("fmt,suffix", [("binary", ".bfv"), ("csv", ".csv")])
+    def test_empty_shard_loads(self, tmp_path, fmt, suffix):
+        ds_dir = self.saved(tmp_path, fmt=fmt)
+        write = dio._shard_bytes_binary if fmt == "binary" else dio._shard_bytes_csv
+        rewrite_shard(ds_dir, suffix, lambda raw: write([], 10),
+                      benign=0, malware=0)
+        _, loaded = dio.load_dataset(ds_dir)
+        assert len(loaded.records) == 50
 
 
 class TestTemporalSplit:

@@ -17,8 +17,13 @@ def small_net(seed=0):
 
 
 def reference_forward(model, x):
-    """Independent forward pass: explicit per-element loops."""
+    """Independent forward pass with explicit per-element loops.
+
+    Returns (probabilities, embedding); the embedding is the penultimate
+    activation, or the input itself for a single-layer net.
+    """
     a = [float(v) for v in x]
+    acts = [a]
     for spec, W, b in zip(model.architecture, model.weights, model.biases):
         out = []
         for i in range(spec.output_dim):
@@ -27,57 +32,70 @@ def reference_forward(model, x):
                 s += W[i, j] * a[j]
             out.append(max(s, 0.0) if spec.activation == "relu" else s)
         a = out
+        acts.append(a)
     m = max(a)
     exps = [np.exp(v - m) for v in a]
     z = sum(exps)
-    return np.array([e / z for e in exps])
+    return np.array([e / z for e in exps]), np.array(acts[-2])
 
 
 class TestForward:
     def test_zero_model_is_uniform(self):
         m = Classifier([LayerSpec(4, 2, "identity")], init=False)
-        trace = m.forward(np.array([1, 0, 1, 1]))
-        assert np.allclose(trace.probabilities, [0.5, 0.5])
+        probs = m.predict_batch(np.array([[1, 0, 1, 1]]))
+        assert np.allclose(probs, [[0.5, 0.5]])
 
     def test_identity_layer_closed_form(self):
         m = Classifier([LayerSpec(2, 2, "identity")], init=False)
         m.weights[0] = np.eye(2)
-        trace = m.forward(np.array([3.0, 0.0]))
+        probs = m.predict_batch(np.array([[3.0, 0.0]]))
         e3 = np.exp(3.0)
-        assert np.allclose(trace.probabilities, [e3 / (e3 + 1), 1 / (e3 + 1)])
+        assert np.allclose(probs, [[e3 / (e3 + 1), 1 / (e3 + 1)]])
 
     def test_matches_reference_oracle(self):
         m = small_net(seed=7)
         rng = np.random.default_rng(11)
-        for _ in range(5):
-            x = (rng.random(8) < 0.5).astype(float)
-            trace = m.forward(x)
-            assert np.allclose(trace.probabilities, reference_forward(m, x), atol=1e-12)
+        X = (rng.random((5, 8)) < 0.5).astype(float)
+        _, probs, embs, _ = m.forward_batch(X)
+        for x, p, e in zip(X, probs, embs):
+            ref_probs, ref_emb = reference_forward(m, x)
+            assert np.allclose(p, ref_probs, atol=1e-12)
+            assert np.allclose(e, ref_emb, atol=1e-12)
+
+    def test_single_layer_embedding_is_input(self):
+        m = Classifier([LayerSpec(3, 2, "identity")], seed=1)
+        x = np.array([1.0, 0.0, 1.0])
+        ref_probs, ref_emb = reference_forward(m, x)
+        assert np.allclose(m.predict_batch(x[None])[0], ref_probs, atol=1e-12)
+        assert (m.embed_batch(x[None])[0] == ref_emb).all()
 
     def test_probabilities_normalized(self):
         m = small_net()
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            trace = m.forward(rng.random(8))
-            assert abs(trace.probabilities.sum() - 1.0) < 1e-9
-            assert (trace.probabilities >= 0).all()
+        probs = m.predict_batch(np.random.default_rng(0).random((20, 8)))
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
+        assert (probs >= 0).all()
 
     def test_deterministic(self):
         m = small_net()
         x = np.ones(8)
-        t1, t2 = m.forward(x), m.forward(x)
-        assert (t1.probabilities == t2.probabilities).all()
-        assert (t1.embedding == t2.embedding).all()
+        _, p1, e1, _ = m.forward_batch(x)
+        _, p2, e2, _ = m.forward_batch(x)
+        assert (p1 == p2).all()
+        assert (e1 == e2).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            small_net().forward(np.ones(5))
+            small_net().forward_batch(np.ones(5))
+        with pytest.raises(ShapeError):
+            small_net().predict_batch(np.ones((2, 5)))
 
     def test_embedding_is_penultimate_activation(self):
         m = small_net()
-        trace = m.forward(np.ones(8))
-        assert trace.embedding.shape == (6,)
-        assert (trace.embedding == trace.activations[0]).all()
+        x = np.ones(8)
+        _, _, emb, cache = m.forward_batch(x)
+        assert emb.shape == (1, 6)
+        assert (emb == np.maximum(cache["pres"][0], 0.0)).all()
+        assert (m.embed_batch(x[None]) == emb).all()
 
 
 class TestBackward:
@@ -186,9 +204,12 @@ class TestBatch:
         probs = m.predict_batch(X)
         embs = m.embed_batch(X)
         for i, x in enumerate(X):
-            trace = m.forward(x)
-            assert np.allclose(probs[i], trace.probabilities, atol=1e-12)
-            assert np.allclose(embs[i], trace.embedding, atol=1e-12)
+            _, row_probs, row_emb, _ = m.forward_batch(x)
+            ref_probs, ref_emb = reference_forward(m, x)
+            assert np.allclose(probs[i], row_probs[0], atol=1e-12)
+            assert np.allclose(embs[i], row_emb[0], atol=1e-12)
+            assert np.allclose(probs[i], ref_probs, atol=1e-12)
+            assert np.allclose(embs[i], ref_emb, atol=1e-12)
 
     def test_permutation_equivariance(self):
         m = small_net()

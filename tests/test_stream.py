@@ -74,13 +74,11 @@ class TestPool:
         with pytest.raises(PoolInvariantError):
             pool.check(3)
 
-    def test_cap_keeps_most_recent(self):
-        pool = _Pool(np.zeros((0, 2), np.uint8), [], [],
-                     np.arange(8, dtype=np.uint8).reshape(4, 2),
-                     ["a", "b", "c", "d"])
-        pool.cap_unlabeled(2)
-        assert pool.ids_u == ["c", "d"]
-        assert (pool.Xu == [[4, 5], [6, 7]]).all()
+    def test_check_detects_repeated_id(self):
+        pool = _Pool(np.zeros((1, 3), np.uint8), [0], ["a"],
+                     np.ones((3, 3), np.uint8), ["b", "c", "b"])
+        with pytest.raises(PoolInvariantError, match="repeated"):
+            pool.check(4)
 
 
 class TestRunStream:
@@ -158,12 +156,6 @@ class TestRunStream:
             for i in ids:
                 assert i in oracle
 
-    def test_pool_cap(self):
-        model, labeled, unlabeled, months, oracle = make_world()
-        cfg = small_cfg(pool_cap=10)
-        result = run_stream(model, labeled, unlabeled, months, oracle, cfg)
-        assert len(result.monthly) == len(months)
-
     def test_empty_month_handled(self):
         model, labeled, unlabeled, months, oracle = make_world()
         d = months[0].X.shape[1]
@@ -200,6 +192,36 @@ class TestRunStream:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             StreamConfig(budget=-1)
+
+
+class TestRepeatedIds:
+    """A month that re-sends ids already in the pools must stop the stream.
+
+    The model has trained on every pooled id (labeled ones directly,
+    unlabeled ones through the consistency loss), so evaluating on them
+    again would leak training data into the test month.
+    """
+
+    @staticmethod
+    def _repeat(months, ids):
+        mdata = months[1]
+        mdata.ids[: len(ids)] = ids
+
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_month_repeating_unlabeled_ids(self, budget):
+        model, labeled, unlabeled, months, oracle = make_world()
+        self._repeat(months, unlabeled[1][:4])
+        with pytest.raises(PoolInvariantError):
+            run_stream(model, labeled, unlabeled, months, oracle,
+                       small_cfg(budget=budget))
+
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_month_repeating_labeled_ids(self, budget):
+        model, labeled, unlabeled, months, oracle = make_world()
+        self._repeat(months, labeled[2][:4])
+        with pytest.raises(PoolInvariantError, match="both pools"):
+            run_stream(model, labeled, unlabeled, months, oracle,
+                       small_cfg(budget=budget))
 
 
 class TestAggregation:
