@@ -4,7 +4,6 @@ from .augment import (
     AugmentConfig,
     bernoulli_bit_flip,
     bernoulli_mask,
-    rng_from_seed,
     strong_view,
     uniform_bit_flip,
     weak_view,
@@ -18,7 +17,6 @@ from .data import (
     load_dataset,
     save_dataset,
     synth_drift_generate,
-    temporal_split,
 )
 from .losses import (
     LossBreakdown,

@@ -38,11 +38,6 @@ class AugmentConfig:
             )
 
 
-def rng_from_seed(seed):
-    """Deterministic generator; same seed, same perturbation sequence."""
-    return np.random.default_rng(int(seed))
-
-
 def _check_prob(p, name):
     if not 0.0 <= p <= 1.0:
         raise AugmentConfigError(f"{name}={p} outside [0, 1]")

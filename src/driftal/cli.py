@@ -24,7 +24,7 @@ from .augment import AugmentConfig, AugmentConfigError
 from .experiment import Experiment, ExperimentSetup
 from .losses import LossConfig
 from .net import NumericError
-from .selection import SelectorConfig
+from .selection import SELECTOR_KINDS, SelectorConfig
 from .stream import aggregate_runs
 from .trainer import TrainConfig
 
@@ -136,6 +136,9 @@ def _setup_from_config(config):
     if shared:
         raise ConfigError(f"split.train and split.stream share months {shared}")
     stream_cfg = config.get("stream", {})
+    unknown = sorted(set(stream_cfg) - {"budget", "selector", "retrain_epochs"})
+    if unknown:
+        raise ConfigError(f"stream: unknown keys {unknown}")
     return ExperimentSetup(
         dataset=dataset,
         train_months=train_months,
@@ -144,7 +147,6 @@ def _setup_from_config(config):
         noise_rate=float(config.get("noise_rate", 0.0)),
         train_cfg=_train_config(config.get("train", {})),
         retrain_epochs=int(stream_cfg.get("retrain_epochs", 10)),
-        warm_start=bool(stream_cfg.get("warm_start", True)),
     )
 
 
@@ -159,9 +161,12 @@ def cmd_synth(args, config):
     if args.seed is not None:
         gen_cfg["seed"] = args.seed
     gen = _build(dio.DriftGeneratorConfig, gen_cfg, "generator")
+    fmt = config.get("format", "binary")
+    if fmt not in dio.SHARD_FORMATS:
+        raise ConfigError(f"format: {fmt!r} is not one of {sorted(dio.SHARD_FORMATS)}")
     dataset = dio.synth_drift_generate(gen)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dio.save_dataset(dataset, out_dir / "dataset", fmt=config.get("format", "binary"))
+    dio.save_dataset(dataset, out_dir / "dataset", fmt=fmt)
     artifacts = sorted((out_dir / "dataset").glob("*"))
     _write_run_json(out_dir, "synth", {"generator": vars(gen)}, [gen.seed], artifacts)
     print(f"wrote {len(dataset.records)} records over {len(dataset.months())} "
@@ -218,8 +223,7 @@ def cmd_stream(args, config):
     ).hexdigest()
     for seed, result in zip(seeds, results):
         artifacts += met.emit_report(
-            result, out_dir / f"seed{seed}", fmt="both",
-            config_hash=config_hash, seeds=[seed],
+            result, out_dir / f"seed{seed}", config_hash=config_hash, seeds=[seed],
         )
         print(f"seed {seed}: mean F1 {_fmt_f1(result.f1_mean)}")
     agg = aggregate_runs(results)
@@ -309,7 +313,12 @@ def cmd_report(args, config):
     src = Path(args.result or config.get("result", ""))
     if not src.exists():
         raise dio.DataError(f"result file not found: {src}")
-    payload = json.loads(src.read_text())
+    try:
+        payload = json.loads(src.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise dio.DataError(f"result file {src} is not valid JSON: {e}") from None
+    dio.require_keys(payload, {"monthly": list, "selected_ids": list},
+                     f"result file {src}")
     out_dir = _out_dir(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = met.write_report_csv(payload, out_dir / "result.csv")
@@ -321,35 +330,40 @@ def cmd_report(args, config):
 # ---------------------------------------------------------------------------
 
 
+# every flag a command may take; each command accepts only those it reads
+FLAGS = {
+    "--seed": {"type": int, "help": "single seed override"},
+    "--budget": {"type": int, "help": "labeling budget per month"},
+    "--selector": {"choices": SELECTOR_KINDS},
+    "--label-ratio": {"type": float},
+    "--budgets": {"type": int, "nargs": "*", "help": "ablation budgets"},
+    "--sizes": {"type": int, "nargs": "*", "help": "bench pool sizes"},
+    "--result": {"help": "result.json to convert"},
+}
+
+COMMANDS = {
+    "synth": (cmd_synth, ["--seed"]),
+    "train": (cmd_train, ["--seed", "--label-ratio"]),
+    "stream": (cmd_stream, ["--seed", "--budget", "--selector", "--label-ratio"]),
+    "ablate": (cmd_ablate, ["--seed", "--budgets"]),
+    "bench": (cmd_bench, ["--seed", "--budget", "--sizes"]),
+    "noise": (cmd_noise, ["--seed", "--budget", "--selector"]),
+    "report": (cmd_report, ["--result"]),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="driftal",
         description="Drift-adaptive semi-supervised active learning experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "synth": cmd_synth,
-        "train": cmd_train,
-        "stream": cmd_stream,
-        "ablate": cmd_ablate,
-        "bench": cmd_bench,
-        "noise": cmd_noise,
-        "report": cmd_report,
-    }
-    for name, fn in commands.items():
+    for name, (fn, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="single seed override")
-        p.add_argument("--budget", type=int, help="labeling budget per month")
-        p.add_argument("--selector", choices=[
-            "multi_criteria", "margin_only", "lp_only",
-            "low_confidence_only", "random",
-        ])
-        p.add_argument("--label-ratio", type=float, dest="label_ratio")
-        p.add_argument("--budgets", type=int, nargs="*", help="ablation budgets")
-        p.add_argument("--sizes", type=int, nargs="*", help="bench pool sizes")
-        p.add_argument("--result", help="result.json to convert (report)")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

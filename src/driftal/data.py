@@ -153,10 +153,15 @@ def _read_shard_binary(raw, dim, path):
 
 
 def _shard_bytes_csv(records, dim):
-    lines = ["id,label," + ",".join(f"f{i}" for i in range(dim))]
-    for r in records:
-        lines.append(f"{r.id},{r.label}," + ",".join(str(int(v)) for v in r.features))
-    return ("\n".join(lines) + "\n").encode()
+    """CSV shard bytes in the reader's layout: "b," per cell, "\n" last."""
+    cells = np.full((len(records), 2 * dim), ord(","), dtype=np.uint8)
+    if records:
+        cells[:, 0::2] = np.stack([r.features for r in records]) + ord("0")
+    cells[:, -1] = ord("\n")
+    header = "id,label," + ",".join(f"f{i}" for i in range(dim)) + "\n"
+    return header.encode() + b"".join(
+        f"{r.id},{r.label},".encode() + row.tobytes() for r, row in zip(records, cells)
+    )
 
 
 def _read_shard_csv(raw, dim, path):
@@ -183,18 +188,24 @@ def _read_shard_csv(raw, dim, path):
     return ids, labels, X
 
 
+# format -> (file suffix, writer, reader)
+SHARD_FORMATS = {
+    "binary": (".bfv", _shard_bytes_binary, _read_shard_binary),
+    "csv": (".csv", _shard_bytes_csv, _read_shard_csv),
+}
+
+
 def save_dataset(dataset, path, fmt="binary"):
     """Write manifest + per-month shards under ``path``."""
+    if fmt not in SHARD_FORMATS:
+        raise DataError(f"unknown shard format {fmt!r}")
+    suffix, write, _ = SHARD_FORMATS[fmt]
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     shards = []
     for month, records in dataset.by_month().items():
-        if fmt == "binary":
-            raw = _shard_bytes_binary(records, dataset.feature_dim)
-            fname = f"{month}.bfv"
-        else:
-            raw = _shard_bytes_csv(records, dataset.feature_dim)
-            fname = f"{month}.csv"
+        raw = write(records, dataset.feature_dim)
+        fname = month + suffix
         (path / fname).write_bytes(raw)
         shards.append(
             {
@@ -216,32 +227,52 @@ def save_dataset(dataset, path, fmt="binary"):
     return path
 
 
+def require_keys(entry, types, where):
+    """``entry`` read from a file must be an object with a ``types[key]`` per key."""
+    for key, kind in types.items():
+        if not isinstance(entry, dict) or key not in entry:
+            raise DataError(f"{where} has no {key!r}")
+        if not isinstance(entry[key], kind):
+            raise DataError(f"{where}: {key!r} must be of type {kind.__name__}")
+
+
 def load_dataset(path):
     """Read and validate a dataset directory; returns (manifest, Dataset)."""
     path = Path(path)
     mpath = path / "manifest.json"
     if not mpath.exists():
         raise DataError(f"no manifest.json under {path}")
-    manifest = json.loads(mpath.read_text())
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise DataError(f"unsupported manifest version {manifest.get('version')}")
+    try:
+        manifest = json.loads(mpath.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise DataError(f"{mpath} is not valid JSON: {e}") from None
+    require_keys(manifest, {"version": int, "name": str, "feature_dim": int,
+                            "shards": list}, mpath)
+    if manifest["version"] != MANIFEST_VERSION:
+        raise DataError(f"unsupported manifest version {manifest['version']}")
     dim = manifest["feature_dim"]
     dataset = Dataset(manifest["name"], dim)
     all_ids = []
-    for shard in manifest["shards"]:
-        month = shard["month"]
+    for pos, shard in enumerate(manifest["shards"]):
+        require_keys(shard, {"month": str, "file": str, "format": str, "sha256": str,
+                             "benign": int, "malware": int}, f"{mpath} shard {pos}")
+        month, fname, fmt = shard["month"], shard["file"], shard["format"]
         _check_month(month)
-        raw = (path / shard["file"]).read_bytes()
-        digest = hashlib.sha256(raw).hexdigest()
-        if digest != shard["sha256"]:
-            raise DataError(f"shard {shard['file']} failed checksum validation")
-        read = _read_shard_binary if shard["format"] == "binary" else _read_shard_csv
-        ids, labels, X = read(raw, dim, shard["file"])
+        if fmt not in SHARD_FORMATS:
+            raise DataError(f"shard {fname} has unknown format {fmt!r}")
+        try:
+            raw = (path / fname).read_bytes()
+        except OSError as e:
+            raise DataError(f"cannot read shard {path / fname}: {e.strerror}") from None
+        if hashlib.sha256(raw).hexdigest() != shard["sha256"]:
+            raise DataError(f"shard {fname} failed checksum validation")
+        _, _, read = SHARD_FORMATS[fmt]
+        ids, labels, X = read(raw, dim, fname)
         if ((labels != 0) & (labels != 1)).any():
-            raise DataError(f"shard {shard['file']} has labels outside {{0, 1}}")
+            raise DataError(f"shard {fname} has labels outside {{0, 1}}")
         benign = int((labels == 0).sum())
         if benign != shard["benign"] or len(labels) - benign != shard["malware"]:
-            raise DataError(f"shard {shard['file']} counts disagree with manifest")
+            raise DataError(f"shard {fname} counts disagree with manifest")
         dataset.records.extend(
             FeatureRecord(i, month, label, x)
             for i, label, x in zip(ids, labels.tolist(), X)
@@ -256,27 +287,6 @@ def load_dataset(path):
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------
-
-
-def temporal_split(dataset, train_period, val_period, test_period):
-    """Partition by month into train/val/test; periods must not overlap."""
-    periods = [parse_period(p) if p else [] for p in
-               (train_period, val_period, test_period)]
-    seen = {}
-    for name, months in zip(("train", "val", "test"), periods):
-        for m in months:
-            if m in seen:
-                raise DataError(f"month {m} appears in both {seen[m]} and {name}")
-            seen[m] = name
-    sets = {"train": [], "val": [], "test": []}
-    for r in dataset.records:
-        bucket = seen.get(r.month)
-        if bucket:
-            sets[bucket].append(r)
-    return tuple(
-        Dataset(f"{dataset.name}-{k}", dataset.feature_dim, sets[k])
-        for k in ("train", "val", "test")
-    )
 
 
 def label_ratio_split(train, ratio, seed):

@@ -26,7 +26,6 @@ class ExperimentSetup:
     noise_rate: float = 0.0
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
     retrain_epochs: int = 10
-    warm_start: bool = True
 
 
 class Experiment:
@@ -67,7 +66,6 @@ class Experiment:
             budget=budget,
             selector=selector,
             retrain=replace(self.setup.train_cfg, seed=seed),
-            warm_start=self.setup.warm_start,
             retrain_epochs=self.setup.retrain_epochs,
             seed=seed,
         )

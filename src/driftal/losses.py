@@ -32,7 +32,6 @@ class LossConfig:
     lambda_u: float = 1.0
     lambda_con: float = 0.5
     contrastive_temperature: float = 0.07
-    normalize_embeddings: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.confidence_threshold <= 1.0:
@@ -102,12 +101,12 @@ def consistency_loss(weak_probs, strong_logits, threshold):
     return loss, count, d_logits
 
 
-def supervised_contrastive(embeddings, labels, temperature, normalize=True):
+def supervised_contrastive(embeddings, labels, temperature):
     """Temperature-scaled contrastive loss over labeled embeddings.
 
     Positives for an anchor are the other same-label samples; anchors
     with no positive contribute zero. Embeddings are L2-normalized
-    before the dot products unless ``normalize`` is False.
+    before the dot products.
 
     Returns (loss, d_embeddings) with the gradient taken w.r.t. the raw
     (pre-normalization) embeddings.
@@ -119,12 +118,9 @@ def supervised_contrastive(embeddings, labels, temperature, normalize=True):
         raise DegenerateBatchError("contrastive loss needs at least 2 samples")
     if len(labels) != n:
         raise ValueError("embeddings and labels length mismatch")
-    if normalize:
-        norms = np.linalg.norm(E, axis=1, keepdims=True)
-        norms = np.maximum(norms, _CLAMP)
-        Z = E / norms
-    else:
-        Z = E
+    norms = np.linalg.norm(E, axis=1, keepdims=True)
+    norms = np.maximum(norms, _CLAMP)
+    Z = E / norms
     t = float(temperature)
     S = (Z @ Z.T) / t
     np.fill_diagonal(S, -np.inf)  # exclude the anchor from its denominator
@@ -149,10 +145,7 @@ def supervised_contrastive(embeddings, labels, temperature, normalize=True):
     G[valid] = (soft[valid] - pos[valid] / pos_counts[valid, None]) / n
     np.fill_diagonal(G, 0.0)
     dZ = ((G + G.T) @ Z) / t
-    if normalize:
-        dE = (dZ - (dZ * Z).sum(axis=1, keepdims=True) * Z) / norms
-    else:
-        dE = dZ
+    dE = (dZ - (dZ * Z).sum(axis=1, keepdims=True) * Z) / norms
     return loss, dE
 
 

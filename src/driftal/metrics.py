@@ -66,21 +66,16 @@ def _fmt_pct(v):
     return "" if v is None else f"{100.0 * v:.1f}"
 
 
-def emit_report(result, out_dir, fmt="json", config_hash="", seeds=()):
-    """Write a StreamResult to disk as JSON and/or per-month CSV."""
+def emit_report(result, out_dir, config_hash="", seeds=()):
+    """Write a StreamResult to disk as JSON and as per-month CSV."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     payload = result.to_dict()
     payload["config_hash"] = config_hash
     payload["seeds"] = list(seeds)
-    if fmt in ("json", "both"):
-        p = out_dir / "result.json"
-        p.write_text(json.dumps(payload, indent=2))
-        paths.append(p)
-    if fmt in ("csv", "both"):
-        paths.append(write_report_csv(payload, out_dir / "result.csv"))
-    return paths
+    path = out_dir / "result.json"
+    path.write_text(json.dumps(payload, indent=2))
+    return [path, write_report_csv(payload, out_dir / "result.csv")]
 
 
 def write_report_csv(payload, path):

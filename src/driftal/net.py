@@ -109,9 +109,6 @@ class Classifier:
         i = self.embedding_layer_index
         return self.architecture[i].output_dim if i >= 0 else self.input_dim
 
-    def n_layers(self):
-        return len(self.architecture)
-
     def parameters(self):
         """Flat list of parameter arrays, weights and biases interleaved."""
         out = []
@@ -220,7 +217,7 @@ class Classifier:
 
     CHECKPOINT_VERSION = 1
 
-    def save(self, path, optimizer=None):
+    def save(self, path):
         """Write a versioned .npz checkpoint; round-trips bit-exactly."""
         meta = {
             "version": self.CHECKPOINT_VERSION,
@@ -233,32 +230,32 @@ class Classifier:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             arrays[f"w{i}"] = w
             arrays[f"b{i}"] = b
-        if optimizer is not None:
-            arrays.update(optimizer.state_arrays())
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
 
     @classmethod
-    def load(cls, path, with_optimizer=False):
+    def load(cls, path):
         with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
+            meta = json.loads(bytes(_array(data, "meta", path)).decode())
             if meta["version"] != cls.CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {meta['version']}")
             arch = [LayerSpec(i, o, a) for i, o, a in meta["architecture"]]
             model = cls(arch, seed=meta["seed"], init=False)
-            model.weights = [np.array(data[f"w{i}"]) for i in range(len(arch))]
-            model.biases = [np.array(data[f"b{i}"]) for i in range(len(arch))]
-            if with_optimizer:
-                opt = Optimizer.from_state_arrays(data)
-                return model, opt
+            model.weights = [_array(data, f"w{i}", path) for i in range(len(arch))]
+            model.biases = [_array(data, f"b{i}", path) for i in range(len(arch))]
         return model
+
+
+def _array(checkpoint, name, path):
+    if name not in checkpoint.files:
+        raise ValueError(f"checkpoint {path} has no array {name!r}")
+    return checkpoint[name]
 
 
 @dataclass
 class Optimizer:
-    """SGD or Adam over a Classifier's parameter list."""
+    """Adam over a Classifier's parameter list."""
 
-    kind: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -268,29 +265,19 @@ class Optimizer:
     v: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
-    def step(self, model, grads, lr_scale=1.0):
+    def step(self, model, grads):
         """Apply one update in place; raises on non-finite gradients."""
         params = model.parameters()
-        flat_grads = []
-        for i, (dw, db) in enumerate(grads):
-            flat_grads.append(dw)
-            flat_grads.append(db)
+        flat_grads = [g for dw_db in grads for g in dw_db]
         for i, (p, g) in enumerate(zip(params, flat_grads)):
             if p.shape != g.shape:
                 raise ShapeError(f"gradient {i} shape {g.shape} != param {p.shape}")
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient in parameter {i}")
-        lr = self.learning_rate * lr_scale
         self.step_count += 1
-        if self.kind == "sgd":
-            for p, g in zip(params, flat_grads):
-                p -= lr * g
-            return
         if not self.m:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
@@ -302,37 +289,4 @@ class Optimizer:
             v += (1 - self.beta2) * g * g
             mhat = m / (1 - self.beta1**t)
             vhat = v / (1 - self.beta2**t)
-            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    # --- checkpoint plumbing ---
-
-    def state_arrays(self):
-        arrays = {
-            "opt_meta": np.frombuffer(
-                json.dumps(
-                    {
-                        "kind": self.kind,
-                        "learning_rate": self.learning_rate,
-                        "beta1": self.beta1,
-                        "beta2": self.beta2,
-                        "eps": self.eps,
-                        "step_count": self.step_count,
-                        "n_moments": len(self.m),
-                    }
-                ).encode(),
-                dtype=np.uint8,
-            )
-        }
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            arrays[f"opt_m{i}"] = m
-            arrays[f"opt_v{i}"] = v
-        return arrays
-
-    @classmethod
-    def from_state_arrays(cls, data):
-        meta = json.loads(bytes(data["opt_meta"]).decode())
-        n = meta.pop("n_moments")
-        opt = cls(**meta)
-        opt.m = [np.array(data[f"opt_m{i}"]) for i in range(n)]
-        opt.v = [np.array(data[f"opt_v{i}"]) for i in range(n)]
-        return opt
+            p -= self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)

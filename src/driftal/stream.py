@@ -3,7 +3,7 @@
 Test-then-train protocol: each month is evaluated with the current model
 before any of its samples can be labeled or trained on. Selected samples
 move from the unlabeled pool to the labeled set with their true labels,
-and the model is retrained (warm start by default) on the updated pools.
+and the model is warm-start retrained on the updated pools.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class StreamConfig:
     budget: int = 50
     selector: sel.SelectorConfig = field(default_factory=sel.SelectorConfig)
     retrain: TrainConfig = field(default_factory=TrainConfig)
-    warm_start: bool = True
     retrain_epochs: int = 10  # warm-start epochs per month
     seed: int = 0
 
@@ -180,15 +179,8 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
         # (5) retrain on the updated pools
         if chosen:
             rcfg = replace(
-                cfg.retrain,
-                epochs=cfg.retrain_epochs if cfg.warm_start else cfg.retrain.epochs,
-                seed=cfg.seed + len(monthly),
+                cfg.retrain, epochs=cfg.retrain_epochs, seed=cfg.seed + len(monthly)
             )
-            base = model if cfg.warm_start else None
-            if base is None:
-                from .trainer import build_model
-
-                model = build_model(model.input_dim, replace(rcfg, seed=cfg.seed))
             model, _ = train(model, (pool.Xl, pool.yl), pool.Xu, rcfg)
     return _result(monthly, selected_per_month, cfg.seed)
 

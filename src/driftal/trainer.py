@@ -33,9 +33,7 @@ class TrainConfig:
     unlabeled_batch: int = 64
     loss: LossConfig = field(default_factory=LossConfig)
     augment: aug.AugmentConfig = field(default_factory=aug.AugmentConfig)
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
-    lr_schedule: str = "constant"  # or "cosine"
     hidden: tuple = (512, 128)
     seed: int = 0
 
@@ -44,8 +42,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.labeled_batch < 1 or self.unlabeled_batch < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
 @dataclass
@@ -113,10 +109,7 @@ def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
     if loss_cfg.lambda_con > 0 and len(Xl) >= 2:
         try:
             con, d_emb_raw = supervised_contrastive(
-                emb,
-                yl,
-                loss_cfg.contrastive_temperature,
-                normalize=loss_cfg.normalize_embeddings,
+                emb, yl, loss_cfg.contrastive_temperature
             )
             d_emb = loss_cfg.lambda_con * d_emb_raw
         except DegenerateBatchError:
@@ -158,15 +151,11 @@ def train(model, labeled, unlabeled, cfg):
             f"feature dim {Xl.shape[1]} does not match model input {model.input_dim}"
         )
     rng = np.random.default_rng(cfg.seed)
-    opt = Optimizer(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
+    opt = Optimizer(learning_rate=cfg.learning_rate)
     t0 = time.perf_counter()
     epoch_losses = []
     conf_fracs = []
     for epoch in range(cfg.epochs):
-        if cfg.lr_schedule == "cosine":
-            lr_scale = 0.5 * (1 + np.cos(np.pi * epoch / cfg.epochs))
-        else:
-            lr_scale = 1.0
         sums = np.zeros(4)
         n_conf = 0
         n_unlab = 0
@@ -182,7 +171,7 @@ def train(model, labeled, unlabeled, cfg):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, step {n_steps}"
                 )
-            opt.step(model, grads, lr_scale=lr_scale)
+            opt.step(model, grads)
             sums += (breakdown.sup, breakdown.unsup, breakdown.con, breakdown.total)
             n_conf += breakdown.confident_count
             n_unlab += len(Bu)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from driftal.augment import AugmentConfig, bernoulli_bit_flip, bernoulli_mask, rng_from_seed, weak_view
+from driftal.augment import AugmentConfig, bernoulli_bit_flip, bernoulli_mask, weak_view
 from driftal.data import DriftGeneratorConfig, synth_drift_generate
 from driftal.experiment import Experiment, ExperimentSetup
 from driftal.losses import (
@@ -195,16 +195,16 @@ class TestCriterion2:
         worst_sigmas = 0.0
         for p in (0.01, 0.05, 0.5):
             sigma = np.sqrt(p * (1 - p) / n)
-            flip = bernoulli_bit_flip(np.zeros(n, np.uint8), p, rng_from_seed(11))
-            mask = bernoulli_mask(np.ones(n, np.uint8), p, rng_from_seed(12))
+            flip = bernoulli_bit_flip(np.zeros(n, np.uint8), p, np.random.default_rng(11))
+            mask = bernoulli_mask(np.ones(n, np.uint8), p, np.random.default_rng(12))
             worst_sigmas = max(worst_sigmas,
                                abs(flip.mean() - p) / sigma,
                                abs((1 - mask.mean()) - p) / sigma)
-        x = (rng_from_seed(13).random(1000) < 0.5).astype(np.uint8)
+        x = (np.random.default_rng(13).random(1000) < 0.5).astype(np.uint8)
         exact = (
-            (bernoulli_bit_flip(x, 0.0, rng_from_seed(0)) == x).all()
-            and (bernoulli_bit_flip(x, 1.0, rng_from_seed(0)) == 1 - x).all()
-            and (bernoulli_mask(x, 0.0, rng_from_seed(0)) == x).all()
+            (bernoulli_bit_flip(x, 0.0, np.random.default_rng(0)) == x).all()
+            and (bernoulli_bit_flip(x, 1.0, np.random.default_rng(0)) == 1 - x).all()
+            and (bernoulli_mask(x, 0.0, np.random.default_rng(0)) == x).all()
         )
         elapsed = time.perf_counter() - t0
         ok = worst_sigmas < 3 and exact and elapsed < 5

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from driftal import data as dio
-from driftal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from driftal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
 from driftal.net import Classifier
 
-from test_data import rewrite_shard
+from test_data import edit_manifest, rewrite_shard
 
 
 def base_config(**extra):
@@ -260,3 +260,85 @@ class TestErrorPaths:
     def test_report_missing_result(self, tmp_path, capsys):
         assert main(["report", "--result", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("text,problem", [
+        ("{not json", "not valid JSON"),
+        ("{}", "has no 'monthly'"),
+        ('{"monthly": []}', "has no 'selected_ids'"),
+        ("[]", "has no 'monthly'"),
+        ('{"monthly": {}, "selected_ids": []}', "'monthly' must be of type list"),
+        ("\udcff", "not valid JSON"),
+    ])
+    def test_report_bad_result(self, tmp_path, capsys, text, problem):
+        src = tmp_path / "result.json"
+        src.write_bytes(text.encode(errors="surrogateescape"))
+        assert main(["report", "--result", str(src),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert problem in capsys.readouterr().err
+
+    def test_manifest_missing_key_exits_data(self, tmp_path, capsys):
+        gen = dio.DriftGeneratorConfig(dim=20, months=4,
+                                       samples_per_month_per_class=25)
+        ds_dir = tmp_path / "ds"
+        dio.save_dataset(dio.synth_drift_generate(gen), ds_dir)
+        edit_manifest(ds_dir, lambda m: m.pop("feature_dim"))
+        cfg = base_config(dataset=str(ds_dir))
+        del cfg["generator"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "has no 'feature_dim'" in capsys.readouterr().err
+
+    def test_synth_unknown_format(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, format="parquet")
+        assert main(["synth", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "parquet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "optimizer", "sgd"),
+        ("train", "lr_schedule", "cosine"),
+        ("train.loss", "normalize_embeddings", False),
+        ("stream", "warm_start", False),
+        ("stream", "retrain_epoch", 3),
+    ])
+    def test_unread_config_key_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = base_config()
+        entry = cfg
+        for part in section.split("."):
+            entry = entry.setdefault(part, {})
+        entry[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["stream", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+
+class TestFlags:
+    """Each command takes only the flags it reads; argparse exits 2 on the rest."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--label-ratio", "0.9"],
+        ["synth", "--budget", "99"],
+        ["synth", "--selector", "random"],
+        ["train", "--budget", "5"],
+        ["bench", "--selector", "random"],
+        ["noise", "--label-ratio", "0.5"],
+        ["report", "--seed", "0"],
+    ])
+    def test_unread_flag_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # the argument lists perfbench/workloads.py passes
+        ["ablate", "--seed", "3"],
+        ["stream", "--seed", "3", "--selector", "random", "--budget", "400"],
+    ])
+    def test_benchmark_arguments_parse(self, argv):
+        args = build_parser().parse_args(argv + ["--config", "c.json", "--out", "o"])
+        assert args.seed == 3 and args.config == "c.json"

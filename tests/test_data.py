@@ -177,34 +177,96 @@ class TestShardValidation:
         assert len(loaded.records) == 50
 
 
-class TestTemporalSplit:
-    def test_full_coverage_union(self):
-        ds = make_dataset(months=("2020-01", "2020-02", "2020-03"))
-        tr, va, te = dio.temporal_split(ds, "2020-01", "2020-02", "2020-03")
-        assert len(tr.records) + len(va.records) + len(te.records) == len(ds.records)
+def edit_manifest(ds_dir, edit):
+    """Apply ``edit`` to the parsed manifest of ``ds_dir`` and write it back."""
+    mpath = ds_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
 
-    def test_overlap_rejected(self):
-        ds = make_dataset()
-        with pytest.raises(dio.DataError):
-            dio.temporal_split(ds, "2020-01..2020-02", "2020-02", "2020-03")
 
-    def test_year_style_membership(self):
-        months = [f"2012-{m:02d}" for m in range(1, 13)]
-        months += [f"2013-{m:02d}" for m in range(1, 13)]
-        months += ["2014-01"]
-        ds = make_dataset(n=len(months) * 2, months=tuple(months))
-        tr, va, te = dio.temporal_split(
-            ds, "2012-01..2012-12", "2013-01..2013-06", "2013-07..2014-01"
-        )
-        assert {r.month[:4] for r in tr.records} == {"2012"}
-        assert all("2013-01" <= r.month <= "2013-06" for r in va.records)
-        assert all(r.month >= "2013-07" for r in te.records)
+class TestManifestValidation:
+    """A damaged manifest fails as a DataError naming the file and the key."""
 
-    def test_unlisted_months_excluded(self):
-        ds = make_dataset(months=("2020-01", "2020-02", "2020-12"))
-        tr, va, te = dio.temporal_split(ds, "2020-01", "2020-02", "2020-03")
-        assert not any(r.month == "2020-12"
-                       for r in tr.records + va.records + te.records)
+    saved = staticmethod(TestShardValidation.saved)
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"\xff"])
+    def test_not_json(self, tmp_path, raw):
+        ds_dir = self.saved(tmp_path)
+        (ds_dir / "manifest.json").write_bytes(raw)
+        with pytest.raises(dio.DataError, match="manifest.json is not valid JSON"):
+            dio.load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("key", ["feature_dim", "name", "shards"])
+    def test_missing_key(self, tmp_path, key):
+        ds_dir = self.saved(tmp_path)
+        edit_manifest(ds_dir, lambda m: m.pop(key))
+        with pytest.raises(dio.DataError, match=f"manifest.json has no '{key}'"):
+            dio.load_dataset(ds_dir)
+
+    @pytest.mark.parametrize(
+        "key", ["month", "file", "format", "sha256", "benign", "malware"])
+    def test_missing_shard_key(self, tmp_path, key):
+        ds_dir = self.saved(tmp_path)
+        edit_manifest(ds_dir, lambda m: m["shards"][1].pop(key))
+        with pytest.raises(dio.DataError,
+                           match=f"manifest.json shard 1 has no '{key}'"):
+            dio.load_dataset(ds_dir)
+
+    @pytest.mark.parametrize("entry,key,value", [
+        (None, "feature_dim", "10"),
+        (None, "shards", {}),
+        (0, "month", 202001),
+        (0, "file", 5),
+        (0, "format", ["csv"]),
+        (0, "benign", "25"),
+    ])
+    def test_wrong_value_type(self, tmp_path, entry, key, value):
+        ds_dir = self.saved(tmp_path)
+
+        def edit(m):
+            (m if entry is None else m["shards"][entry])[key] = value
+
+        edit_manifest(ds_dir, edit)
+        with pytest.raises(dio.DataError, match=f"'{key}' must be of type"):
+            dio.load_dataset(ds_dir)
+
+    def test_missing_shard_file(self, tmp_path):
+        ds_dir = self.saved(tmp_path)
+        (ds_dir / "2020-02.bfv").unlink()
+        with pytest.raises(dio.DataError, match="2020-02.bfv"):
+            dio.load_dataset(ds_dir)
+
+    def test_unknown_shard_format(self, tmp_path):
+        # a CSV shard under another format name must not be read as CSV
+        ds_dir = self.saved(tmp_path, fmt="csv")
+        edit_manifest(ds_dir, lambda m: m["shards"][0].update(format="tsv"))
+        with pytest.raises(dio.DataError, match="2020-01.csv has unknown format 'tsv'"):
+            dio.load_dataset(ds_dir)
+
+    def test_save_rejects_unknown_format(self, tmp_path):
+        with pytest.raises(dio.DataError, match="'CSV'"):
+            dio.save_dataset(make_dataset(), tmp_path / "ds", fmt="CSV")
+
+
+def per_cell_csv(records, dim):
+    """CSV shard bytes formatted one cell at a time: the writer's reference."""
+    lines = ["id,label," + ",".join(f"f{i}" for i in range(dim))]
+    for r in records:
+        lines.append(f"{r.id},{r.label}," + ",".join(str(int(v)) for v in r.features))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_matches_per_cell_reference(self, n):
+        records = make_dataset(n=n, d=13).records
+        assert dio._shard_bytes_csv(records, 13) == per_cell_csv(records, 13)
+
+    def test_generated_dataset_matches_per_cell_reference(self):
+        gen = dio.DriftGeneratorConfig(dim=30, months=2, samples_per_month_per_class=20)
+        for records in dio.synth_drift_generate(gen).by_month().values():
+            assert dio._shard_bytes_csv(records, 30) == per_cell_csv(records, 30)
 
 
 class TestLabelRatioSplit:

@@ -83,8 +83,7 @@ def fake_result():
 
 class TestEmitReport:
     def test_json_payload(self, tmp_path):
-        paths = emit_report(fake_result(), tmp_path, fmt="json",
-                            config_hash="abc", seeds=[3])
+        paths = emit_report(fake_result(), tmp_path, config_hash="abc", seeds=[3])
         payload = json.loads(paths[0].read_text())
         assert payload["config_hash"] == "abc"
         assert payload["seeds"] == [3]
@@ -92,8 +91,8 @@ class TestEmitReport:
         assert payload["monthly"][0]["month"] == "2020-01"
 
     def test_csv_columns_and_percentages(self, tmp_path):
-        paths = emit_report(fake_result(), tmp_path, fmt="csv")
-        with open(paths[0]) as fh:
+        paths = emit_report(fake_result(), tmp_path)
+        with open(paths[1]) as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["month", "tp", "fp", "tn", "fn",
                                  "f1", "fnr", "fpr", "n_selected"]
@@ -102,7 +101,7 @@ class TestEmitReport:
         assert rows[1]["n_selected"] == "2"
 
     def test_both_writes_two_files(self, tmp_path):
-        paths = emit_report(fake_result(), tmp_path, fmt="both")
+        paths = emit_report(fake_result(), tmp_path)
         assert {p.name for p in paths} == {"result.json", "result.csv"}
 
 

@@ -148,37 +148,33 @@ class TestBackward:
 
 
 class TestOptimizer:
-    def test_sgd_definition(self):
-        m = Classifier([LayerSpec(1, 2, "identity")], init=False)
-        m.weights[0][:] = 1.0
-        opt = Optimizer(kind="sgd", learning_rate=0.1)
-        opt.step(m, [(np.full((2, 1), 2.0), np.zeros(2))])
-        assert np.allclose(m.weights[0], 0.8)
-
     def test_adam_first_step_magnitude(self):
         m = Classifier([LayerSpec(1, 2, "identity")], init=False)
-        opt = Optimizer(kind="adam", learning_rate=1e-3)
+        opt = Optimizer(learning_rate=1e-3)
         opt.step(m, [(np.ones((2, 1)), np.ones(2))])
         # bias-corrected first step moves by ~lr regardless of grad scale
         assert np.allclose(m.weights[0], -1e-3, atol=1e-8)
         assert opt.step_count == 1
 
-    def test_sgd_matches_scalar_recurrence(self):
-        # minimize (theta - 3)^2 via grad 2(theta - 3)
+    def test_adam_matches_scalar_recurrence(self):
+        # minimize (theta - 3)^2 via grad 2(theta - 3), against scalar Adam
         m = Classifier([LayerSpec(1, 2, "identity")], init=False)
         m.weights[0][0, 0] = 10.0
-        opt = Optimizer(kind="sgd", learning_rate=0.1)
-        expected = 10.0
-        for _ in range(10):
+        opt = Optimizer(learning_rate=0.1)
+        theta, mom, vel = 10.0, 0.0, 0.0
+        for t in range(1, 11):
             g = np.zeros((2, 1))
             g[0, 0] = 2 * (m.weights[0][0, 0] - 3.0)
             opt.step(m, [(g, np.zeros(2))])
-            expected = expected - 0.1 * 2 * (expected - 3.0)
-            assert np.isclose(m.weights[0][0, 0], expected)
+            grad = 2 * (theta - 3.0)
+            mom = 0.9 * mom + 0.1 * grad
+            vel = 0.999 * vel + 0.001 * grad * grad
+            theta -= 0.1 * (mom / (1 - 0.9**t)) / (np.sqrt(vel / (1 - 0.999**t)) + 1e-8)
+            assert np.isclose(m.weights[0][0, 0], theta, rtol=0, atol=1e-12)
 
     def test_nonfinite_gradient_rejected(self):
         m = Classifier([LayerSpec(1, 2, "identity")], init=False)
-        opt = Optimizer(kind="sgd", learning_rate=0.1)
+        opt = Optimizer(learning_rate=0.1)
         bad = np.ones((2, 1))
         bad[0, 0] = np.nan
         with pytest.raises(FloatingPointError):
@@ -226,16 +222,23 @@ class TestCheckpoint:
         _, probs, _, cache = m.forward_batch(np.ones((2, 16)))
         opt.step(m, m.backward_batch(cache, np.ones((2, 2)) * 0.1))
         path = tmp_path / "model.npz"
-        m.save(path, optimizer=opt)
-        loaded, opt2 = Classifier.load(path, with_optimizer=True)
+        m.save(path)
+        loaded = Classifier.load(path)
         for a, b in zip(m.parameters(), loaded.parameters()):
-            assert (a == b).all()
-        assert opt2.step_count == opt.step_count
-        for a, b in zip(opt.m, opt2.m):
             assert (a == b).all()
         assert [vars(s) for s in loaded.architecture] == [
             vars(s) for s in m.architecture
         ]
+
+    @pytest.mark.parametrize("name", ["meta", "w1", "b0"])
+    def test_missing_array_named(self, tmp_path, name):
+        path = tmp_path / "model.npz"
+        Classifier(default_architecture(16, hidden=(8, 4)), seed=9).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != name}
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"no array '{name}'"):
+            Classifier.load(path)
 
 
 class TestValidation:

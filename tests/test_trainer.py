@@ -64,7 +64,7 @@ class TestTrain:
 
         ref = build_model(8, cfg)
         rng = np.random.default_rng(cfg.seed)
-        opt = Optimizer(kind=cfg.optimizer, learning_rate=cfg.learning_rate)
+        opt = Optimizer(learning_rate=cfg.learning_rate)
         for _ in range(cfg.epochs):
             for lab, _u in sample_minibatches(len(X), 0, cfg, rng):
                 _, probs, _, cache = ref.forward_batch(X[lab])
@@ -133,8 +133,6 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(labeled_batch=0)
-        with pytest.raises(ValueError):
-            TrainConfig(lr_schedule="warmup")
 
     def test_ssl_uses_unlabeled_data(self):
         # with unlabeled data and augmentation the trajectory must differ
