@@ -62,6 +62,9 @@ def _build(cls, cfg, path):
 
 def _train_config(cfg):
     cfg = dict(cfg)
+    if "seed" in cfg:
+        raise ConfigError("train: 'seed' is not a config key; the run seed "
+                          "comes from --seed or 'seeds'")
     loss = _build(LossConfig, cfg.pop("loss", {}), "train.loss")
     augment = _build(AugmentConfig, cfg.pop("augment", {}), "train.augment")
     if "hidden" in cfg:
@@ -309,6 +312,24 @@ def cmd_noise(args, config):
     return EXIT_OK
 
 
+# a MonthlyMetrics.to_dict() entry; undefined ratios are null
+_MONTH_TYPES = {"month": str, "tp": int, "fp": int, "tn": int, "fn": int,
+                **dict.fromkeys(("f1", "fnr", "fpr"), (int, float, type(None)))}
+
+
+def _check_result(payload, where):
+    """A ``StreamResult.to_dict()`` payload: one id list per monthly entry."""
+    dio.require_keys(payload, {"monthly": list, "selected_ids": list}, where)
+    monthly, selected = payload["monthly"], payload["selected_ids"]
+    if len(monthly) != len(selected):
+        raise dio.DataError(f"{where}: {len(monthly)} 'monthly' entries but "
+                            f"{len(selected)} 'selected_ids' lists")
+    for i, (entry, ids) in enumerate(zip(monthly, selected)):
+        dio.require_keys(entry, _MONTH_TYPES, f"{where}: monthly[{i}]")
+        if not isinstance(ids, list):
+            raise dio.DataError(f"{where}: selected_ids[{i}] must be of type list")
+
+
 def cmd_report(args, config):
     src = Path(args.result or config.get("result", ""))
     if not src.exists():
@@ -317,8 +338,7 @@ def cmd_report(args, config):
         payload = json.loads(src.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise dio.DataError(f"result file {src} is not valid JSON: {e}") from None
-    dio.require_keys(payload, {"monthly": list, "selected_ids": list},
-                     f"result file {src}")
+    _check_result(payload, f"result file {src}")
     out_dir = _out_dir(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = met.write_report_csv(payload, out_dir / "result.csv")

@@ -228,12 +228,17 @@ def save_dataset(dataset, path, fmt="binary"):
 
 
 def require_keys(entry, types, where):
-    """``entry`` read from a file must be an object with a ``types[key]`` per key."""
+    """``entry`` read from a file must be an object with a ``types[key]`` per key.
+
+    A ``types`` value is a type or a tuple of types, as for ``isinstance``.
+    """
     for key, kind in types.items():
         if not isinstance(entry, dict) or key not in entry:
             raise DataError(f"{where} has no {key!r}")
         if not isinstance(entry[key], kind):
-            raise DataError(f"{where}: {key!r} must be of type {kind.__name__}")
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            names = " or ".join(k.__name__ for k in kinds)
+            raise DataError(f"{where}: {key!r} must be of type {names}")
 
 
 def load_dataset(path):

@@ -237,6 +237,9 @@ class Classifier:
     def load(cls, path):
         with np.load(path) as data:
             meta = json.loads(bytes(_array(data, "meta", path)).decode())
+            for key in ("version", "architecture", "seed"):
+                if not isinstance(meta, dict) or key not in meta:
+                    raise ValueError(f"checkpoint {path} meta has no {key!r}")
             if meta["version"] != cls.CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {meta['version']}")
             arch = [LayerSpec(i, o, a) for i, o, a in meta["architecture"]]

@@ -4,7 +4,8 @@ Three per-sample criteria over the unlabeled pool: softmax margin
 (boundary proximity), minimum Lp embedding distance to any labeled sample
 (novelty), and raw confidence (uncertainty). Criteria are min-max
 normalized across the pool and combined into a weighted hybrid score;
-single-criterion and random selectors exist for ablations.
+single-criterion and random selectors exist for ablations. Only the
+selectors that rank by the distance (``ranks_by_lp``) compute it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ class SelectorConfig:
             raise ValueError("criterion weights must be non-negative")
         if self.kind == "multi_criteria" and self.alpha + self.beta + self.gamma == 0:
             raise ValueError("multi_criteria weights must not all be zero")
+
+
+def ranks_by_lp(cfg):
+    """True when the selector reads the Lp distance (and so the hybrid).
+
+    Only these selectors need the labeled-set embeddings; for the others
+    the distance and the hybrid score are never computed.
+    """
+    return cfg.kind in ("multi_criteria", "lp_only")
 
 
 @dataclass
@@ -117,13 +127,21 @@ def hybrid_scores(margin_norm, lp_norm, confidence_norm, alpha, beta, gamma):
 
 
 def score_pool(pool_X, model, labeled_embs, cfg):
-    """Compute the full SelectionScore bundle for an unlabeled pool."""
+    """Compute the SelectionScore bundle for an unlabeled pool.
+
+    When ``ranks_by_lp(cfg)`` is False, ``labeled_embs`` is not read and
+    ``lp_distance``, ``lp_norm`` and ``hybrid`` are NaN.
+    """
     _, probs, embs, _ = model.forward_batch(pool_X)
     m = margin_scores(probs)
-    d = lp_distances(embs, labeled_embs, cfg.p_norm)
     c = confidence_scores(probs)
-    mn, dn, cn = minmax_normalize(m), minmax_normalize(d), minmax_normalize(c)
-    h = hybrid_scores(mn, dn, cn, cfg.alpha, cfg.beta, cfg.gamma)
+    mn, cn = minmax_normalize(m), minmax_normalize(c)
+    if ranks_by_lp(cfg):
+        d = lp_distances(embs, labeled_embs, cfg.p_norm)
+        dn = minmax_normalize(d)
+        h = hybrid_scores(mn, dn, cn, cfg.alpha, cfg.beta, cfg.gamma)
+    else:
+        d = dn = h = np.full(len(m), np.nan)
     return SelectionScore(m, d, c, mn, dn, cn, h)
 
 

@@ -158,10 +158,10 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
         pool.add_unlabeled(mdata.X, mdata.ids)
         expected_total += len(mdata.ids)
 
-        # (3) score and select under the budget; the random selector
-        # never reads the labeled embeddings
+        # (3) score and select under the budget; only the selectors that
+        # rank by the Lp distance read the labeled embeddings
         labeled_embs = (
-            model.embed_batch(pool.Xl) if cfg.selector.kind != "random" else None
+            model.embed_batch(pool.Xl) if sel.ranks_by_lp(cfg.selector) else None
         )
         chosen, scores = sel.select(
             pool.Xu, model, labeled_embs, cfg.selector, cfg.budget, rng=rng,

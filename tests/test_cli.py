@@ -268,6 +268,9 @@ class TestErrorPaths:
         ("[]", "has no 'monthly'"),
         ('{"monthly": {}, "selected_ids": []}', "'monthly' must be of type list"),
         ("\udcff", "not valid JSON"),
+        ('{"monthly": [{}], "selected_ids": [[]]}', "monthly[0] has no 'month'"),
+        ('{"monthly": [], "selected_ids": [[]]}',
+         "0 'monthly' entries but 1 'selected_ids' lists"),
     ])
     def test_report_bad_result(self, tmp_path, capsys, text, problem):
         src = tmp_path / "result.json"
@@ -275,6 +278,65 @@ class TestErrorPaths:
         assert main(["report", "--result", str(src),
                      "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert problem in capsys.readouterr().err
+
+    @staticmethod
+    def _month(**edit):
+        entry = {"month": "2020-03", "tp": 1, "fp": 0, "tn": 2, "fn": 0,
+                 "f1": 1.0, "fnr": 0.0, "fpr": None}
+        entry.update(edit)
+        return entry
+
+    @pytest.mark.parametrize("key", ["month", "tp", "fp", "tn", "fn",
+                                     "f1", "fnr", "fpr"])
+    def test_report_monthly_entry_missing_key(self, tmp_path, capsys, key):
+        second = self._month()
+        del second[key]
+        src = tmp_path / "result.json"
+        src.write_text(json.dumps({"monthly": [self._month(), second],
+                                   "selected_ids": [[], ["a"]]}))
+        assert main(["report", "--result", str(src),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert f"monthly[1] has no '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("monthly,selected,problem", [
+        ([[]], [[]], "monthly[0] has no 'month'"),
+        ([None], [[]], "monthly[0] has no 'month'"),
+        (["x"], [[]], "monthly[0] has no 'month'"),
+        ([{"month": 3}], [[]], "monthly[0]: 'month' must be of type str"),
+        ([{"fpr": "x"}], [[]], "'fpr' must be of type int or float or NoneType"),
+        ([{"tp": 1.5}], [[]], "monthly[0]: 'tp' must be of type int"),
+        ([{}, {}], [[], 3], "selected_ids[1] must be of type list"),
+    ])
+    def test_report_bad_entry(self, tmp_path, capsys, monthly, selected, problem):
+        monthly = [self._month(**m) if isinstance(m, dict) else m
+                   for m in monthly]
+        src = tmp_path / "result.json"
+        src.write_text(json.dumps({"monthly": monthly, "selected_ids": selected}))
+        assert main(["report", "--result", str(src),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert problem in capsys.readouterr().err
+
+    def test_report_valid_entries(self, tmp_path):
+        src = tmp_path / "result.json"
+        src.write_text(json.dumps({
+            "monthly": [self._month(), self._month(month="2020-04", f1=None)],
+            "selected_ids": [["a", "b"], []],
+        }))
+        assert main(["report", "--result", str(src),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert (tmp_path / "out" / "result.csv").read_text().splitlines()[1:] == [
+            "2020-03,1,0,2,0,100.0,0.0,,2", "2020-04,1,0,2,0,,0.0,,0",
+        ]
+
+    @pytest.mark.parametrize("command", ["train", "stream"])
+    def test_train_seed_rejected(self, tmp_path, capsys, command):
+        cfg = base_config()
+        cfg["train"]["seed"] = 7
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
 
     def test_manifest_missing_key_exits_data(self, tmp_path, capsys):
         gen = dio.DriftGeneratorConfig(dim=20, months=4,

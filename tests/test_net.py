@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,22 @@ class TestCheckpoint:
             arrays = {k: data[k] for k in data.files if k != name}
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"no array '{name}'"):
+            Classifier.load(path)
+
+    @pytest.mark.parametrize("key", ["version", "architecture", "seed", None])
+    def test_meta_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "model.npz"
+        Classifier(default_architecture(16, hidden=(8, 4)), seed=9).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        if key is None:  # not an object at all
+            meta, key = list(meta), "version"
+        else:
+            del meta[key]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"meta has no '{key}'"):
             Classifier.load(path)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import driftal.selection as selection
 from driftal.net import Classifier, LayerSpec, NumericError
 from driftal.selection import (
     SelectorConfig,
@@ -257,6 +258,58 @@ class TestSelect:
         assert np.array_equal(scores.confidence, confidence_scores(probs))
         assert np.array_equal(scores.lp_distance,
                               lp_distances(embs, self.labeled_embs, 2.0))
+
+    @pytest.mark.parametrize("kind", ["margin_only", "low_confidence_only"])
+    def test_unread_distance_skipped(self, monkeypatch, kind):
+        full = score_pool(self.pool, self.model, self.labeled_embs,
+                          SelectorConfig())
+        calls = []
+        monkeypatch.setattr(selection, "lp_distances",
+                            lambda *a: calls.append(a) or lp_distances(*a))
+        cfg = SelectorConfig(kind=kind, low_confidence_cutoff=0.9)
+        for k in (1, 10, 50):
+            # the labeled set is never read: None stands in for it
+            chosen, scores = select(self.pool, self.model, None, cfg, k)
+            assert chosen == selection_oracle(full, cfg, k)
+            assert len(chosen) > 0
+        assert calls == []
+        assert np.array_equal(scores.margin, full.margin)
+        assert np.array_equal(scores.confidence, full.confidence)
+        for name in ("lp_distance", "lp_norm", "hybrid"):
+            column = getattr(scores, name)
+            assert column.shape == (50,) and np.isnan(column).all()
+
+    @pytest.mark.parametrize("kind,reads", [
+        ("multi_criteria", True), ("lp_only", True), ("margin_only", False),
+        ("low_confidence_only", False), ("random", False),
+    ])
+    def test_ranks_by_lp(self, kind, reads):
+        assert selection.ranks_by_lp(SelectorConfig(kind=kind)) is reads
+
+    def test_lp_only_scores_distance(self, monkeypatch):
+        full = score_pool(self.pool, self.model, self.labeled_embs,
+                          SelectorConfig())
+        calls = []
+        monkeypatch.setattr(selection, "lp_distances",
+                            lambda *a: calls.append(a) or lp_distances(*a))
+        cfg = SelectorConfig(kind="lp_only")
+        chosen, scores = select(self.pool, self.model, self.labeled_embs, cfg, 10)
+        assert len(calls) == 1
+        assert np.array_equal(scores.lp_distance, full.lp_distance)
+        assert chosen == selection_oracle(full, cfg, 10)
+
+    def test_export_csv_unread_distance(self, tmp_path):
+        cfg = SelectorConfig(kind="margin_only")
+        chosen, scores = select(self.pool, self.model, None, cfg, 5)
+        path = tmp_path / "scores.csv"
+        export_scores_csv(path, scores, chosen, month="2020-03")
+        lines = path.read_text().splitlines()
+        assert lines[0] == "month,index,margin,lp_distance,confidence,hybrid,selected"
+        assert len(lines) == 51
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(r[3] == "nan" and r[5] == "nan" for r in rows)
+        assert [r[2] for r in rows] == [f"{m:.10g}" for m in scores.margin]
+        assert sum(int(r[-1]) for r in rows) == 5
 
     def test_intersection_prefilter(self):
         cfg = SelectorConfig(intersection_quantile=0.8)

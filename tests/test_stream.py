@@ -128,7 +128,10 @@ class TestRunStream:
         assert a.selected_ids == b.selected_ids
         assert a.to_dict() == b.to_dict()
 
-    @pytest.mark.parametrize("kind,embeds", [("random", 0), ("multi_criteria", 3)])
+    @pytest.mark.parametrize("kind,embeds", [
+        ("random", 0), ("multi_criteria", 3), ("margin_only", 0),
+        ("low_confidence_only", 0), ("lp_only", 3),
+    ])
     def test_labeled_embedding_only_when_scored(self, monkeypatch, kind, embeds):
         model, labeled, unlabeled, months, oracle = make_world()
         calls = []
