@@ -51,6 +51,26 @@ def _load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
 
 
+def _typed(value, key, kind, minimum=None):
+    """Config value ``key`` as ``kind`` (int, float or str), at least ``minimum``.
+
+    A float key also takes an integer; booleans are never numbers here.
+    """
+    accepted = (int, float) if kind is float else kind
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{key}: expected {kind.__name__}{bound}, got {value!r}")
+    return kind(value)
+
+
+def _typed_list(values, key, kind, minimum=None):
+    """A nonempty list of ``_typed`` values."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key}: expected a nonempty list, got {values!r}")
+    return [_typed(v, key, kind, minimum) for v in values]
+
+
 def _build(cls, cfg, path):
     try:
         return cls(**cfg)
@@ -87,8 +107,10 @@ def _out_dir(args, config):
 
 def _seeds(args, config):
     if args.seed is not None:
-        return [args.seed]
-    return list(config.get("seeds", [config.get("seed", 0)]))
+        return [_typed(args.seed, "--seed", int, minimum=0)]
+    if "seeds" not in config:
+        return [_typed(config.get("seed", 0), "seed", int, minimum=0)]
+    return _typed_list(config["seeds"], "seeds", int, minimum=0)
 
 
 def _hash_file(path):
@@ -125,15 +147,15 @@ def _setup_from_config(config):
     split = config.get("split", {})
     months = dataset.months()
     if "train" in split:
-        train_months = dio.parse_period(split["train"])
+        train_months = dio.parse_period(_typed(split["train"], "split.train", str))
         stream_period = split.get("stream")
         stream_months = (
-            dio.parse_period(stream_period)
+            dio.parse_period(_typed(stream_period, "split.stream", str))
             if stream_period
             else [m for m in months if m not in set(train_months)]
         )
     else:
-        k = int(split.get("train_months", 2))
+        k = _typed(split.get("train_months", 2), "split.train_months", int, minimum=1)
         train_months, stream_months = months[:k], months[k:]
     shared = sorted(set(train_months) & set(stream_months))
     if shared:
@@ -146,10 +168,11 @@ def _setup_from_config(config):
         dataset=dataset,
         train_months=train_months,
         stream_months=stream_months,
-        label_ratio=float(config.get("label_ratio", 0.4)),
-        noise_rate=float(config.get("noise_rate", 0.0)),
+        label_ratio=_typed(config.get("label_ratio", 0.4), "label_ratio", float),
+        noise_rate=_typed(config.get("noise_rate", 0.0), "noise_rate", float),
         train_cfg=_train_config(config.get("train", {})),
-        retrain_epochs=int(stream_cfg.get("retrain_epochs", 10)),
+        retrain_epochs=_typed(stream_cfg.get("retrain_epochs", 10),
+                              "stream.retrain_epochs", int, minimum=1),
     )
 
 
@@ -215,7 +238,7 @@ def cmd_stream(args, config):
     if args.label_ratio is not None:
         config = {**config, "label_ratio": args.label_ratio}
     stream_cfg = config.get("stream", {})
-    budget = int(stream_cfg.get("budget", 50))
+    budget = _typed(stream_cfg.get("budget", 50), "stream.budget", int, minimum=0)
     selector = _selector_config(stream_cfg.get("selector", {}))
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
@@ -245,7 +268,8 @@ def cmd_ablate(args, config):
         "selectors",
         ["multi_criteria", "margin_only", "lp_only", "low_confidence_only", "random"],
     )
-    budgets = [int(b) for b in (args.budgets or ablate.get("budgets", [50]))]
+    budgets = _typed_list(args.budgets or ablate.get("budgets", [50]),
+                          "ablate.budgets", int, minimum=0)
     selectors = [_selector_config({"kind": kind}) for kind in kinds]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -267,17 +291,17 @@ def cmd_ablate(args, config):
 def cmd_bench(args, config):
     out_dir = _out_dir(args, config)
     bench_cfg = dict(config.get("bench", {}))
-    n_list = [int(n) for n in (args.sizes or bench_cfg.get(
+    n_list = _typed_list(args.sizes or bench_cfg.get(
         "sizes", [100, 1000, 5000, 10000, 50000, 100000, 500000]
-    ))]
+    ), "bench.sizes", int, minimum=1)
     budget = args.budget if args.budget is not None else bench_cfg.get("budget", 400)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = met.bench(
         n_list,
-        budget=int(budget),
-        dim=int(bench_cfg.get("dim", 100)),
+        budget=_typed(budget, "bench.budget", int, minimum=0),
+        dim=_typed(bench_cfg.get("dim", 100), "bench.dim", int, minimum=1),
         hidden=tuple(bench_cfg.get("hidden", (32, 16))),
-        batch=int(bench_cfg.get("batch", 10)),
+        batch=_typed(bench_cfg.get("batch", 10), "bench.batch", int, minimum=1),
         seed=_seeds(args, config)[0],
     )
     path = met.write_bench_csv(records, out_dir / "bench.csv")
@@ -291,11 +315,11 @@ def cmd_noise(args, config):
     config = _apply_stream_flags(args, config)
     out_dir = _out_dir(args, config)
     seeds = _seeds(args, config)
-    rates = [float(r) for r in config.get(
+    rates = _typed_list(config.get(
         "noise_rates", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    )]
+    ), "noise_rates", float)
     stream_cfg = config.get("stream", {})
-    budget = int(stream_cfg.get("budget", 50))
+    budget = _typed(stream_cfg.get("budget", 50), "stream.budget", int, minimum=0)
     selector = _selector_config(stream_cfg.get("selector", {}))
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

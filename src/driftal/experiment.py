@@ -65,8 +65,9 @@ class Experiment:
         cfg = StreamConfig(
             budget=budget,
             selector=selector,
-            retrain=replace(self.setup.train_cfg, seed=seed),
-            retrain_epochs=self.setup.retrain_epochs,
+            retrain=replace(
+                self.setup.train_cfg, seed=seed, epochs=self.setup.retrain_epochs
+            ),
             seed=seed,
         )
         return run_stream(

@@ -154,8 +154,8 @@ def _bench_epoch(model, opt, Xl, yl, Xu, aug_cfg, loss_cfg, batch, rng):
         Bu = Xu[s * batch : (s + 1) * batch]
         Xw = aug.weak_view(Bu, aug_cfg, rng)
         Xs = aug.strong_view(Bu, aug_cfg, rng)
-        _, grads = step_loss_and_grads(model, Xl[lab], yl[lab], Xw, Xs, loss_cfg)
-        opt.step(model, grads)
+        _, grad = step_loss_and_grads(model, Xl[lab], yl[lab], Xw, Xs, loss_cfg)
+        opt.step(model, grad)
     return steps
 
 

@@ -8,7 +8,7 @@ the contrastive loss and the distance-based selection criterion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,9 @@ def _relu(x):
 class Classifier:
     """MLP with explicit parameters and hand-written backprop.
 
-    Parameters are float64 throughout. Initialization is uniform in
+    All parameters live in one contiguous float64 vector ``theta``;
+    ``weights`` and ``biases`` are tuples of views into it, so writing
+    through a view writes ``theta``. Initialization is uniform in
     +-sqrt(6 / (fan_in + fan_out)), drawn from a seeded generator so that
     construction is reproducible.
     """
@@ -82,17 +84,14 @@ class Classifier:
         validate_architecture(list(architecture))
         self.architecture = list(architecture)
         self.seed = int(seed)
-        self.weights = []
-        self.biases = []
-        rng = np.random.default_rng(self.seed)
-        for spec in self.architecture:
-            if init:
+        size = sum(s.output_dim * (s.input_dim + 1) for s in self.architecture)
+        self.theta = np.zeros(size)
+        self.weights, self.biases = self.layer_views(self.theta)
+        if init:
+            rng = np.random.default_rng(self.seed)
+            for spec, w in zip(self.architecture, self.weights):
                 bound = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
-                w = rng.uniform(-bound, bound, size=(spec.output_dim, spec.input_dim))
-            else:
-                w = np.zeros((spec.output_dim, spec.input_dim))
-            self.weights.append(w)
-            self.biases.append(np.zeros(spec.output_dim))
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     # index of the layer whose activation is the embedding; -1 means the
     # raw input (single-layer nets have no penultimate activation)
@@ -109,18 +108,20 @@ class Classifier:
         i = self.embedding_layer_index
         return self.architecture[i].output_dim if i >= 0 else self.input_dim
 
-    def parameters(self):
-        """Flat list of parameter arrays, weights and biases interleaved."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def layer_views(self, flat):
+        """Per-layer (weights, biases) tuples of views into a vector shaped
+        like ``theta``; each layer's weights are followed by its biases."""
+        weights, biases, start = [], [], 0
+        for s in self.architecture:
+            end = start + s.output_dim * s.input_dim
+            weights.append(flat[start:end].reshape(s.output_dim, s.input_dim))
+            biases.append(flat[end : end + s.output_dim])
+            start = end + s.output_dim
+        return tuple(weights), tuple(biases)
 
     def copy(self):
         clone = Classifier(self.architecture, seed=self.seed, init=False)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.theta[:] = self.theta
         return clone
 
     # ------------------------------------------------------------------
@@ -171,26 +172,25 @@ class Classifier:
 
         ``d_logits`` is the loss gradient w.r.t. the final logits; an
         optional ``d_embedding`` is injected at the penultimate-layer
-        activation (where the contrastive loss attaches). Returns a list
-        of (dW, db) pairs, one per layer.
+        activation (where the contrastive loss attaches). Returns one
+        flat gradient shaped like ``theta``.
         """
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.shape != cache["pres"][-1].shape:
             raise ShapeError("d_logits shape does not match cached forward pass")
-        grads = [None] * len(self.architecture)
+        grad = np.empty_like(self.theta)
+        d_weights, d_biases = self.layer_views(grad)
         delta = d_logits
         for i in range(len(self.architecture) - 1, -1, -1):
-            spec = self.architecture[i]
-            if spec.activation == "relu":
+            if self.architecture[i].activation == "relu":
                 delta = delta * (cache["pres"][i] > 0)
-            dw = delta.T @ cache["inputs"][i]
-            db = delta.sum(axis=0)
-            grads[i] = (dw, db)
+            np.matmul(delta.T, cache["inputs"][i], out=d_weights[i])
+            delta.sum(axis=0, out=d_biases[i])
             if i > 0:
                 delta = delta @ self.weights[i]
                 if d_embedding is not None and i - 1 == self.embedding_layer_index:
                     delta = delta + d_embedding
-        return grads
+        return grad
 
     # ------------------------------------------------------------------
     # batch prediction
@@ -198,14 +198,12 @@ class Classifier:
 
     def predict_batch(self, X):
         """Class-probability pairs for each row, order preserved."""
-        X = np.asarray(X, dtype=np.float64)
         if len(X) == 0:
             return np.zeros((0, 2))
         _, probs, _, _ = self.forward_batch(X)
         return probs
 
     def embed_batch(self, X):
-        X = np.asarray(X, dtype=np.float64)
         if len(X) == 0:
             return np.zeros((0, self.embedding_dim))
         _, _, emb, _ = self.forward_batch(X)
@@ -217,6 +215,13 @@ class Classifier:
 
     CHECKPOINT_VERSION = 1
 
+    def _named_views(self):
+        """Checkpoint array name (``w{i}``/``b{i}``) -> view into ``theta``."""
+        views = {}
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            views[f"w{i}"], views[f"b{i}"] = w, b
+        return views
+
     def save(self, path):
         """Write a versioned .npz checkpoint; round-trips bit-exactly."""
         meta = {
@@ -226,12 +231,9 @@ class Classifier:
                 [s.input_dim, s.output_dim, s.activation] for s in self.architecture
             ],
         }
-        arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
+        meta = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(fh, meta=meta, **self._named_views())
 
     @classmethod
     def load(cls, path):
@@ -244,8 +246,12 @@ class Classifier:
                 raise ValueError(f"unsupported checkpoint version {meta['version']}")
             arch = [LayerSpec(i, o, a) for i, o, a in meta["architecture"]]
             model = cls(arch, seed=meta["seed"], init=False)
-            model.weights = [_array(data, f"w{i}", path) for i in range(len(arch))]
-            model.biases = [_array(data, f"b{i}", path) for i in range(len(arch))]
+            for name, view in model._named_views().items():
+                array = _array(data, name, path)
+                if array.shape != view.shape:
+                    raise ValueError(f"checkpoint {path} array {name!r} has shape "
+                                     f"{array.shape}, the architecture needs {view.shape}")
+                view[...] = array
         return model
 
 
@@ -257,39 +263,34 @@ def _array(checkpoint, name, path):
 
 @dataclass
 class Optimizer:
-    """Adam over a Classifier's parameter list."""
+    """Adam (Kingma & Ba, 2015) over a Classifier's parameter vector ``theta``."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None  # first moment, shaped like theta
+    v: np.ndarray | None = None  # second moment, shaped like theta
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
-    def step(self, model, grads):
-        """Apply one update in place; raises on non-finite gradients."""
-        params = model.parameters()
-        flat_grads = [g for dw_db in grads for g in dw_db]
-        for i, (p, g) in enumerate(zip(params, flat_grads)):
-            if p.shape != g.shape:
-                raise ShapeError(f"gradient {i} shape {g.shape} != param {p.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient in parameter {i}")
+    def step(self, model, grad):
+        """Update ``model.theta`` in place; raises on a bad gradient."""
+        if np.shape(grad) != model.theta.shape:
+            raise ShapeError(f"gradient {np.shape(grad)} != theta {model.theta.shape}")
+        if not np.all(np.isfinite(grad)):
+            raise NumericError("non-finite gradient")
         self.step_count += 1
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+        if self.m is None:
+            self.m, self.v = np.zeros_like(model.theta), np.zeros_like(model.theta)
         t = self.step_count
-        for p, g, m, v in zip(params, flat_grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1**t)
-            vhat = v / (1 - self.beta2**t)
-            p -= self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
+        mhat = self.m / (1 - self.beta1**t)
+        vhat = self.v / (1 - self.beta2**t)
+        model.theta -= self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)

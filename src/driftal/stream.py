@@ -25,8 +25,8 @@ class PoolInvariantError(RuntimeError):
 class StreamConfig:
     budget: int = 50
     selector: sel.SelectorConfig = field(default_factory=sel.SelectorConfig)
-    retrain: TrainConfig = field(default_factory=TrainConfig)
-    retrain_epochs: int = 10  # warm-start epochs per month
+    # warm-start retrain per month; run_stream sets its seed per month
+    retrain: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=10))
     seed: int = 0
 
     def __post_init__(self):
@@ -178,9 +178,7 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
 
         # (5) retrain on the updated pools
         if chosen:
-            rcfg = replace(
-                cfg.retrain, epochs=cfg.retrain_epochs, seed=cfg.seed + len(monthly)
-            )
+            rcfg = replace(cfg.retrain, seed=cfg.seed + len(monthly))
             model, _ = train(model, (pool.Xl, pool.yl), pool.Xu, rcfg)
     return _result(monthly, selected_per_month, cfg.seed)
 

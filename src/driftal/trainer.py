@@ -95,7 +95,7 @@ def sample_minibatches(n_labeled, n_unlabeled, cfg, rng):
 
 
 def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
-    """Combined loss and parameter gradients for one step.
+    """Combined loss and its gradient with respect to ``model.theta``.
 
     ``Xw`` and ``Xs`` are the already-augmented weak and strong views of
     the unlabeled batch (possibly empty). Exposed separately from the
@@ -114,7 +114,7 @@ def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
             d_emb = loss_cfg.lambda_con * d_emb_raw
         except DegenerateBatchError:
             pass
-    grads = model.backward_batch(cache, d_logits, d_embedding=d_emb)
+    grad = model.backward_batch(cache, d_logits, d_embedding=d_emb)
 
     unsup = 0.0
     count = 0
@@ -125,12 +125,9 @@ def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
             weak_probs, s_logits, loss_cfg.confidence_threshold
         )
         if count > 0:
-            u_grads = model.backward_batch(s_cache, loss_cfg.lambda_u * d_s)
-            grads = [
-                (gw + uw, gb + ub) for (gw, gb), (uw, ub) in zip(grads, u_grads)
-            ]
+            grad = grad + model.backward_batch(s_cache, loss_cfg.lambda_u * d_s)
     breakdown = total_loss(sup, unsup, con, loss_cfg, confident_count=count)
-    return breakdown, grads
+    return breakdown, grad
 
 
 def train(model, labeled, unlabeled, cfg):
@@ -164,14 +161,14 @@ def train(model, labeled, unlabeled, cfg):
             Bu = Xu[u_idx] if len(u_idx) else np.zeros((0, Xl.shape[1]), dtype=np.uint8)
             Xw = aug.weak_view(Bu, cfg.augment, rng) if len(Bu) else Bu
             Xs = aug.strong_view(Bu, cfg.augment, rng) if len(Bu) else Bu
-            breakdown, grads = step_loss_and_grads(
+            breakdown, grad = step_loss_and_grads(
                 model, Xl[lab_idx], yl[lab_idx], Xw, Xs, cfg.loss
             )
             if not np.isfinite(breakdown.total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, step {n_steps}"
                 )
-            opt.step(model, grads)
+            opt.step(model, grad)
             sums += (breakdown.sup, breakdown.unsup, breakdown.con, breakdown.total)
             n_conf += breakdown.confident_count
             n_unlab += len(Bu)

@@ -166,10 +166,10 @@ class TestCriterion1:
                 break
             seed += 100  # resample: threshold or relu-kink boundary hit
 
-        breakdown, grads = step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg)
+        breakdown, grad = step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg)
         worst = 0.0
         eps = 1e-6
-        for layer, (dw, db) in enumerate(grads):
+        for layer, (dw, db) in enumerate(zip(*model.layer_views(grad))):
             for param, analytic in ((model.weights[layer], dw),
                                     (model.biases[layer], db)):
                 it = np.nditer(param, flags=["multi_index"])

@@ -358,6 +358,44 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "parquet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "seeds", 3),
+        ("bench", "seeds", []),
+        ("train", "seeds", ["a"]),
+        ("stream", "seeds", [0.5]),
+        ("train", "label_ratio", "x"),
+        ("train", "noise_rate", "x"),
+        ("train", "split.train_months", "x"),
+        ("train", "split.train", 5),
+        ("stream", "stream.budget", "x"),
+        ("stream", "stream.budget", -1),
+        ("stream", "stream.retrain_epochs", 0),
+        ("ablate", "ablate.budgets", ["x"]),
+        ("train", "seed", -1),
+        ("noise", "noise_rates", ["x"]),
+        ("bench", "bench.sizes", [0]),
+        ("bench", "bench.dim", "x"),
+    ])
+    def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
+                                           value):
+        cfg = base_config(bench={"sizes": [30], "budget": 3})
+        *sections, name = key.split(".")
+        entry = cfg
+        for part in sections:
+            entry = entry.setdefault(part, {})
+        entry[name] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"{key}: expected" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed: expected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section,key,value", [
         ("train", "optimizer", "sgd"),
         ("train", "lr_schedule", "cosine"),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ class TestForward:
 
     def test_identity_layer_closed_form(self):
         m = Classifier([LayerSpec(2, 2, "identity")], init=False)
-        m.weights[0] = np.eye(2)
+        m.weights[0][...] = np.eye(2)
         probs = m.predict_batch(np.array([[3.0, 0.0]]))
         e3 = np.exp(3.0)
         assert np.allclose(probs, [[e3 / (e3 + 1), 1 / (e3 + 1)]])
@@ -104,16 +105,16 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         m = small_net()
         _, _, _, cache = m.forward_batch(np.ones((3, 8)))
-        grads = m.backward_batch(cache, np.zeros((3, 2)))
-        for dw, db in grads:
-            assert not dw.any() and not db.any()
+        grad = m.backward_batch(cache, np.zeros((3, 2)))
+        assert grad.shape == m.theta.shape
+        assert not grad.any()
 
     def test_single_linear_layer_chain_rule(self):
         m = Classifier([LayerSpec(3, 2, "identity")], init=False)
         x = np.array([[1.0, 2.0, 3.0]])
         delta = np.array([[0.5, -0.25]])
         _, _, _, cache = m.forward_batch(x)
-        (dw, db), = m.backward_batch(cache, delta)
+        (dw,), (db,) = m.layer_views(m.backward_batch(cache, delta))
         assert np.allclose(dw, delta.T @ x)
         assert np.allclose(db, delta[0])
 
@@ -132,9 +133,9 @@ class TestBackward:
         _, probs, _, cache = m.forward_batch(X)
         onehot = np.zeros((4, 2))
         onehot[np.arange(4), y] = 1
-        grads = m.backward_batch(cache, (probs - onehot) / 4)
+        dws, dbs = m.layer_views(m.backward_batch(cache, (probs - onehot) / 4))
         eps = 1e-6
-        for li, (dw, db) in enumerate(grads):
+        for li, (dw, db) in enumerate(zip(dws, dbs)):
             for arr, g in ((m.weights[li], dw), (m.biases[li], db)):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
@@ -153,7 +154,7 @@ class TestOptimizer:
     def test_adam_first_step_magnitude(self):
         m = Classifier([LayerSpec(1, 2, "identity")], init=False)
         opt = Optimizer(learning_rate=1e-3)
-        opt.step(m, [(np.ones((2, 1)), np.ones(2))])
+        opt.step(m, np.ones_like(m.theta))
         # bias-corrected first step moves by ~lr regardless of grad scale
         assert np.allclose(m.weights[0], -1e-3, atol=1e-8)
         assert opt.step_count == 1
@@ -165,9 +166,10 @@ class TestOptimizer:
         opt = Optimizer(learning_rate=0.1)
         theta, mom, vel = 10.0, 0.0, 0.0
         for t in range(1, 11):
-            g = np.zeros((2, 1))
-            g[0, 0] = 2 * (m.weights[0][0, 0] - 3.0)
-            opt.step(m, [(g, np.zeros(2))])
+            g = np.zeros_like(m.theta)
+            (gw,), _ = m.layer_views(g)
+            gw[0, 0] = 2 * (m.weights[0][0, 0] - 3.0)
+            opt.step(m, g)
             grad = 2 * (theta - 3.0)
             mom = 0.9 * mom + 0.1 * grad
             vel = 0.999 * vel + 0.001 * grad * grad
@@ -177,10 +179,12 @@ class TestOptimizer:
     def test_nonfinite_gradient_rejected(self):
         m = Classifier([LayerSpec(1, 2, "identity")], init=False)
         opt = Optimizer(learning_rate=0.1)
-        bad = np.ones((2, 1))
-        bad[0, 0] = np.nan
+        bad = np.zeros_like(m.theta)
+        (bw,), _ = m.layer_views(bad)
+        bw[...] = 1.0
+        bw[0, 0] = np.nan
         with pytest.raises(FloatingPointError):
-            opt.step(m, [(bad, np.zeros(2))])
+            opt.step(m, bad)
 
 
 class TestBatch:
@@ -226,7 +230,8 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         m.save(path)
         loaded = Classifier.load(path)
-        for a, b in zip(m.parameters(), loaded.parameters()):
+        assert (m.theta == loaded.theta).all()
+        for a, b in zip(m.weights + m.biases, loaded.weights + loaded.biases):
             assert (a == b).all()
         assert [vars(s) for s in loaded.architecture] == [
             vars(s) for s in m.architecture
@@ -240,6 +245,22 @@ class TestCheckpoint:
             arrays = {k: data[k] for k in data.files if k != name}
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"no array '{name}'"):
+            Classifier.load(path)
+
+    @pytest.mark.parametrize("name,reshape", [
+        ("b0", lambda a: np.zeros(1)),  # would broadcast into the view
+        ("w1", lambda a: a.T),
+    ])
+    def test_wrong_shape_array_named(self, tmp_path, name, reshape):
+        path = tmp_path / "model.npz"
+        Classifier(default_architecture(16, hidden=(8, 4)), seed=9).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        needed = arrays[name].shape
+        arrays[name] = reshape(arrays[name])
+        np.savez(path, **arrays)
+        message = f"'{name}' has shape {arrays[name].shape}, the architecture needs {needed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             Classifier.load(path)
 
     @pytest.mark.parametrize("key", ["version", "architecture", "seed", None])
@@ -257,6 +278,50 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"meta has no '{key}'"):
             Classifier.load(path)
+
+
+class TestParameterVector:
+    def test_views_share_theta(self):
+        m = Classifier(default_architecture(16, hidden=(8, 4)), seed=9)
+        views = m.weights + m.biases
+        assert all(np.shares_memory(v, m.theta) for v in views)
+        # the views tile theta exactly: no element is left out or shared
+        for i, v in enumerate(views):
+            v[...] = i
+        counts = np.bincount(m.theta.astype(int), minlength=len(views))
+        assert counts.tolist() == [v.size for v in views]
+
+    def test_views_cannot_be_rebound(self):
+        m = small_net()
+        with pytest.raises(TypeError):
+            m.weights[0] = np.zeros((6, 8))
+        with pytest.raises(TypeError):
+            m.biases[0] = np.zeros(6)
+
+    def test_step_shows_in_views_of_built_and_loaded(self, tmp_path):
+        built = Classifier(default_architecture(16, hidden=(8, 4)), seed=9)
+        built.save(tmp_path / "model.npz")
+        loaded = Classifier.load(tmp_path / "model.npz")
+        for m in (built, loaded):
+            before = [v.copy() for v in m.weights + m.biases]
+            Optimizer(learning_rate=1e-3).step(m, np.ones_like(m.theta))
+            # a first Adam step on a unit gradient moves every entry by ~lr
+            for b, v in zip(before, m.weights + m.biases):
+                assert np.allclose(v, b - 1e-3, rtol=0, atol=1e-10)
+
+    def test_copy_shares_no_memory(self):
+        m = small_net(seed=3)
+        clone = m.copy()
+        assert (clone.theta == m.theta).all()
+        for a in (clone.theta,) + clone.weights + clone.biases:
+            assert not np.shares_memory(a, m.theta)
+        clone.weights[0][0, 0] += 1.0
+        assert clone.theta[0] != m.theta[0]
+
+    def test_gradient_shape_checked(self):
+        m = small_net()
+        with pytest.raises(ShapeError):
+            Optimizer().step(m, np.zeros(m.theta.size + 1))
 
 
 class TestValidation:

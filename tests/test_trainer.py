@@ -70,8 +70,7 @@ class TestTrain:
                 _, probs, _, cache = ref.forward_batch(X[lab])
                 _, d_logits = supervised_ce(probs, y[lab])
                 opt.step(ref, ref.backward_batch(cache, d_logits))
-        for a, b in zip(model.parameters(), ref.parameters()):
-            assert np.allclose(a, b, atol=1e-12)
+        assert np.allclose(model.theta, ref.theta, atol=1e-12)
 
     def test_separable_set_fits(self):
         X, y = toy_separable()
@@ -87,8 +86,7 @@ class TestTrain:
         cfg = self.small_cfg()
         m1, _ = train(build_model(8, cfg), (X, y), Xu, cfg)
         m2, _ = train(build_model(8, cfg), (X, y), Xu, cfg)
-        for a, b in zip(m1.parameters(), m2.parameters()):
-            assert (a == b).all()
+        assert (m1.theta == m2.theta).all()
 
     def test_unreachable_threshold_equals_no_unsup_term(self):
         X, y = toy_separable()
@@ -99,8 +97,7 @@ class TestTrain:
         m2, _ = train(build_model(8, off), (X, y), Xu, off)
         # probabilities never hit 1.0 exactly on this short run
         assert all(b.confident_count == 0 for b in r1.epoch_losses)
-        for a, b in zip(m1.parameters(), m2.parameters()):
-            assert (a == b).all()
+        assert (m1.theta == m2.theta).all()
 
     def test_confident_fraction_grows_on_separable_set(self):
         X, y = toy_separable(400)
@@ -144,6 +141,4 @@ class TestTrain:
         m1, r1 = train(build_model(8, cfg), (X, y), Xu, cfg)
         m2, _ = train(build_model(8, cfg), (X, y), np.zeros((0, 8)), cfg)
         assert sum(b.confident_count for b in r1.epoch_losses) > 0
-        assert any(
-            not np.allclose(a, b) for a, b in zip(m1.parameters(), m2.parameters())
-        )
+        assert not np.allclose(m1.theta, m2.theta)
