@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: synth | train | stream | ablate | bench | noise | report.
-Configuration comes from a JSON file (--config) with flag overrides;
-flags win. Every command writes a run.json with the fully resolved
-configuration, seeds, and output hashes.
+Configuration comes from a JSON file (--config); each flag overrides
+the config key that COMMANDS names. Every command writes a run.json with
+that config (the file with flag overrides applied), the run seeds, and
+output hashes.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import data as dio
 from . import metrics as met
-from .augment import AugmentConfig, AugmentConfigError
+from .augment import AugmentConfig
 from .experiment import Experiment, ExperimentSetup
 from .losses import LossConfig
 from .net import NumericError
@@ -44,65 +45,82 @@ def _load_config(path):
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path}: expected an object, got {config!r}")
+    return config
 
 
-def _typed(value, key, kind, minimum=None):
-    """Config value ``key`` as ``kind`` (int, float or str), at least ``minimum``.
+def _typed(value, key, kind, minimum=None, maximum=None):
+    """Config value ``key`` as ``kind`` (int, float or str) in [minimum, maximum].
 
     A float key also takes an integer; booleans are never numbers here.
     """
     accepted = (int, float) if kind is float else kind
     if (isinstance(value, bool) or not isinstance(value, accepted)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
+            or (minimum is not None and not value >= minimum)
+            or (maximum is not None and not value <= maximum)):
+        bound = ("" if minimum is None else f" >= {minimum}" if maximum is None
+                 else f" in [{minimum}, {maximum}]")
         raise ConfigError(f"{key}: expected {kind.__name__}{bound}, got {value!r}")
     return kind(value)
 
 
-def _typed_list(values, key, kind, minimum=None):
+def _typed_list(values, key, kind, minimum=None, maximum=None):
     """A nonempty list of ``_typed`` values."""
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{key}: expected a nonempty list, got {values!r}")
-    return [_typed(v, key, kind, minimum) for v in values]
+    return [_typed(v, key, kind, minimum, maximum) for v in values]
 
 
-def _build(cls, cfg, path):
+def _section(config, key):
+    """The object at dotted ``key`` ({} when absent); any other value is an error."""
+    parent, _, name = key.rpartition(".")
+    entry = (_section(config, parent) if parent else config).get(name, {})
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{key}: expected an object, got {entry!r}")
+    return entry
+
+
+def _override(config, key, value):
+    """A copy of ``config`` with dotted ``key`` set to ``value``."""
+    section, _, name = key.rpartition(".")
+    if not section:
+        return {**config, key: value}
+    return _override(config, section, {**_section(config, section), name: value})
+
+
+def _build(cls, cfg, key):
     try:
         return cls(**cfg)
-    except TypeError as e:
-        raise ConfigError(f"{path}: {e}") from None
-    except (ValueError, AugmentConfigError) as e:
-        raise ConfigError(f"{path}: {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key}: {e}") from None
 
 
-def _train_config(cfg):
-    cfg = dict(cfg)
-    if "seed" in cfg:
+def _train_config(config):
+    train = dict(_section(config, "train"))
+    if "seed" in train:
         raise ConfigError("train: 'seed' is not a config key; the run seed "
                           "comes from --seed or 'seeds'")
-    loss = _build(LossConfig, cfg.pop("loss", {}), "train.loss")
-    augment = _build(AugmentConfig, cfg.pop("augment", {}), "train.augment")
-    if "hidden" in cfg:
-        cfg["hidden"] = tuple(cfg["hidden"])
-    tc = _build(TrainConfig, cfg, "train")
-    return replace(tc, loss=loss, augment=augment)
+    train["loss"] = _build(LossConfig, _section(config, "train.loss"), "train.loss")
+    train["augment"] = _build(AugmentConfig, _section(config, "train.augment"),
+                              "train.augment")
+    if "hidden" in train:
+        train["hidden"] = tuple(_typed_list(train["hidden"], "train.hidden", int,
+                                            minimum=1))
+    return _build(TrainConfig, train, "train")
 
 
-def _selector_config(cfg):
-    return _build(SelectorConfig, dict(cfg), "stream.selector")
-
-
-def _out_dir(args, config):
-    out = args.out or config.get("out") or os.environ.get(DEFAULT_OUT_ENV)
-    if not out:
-        raise ConfigError("no output directory: use --out, config 'out', "
-                          f"or ${DEFAULT_OUT_ENV}")
-    return Path(out)
+def _stream_cell(config):
+    """The (selector, budget) of the ``stream`` section."""
+    selector = _build(SelectorConfig, _section(config, "stream.selector"),
+                      "stream.selector")
+    budget = _section(config, "stream").get("budget", 50)
+    return selector, _typed(budget, "stream.budget", int, minimum=0)
 
 
 def _seeds(args, config):
@@ -113,99 +131,79 @@ def _seeds(args, config):
     return _typed_list(config["seeds"], "seeds", int, minimum=0)
 
 
-def _hash_file(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_run_json(out_dir, command, resolved, seeds, artifacts):
-    payload = {
-        "command": command,
-        "config": resolved,
-        "seeds": seeds,
-        "artifacts": {
-            str(p.relative_to(out_dir)): _hash_file(p) for p in artifacts
-        },
-    }
-    (out_dir / "run.json").write_text(json.dumps(payload, indent=2, default=str))
-
-
 def _fmt_f1(f1):
     return "n/a" if f1 is None else f"{f1:.3f}"
 
 
+def _period(split, key, months):
+    """The months of period ``split[key]``, which must hold a dataset month."""
+    period = dio.parse_period(_typed(split[key], f"split.{key}", str))
+    if not set(period) & set(months):
+        raise ConfigError(f"split.{key}: no month of the dataset is in {split[key]!r}")
+    return period
+
+
 def _setup_from_config(config):
     """Build an ExperimentSetup from the dataset/generator + split sections."""
-    has_path = "dataset" in config
-    has_gen = "generator" in config
-    if has_path == has_gen:
+    if ("dataset" in config) == ("generator" in config):
         raise ConfigError("exactly one of 'dataset' or 'generator' is required")
-    if has_path:
-        _, dataset = dio.load_dataset(config["dataset"])
+    if "dataset" in config:
+        _, dataset = dio.load_dataset(_typed(config["dataset"], "dataset", str))
     else:
-        gen = _build(dio.DriftGeneratorConfig, dict(config["generator"]), "generator")
+        gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"),
+                     "generator")
         dataset = dio.synth_drift_generate(gen)
-    split = config.get("split", {})
+    split = _section(config, "split")
     months = dataset.months()
     if "train" in split:
-        train_months = dio.parse_period(_typed(split["train"], "split.train", str))
-        stream_period = split.get("stream")
-        stream_months = (
-            dio.parse_period(_typed(stream_period, "split.stream", str))
-            if stream_period
-            else [m for m in months if m not in set(train_months)]
-        )
+        train_months = _period(split, "train", months)
     else:
         k = _typed(split.get("train_months", 2), "split.train_months", int, minimum=1)
-        train_months, stream_months = months[:k], months[k:]
+        train_months = months[:k]
+    if "stream" in split:
+        stream_months = _period(split, "stream", months)
+    else:
+        stream_months = [m for m in months if m not in set(train_months)]
     shared = sorted(set(train_months) & set(stream_months))
     if shared:
         raise ConfigError(f"split.train and split.stream share months {shared}")
-    stream_cfg = config.get("stream", {})
-    unknown = sorted(set(stream_cfg) - {"budget", "selector", "retrain_epochs"})
+    stream = _section(config, "stream")
+    unknown = sorted(set(stream) - {"budget", "selector", "retrain_epochs"})
     if unknown:
         raise ConfigError(f"stream: unknown keys {unknown}")
     return ExperimentSetup(
         dataset=dataset,
         train_months=train_months,
         stream_months=stream_months,
-        label_ratio=_typed(config.get("label_ratio", 0.4), "label_ratio", float),
-        noise_rate=_typed(config.get("noise_rate", 0.0), "noise_rate", float),
-        train_cfg=_train_config(config.get("train", {})),
-        retrain_epochs=_typed(stream_cfg.get("retrain_epochs", 10),
+        label_ratio=_typed(config.get("label_ratio", 0.4), "label_ratio", float,
+                           minimum=0, maximum=1),
+        noise_rate=_typed(config.get("noise_rate", 0.0), "noise_rate", float,
+                          minimum=0, maximum=1),
+        train_cfg=_train_config(config),
+        retrain_epochs=_typed(stream.get("retrain_epochs", 10),
                               "stream.retrain_epochs", int, minimum=1),
     )
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the (seeds, artifacts) that run.json records
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, config):
-    out_dir = _out_dir(args, config)
-    gen_cfg = dict(config.get("generator", {}))
-    if args.seed is not None:
-        gen_cfg["seed"] = args.seed
-    gen = _build(dio.DriftGeneratorConfig, gen_cfg, "generator")
-    fmt = config.get("format", "binary")
+def cmd_synth(args, config, out_dir):
+    gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"), "generator")
+    fmt = _typed(config.get("format", "binary"), "format", str)
     if fmt not in dio.SHARD_FORMATS:
         raise ConfigError(f"format: {fmt!r} is not one of {sorted(dio.SHARD_FORMATS)}")
     dataset = dio.synth_drift_generate(gen)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dio.save_dataset(dataset, out_dir / "dataset", fmt=fmt)
-    artifacts = sorted((out_dir / "dataset").glob("*"))
-    _write_run_json(out_dir, "synth", {"generator": vars(gen)}, [gen.seed], artifacts)
     print(f"wrote {len(dataset.records)} records over {len(dataset.months())} "
           f"months to {out_dir / 'dataset'}")
-    return EXIT_OK
+    return [gen.seed], sorted((out_dir / "dataset").glob("*"))
 
 
-def cmd_train(args, config):
-    out_dir = _out_dir(args, config)
+def cmd_train(args, config, out_dir):
     seeds = _seeds(args, config)
-    if args.label_ratio is not None:
-        config = {**config, "label_ratio": args.label_ratio}
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     exp = Experiment(_setup_from_config(config))
     for seed in seeds:
@@ -217,30 +215,12 @@ def cmd_train(args, config):
         artifacts += [ckpt, rpath]
         print(f"seed {seed}: final total loss "
               f"{report.epoch_losses[-1].total:.6f} -> {ckpt}")
-    _write_run_json(out_dir, "train", config, seeds, artifacts)
-    return EXIT_OK
+    return seeds, artifacts
 
 
-def _apply_stream_flags(args, config):
-    stream = dict(config.get("stream", {}))
-    if args.budget is not None:
-        stream["budget"] = args.budget
-    if args.selector is not None:
-        stream.setdefault("selector", {})
-        stream["selector"] = {**stream["selector"], "kind": args.selector}
-    return {**config, "stream": stream}
-
-
-def cmd_stream(args, config):
-    config = _apply_stream_flags(args, config)
-    out_dir = _out_dir(args, config)
+def cmd_stream(args, config, out_dir):
     seeds = _seeds(args, config)
-    if args.label_ratio is not None:
-        config = {**config, "label_ratio": args.label_ratio}
-    stream_cfg = config.get("stream", {})
-    budget = _typed(stream_cfg.get("budget", 50), "stream.budget", int, minimum=0)
-    selector = _selector_config(stream_cfg.get("selector", {}))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    selector, budget = _stream_cell(config)
     artifacts = []
     exp = Experiment(_setup_from_config(config))
     [(_, _, results)] = exp.sweep([selector], [budget], seeds)
@@ -256,22 +236,17 @@ def cmd_stream(args, config):
     apath = out_dir / "aggregate.json"
     apath.write_text(json.dumps(agg, indent=2))
     artifacts.append(apath)
-    _write_run_json(out_dir, "stream", config, seeds, artifacts)
-    return EXIT_OK
+    return seeds, artifacts
 
 
-def cmd_ablate(args, config):
-    out_dir = _out_dir(args, config)
+def cmd_ablate(args, config, out_dir):
     seeds = _seeds(args, config)
-    ablate = config.get("ablate", {})
-    kinds = ablate.get(
-        "selectors",
-        ["multi_criteria", "margin_only", "lp_only", "low_confidence_only", "random"],
-    )
-    budgets = _typed_list(args.budgets or ablate.get("budgets", [50]),
-                          "ablate.budgets", int, minimum=0)
-    selectors = [_selector_config({"kind": kind}) for kind in kinds]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ablate = _section(config, "ablate")
+    kinds = _typed_list(ablate.get("selectors", list(SELECTOR_KINDS)),
+                        "ablate.selectors", str)
+    budgets = _typed_list(ablate.get("budgets", [50]), "ablate.budgets", int, minimum=0)
+    selectors = [_build(SelectorConfig, {"kind": kind}, "ablate.selectors")
+                 for kind in kinds]
     rows = []
     exp = Experiment(_setup_from_config(config))
     for selector, budget, runs in exp.sweep(selectors, budgets, seeds):
@@ -284,44 +259,36 @@ def cmd_ablate(args, config):
         print(f"{selector.kind:>20s} budget {budget:4d}: mean F1 {_fmt_f1(f1[0])}")
     mpath = out_dir / "ablation.json"
     mpath.write_text(json.dumps(rows, indent=2))
-    _write_run_json(out_dir, "ablate", config, seeds, [mpath])
-    return EXIT_OK
+    return seeds, [mpath]
 
 
-def cmd_bench(args, config):
-    out_dir = _out_dir(args, config)
-    bench_cfg = dict(config.get("bench", {}))
-    n_list = _typed_list(args.sizes or bench_cfg.get(
-        "sizes", [100, 1000, 5000, 10000, 50000, 100000, 500000]
-    ), "bench.sizes", int, minimum=1)
-    budget = args.budget if args.budget is not None else bench_cfg.get("budget", 400)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_bench(args, config, out_dir):
+    seeds = _seeds(args, config)
+    if len(seeds) != 1:
+        raise ConfigError(f"seeds: expected one seed for bench, got {seeds}")
+    bench = _section(config, "bench")
     records = met.bench(
-        n_list,
-        budget=_typed(budget, "bench.budget", int, minimum=0),
-        dim=_typed(bench_cfg.get("dim", 100), "bench.dim", int, minimum=1),
-        hidden=tuple(bench_cfg.get("hidden", (32, 16))),
-        batch=_typed(bench_cfg.get("batch", 10), "bench.batch", int, minimum=1),
-        seed=_seeds(args, config)[0],
+        _typed_list(bench.get("sizes", [100, 1000, 5000, 10000, 50000, 100000, 500000]),
+                    "bench.sizes", int, minimum=1),
+        budget=_typed(bench.get("budget", 400), "bench.budget", int, minimum=0),
+        dim=_typed(bench.get("dim", 100), "bench.dim", int, minimum=1),
+        hidden=tuple(_typed_list(bench.get("hidden", [32, 16]), "bench.hidden", int,
+                                 minimum=1)),
+        batch=_typed(bench.get("batch", 10), "bench.batch", int, minimum=1),
+        seed=seeds[0],
     )
     path = met.write_bench_csv(records, out_dir / "bench.csv")
     for r in records:
         print(f"n={r.sample_count:>7d}  {r.seconds:8.3f}s  {r.operations:>15d} ops")
-    _write_run_json(out_dir, "bench", config, _seeds(args, config), [path])
-    return EXIT_OK
+    return seeds, [path]
 
 
-def cmd_noise(args, config):
-    config = _apply_stream_flags(args, config)
-    out_dir = _out_dir(args, config)
+def cmd_noise(args, config, out_dir):
     seeds = _seeds(args, config)
     rates = _typed_list(config.get(
         "noise_rates", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    ), "noise_rates", float)
-    stream_cfg = config.get("stream", {})
-    budget = _typed(stream_cfg.get("budget", 50), "stream.budget", int, minimum=0)
-    selector = _selector_config(stream_cfg.get("selector", {}))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    ), "noise_rates", float, minimum=0, maximum=1)
+    selector, budget = _stream_cell(config)
     rows = []
     setup = _setup_from_config(config)
     for rate in rates:
@@ -332,8 +299,7 @@ def cmd_noise(args, config):
         print(f"noise {rate:4.0%}: mean F1 {_fmt_f1(f1[0])}")
     path = out_dir / "noise_sweep.json"
     path.write_text(json.dumps(rows, indent=2))
-    _write_run_json(out_dir, "noise", config, seeds, [path])
-    return EXIT_OK
+    return seeds, [path]
 
 
 # a MonthlyMetrics.to_dict() entry; undefined ratios are null
@@ -354,8 +320,8 @@ def _check_result(payload, where):
             raise dio.DataError(f"{where}: selected_ids[{i}] must be of type list")
 
 
-def cmd_report(args, config):
-    src = Path(args.result or config.get("result", ""))
+def cmd_report(args, config, out_dir):
+    src = Path(_typed(config.get("result"), "result", str))
     if not src.exists():
         raise dio.DataError(f"result file not found: {src}")
     try:
@@ -363,18 +329,15 @@ def cmd_report(args, config):
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise dio.DataError(f"result file {src} is not valid JSON: {e}") from None
     _check_result(payload, f"result file {src}")
-    out_dir = _out_dir(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dest = met.write_report_csv(payload, out_dir / "result.csv")
     print(f"wrote {dest}")
-    _write_run_json(out_dir, "report", config, [], [dest])
-    return EXIT_OK
+    return [], [dest]
 
 
 # ---------------------------------------------------------------------------
 
 
-# every flag a command may take; each command accepts only those it reads
+# every flag a command may take
 FLAGS = {
     "--seed": {"type": int, "help": "single seed override"},
     "--budget": {"type": int, "help": "labeling budget per month"},
@@ -385,14 +348,21 @@ FLAGS = {
     "--result": {"help": "result.json to convert"},
 }
 
+# command -> (function, {flag: the config key it overrides}); each command
+# accepts only its own flags. A None key is the run seed, which stays out
+# of the config: run.json records it under "seeds".
 COMMANDS = {
-    "synth": (cmd_synth, ["--seed"]),
-    "train": (cmd_train, ["--seed", "--label-ratio"]),
-    "stream": (cmd_stream, ["--seed", "--budget", "--selector", "--label-ratio"]),
-    "ablate": (cmd_ablate, ["--seed", "--budgets"]),
-    "bench": (cmd_bench, ["--seed", "--budget", "--sizes"]),
-    "noise": (cmd_noise, ["--seed", "--budget", "--selector"]),
-    "report": (cmd_report, ["--result"]),
+    "synth": (cmd_synth, {"--seed": "generator.seed"}),
+    "train": (cmd_train, {"--seed": None, "--label-ratio": "label_ratio"}),
+    "stream": (cmd_stream, {"--seed": None, "--budget": "stream.budget",
+                            "--selector": "stream.selector.kind",
+                            "--label-ratio": "label_ratio"}),
+    "ablate": (cmd_ablate, {"--seed": None, "--budgets": "ablate.budgets"}),
+    "bench": (cmd_bench, {"--seed": None, "--budget": "bench.budget",
+                          "--sizes": "bench.sizes"}),
+    "noise": (cmd_noise, {"--seed": None, "--budget": "stream.budget",
+                          "--selector": "stream.selector.kind"}),
+    "report": (cmd_report, {"--result": "result"}),
 }
 
 
@@ -402,22 +372,37 @@ def build_parser():
         description="Drift-adaptive semi-supervised active learning experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in COMMANDS.items():
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    fn, flags = COMMANDS[args.command]
     try:
         config = _load_config(args.config)
-        return args.fn(args, config)
+        for flag, key in flags.items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if key is not None and value is not None:
+                config = _override(config, key, value)
+        out = args.out or config.get("out") or os.environ.get(DEFAULT_OUT_ENV)
+        if not out:
+            raise ConfigError("no output directory: use --out, config 'out', "
+                              f"or ${DEFAULT_OUT_ENV}")
+        out_dir = Path(_typed(out, "out", str))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        seeds, artifacts = fn(args, config, out_dir)
+        hashes = {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in artifacts}
+        run = {"command": args.command, "config": config, "seeds": seeds,
+               "artifacts": hashes}
+        (out_dir / "run.json").write_text(json.dumps(run, indent=2, default=str))
+        return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

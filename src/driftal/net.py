@@ -161,11 +161,10 @@ class Classifier:
             pres.append(pre)
             a = _relu(pre) if spec.activation == "relu" else pre
         logits = a
-        i = self.embedding_layer_index
-        emb = _relu(pres[i]) if self.architecture[i].activation == "relu" else pres[i]
-        emb = emb if i >= 0 else X
+        # the embedding is the last layer's input: the penultimate
+        # activation, or X itself for a one-layer net
         cache = {"inputs": inputs, "pres": pres, "n": X.shape[0]}
-        return logits, softmax(logits), emb, cache
+        return logits, softmax(logits), inputs[-1], cache
 
     def backward_batch(self, cache, d_logits, d_embedding=None):
         """Backpropagate upstream gradients to every parameter.

@@ -94,6 +94,15 @@ class TestStream:
         assert all(len(ids) <= 2 for ids in result["selected_ids"])
 
 
+    def test_split_stream_next_to_train_months(self, tmp_path):
+        cfg = write_config(tmp_path, split={"train_months": 2, "stream": "2020-04"})
+        out = tmp_path / "out"
+        assert main(["stream", "--config", cfg, "--out", str(out),
+                     "--seed", "0"]) == EXIT_OK
+        result = json.loads((out / "seed0" / "result.json").read_text())
+        assert [m["month"] for m in result["monthly"]] == ["2020-04"]
+
+
 class TestAblate:
     def test_grid(self, tmp_path):
         cfg = write_config(
@@ -171,6 +180,34 @@ class TestReport:
         converted = (rout / "result.csv").read_bytes()
         original = (out / "seed0" / "result.csv").read_bytes()
         assert converted == original
+
+
+class TestRunJson:
+    @pytest.mark.parametrize("argv,recorded", [
+        (["ablate", "--seed", "0", "--budgets", "2", "4"], {"ablate.budgets": [2, 4]}),
+        (["bench", "--budget", "2", "--sizes", "20", "40"],
+         {"bench.budget": 2, "bench.sizes": [20, 40]}),
+        (["stream", "--seed", "0", "--budget", "2", "--selector", "margin_only",
+          "--label-ratio", "0.3"],
+         {"stream.budget": 2, "stream.selector.kind": "margin_only",
+          "label_ratio": 0.3, "stream.retrain_epochs": 1}),
+        (["synth", "--seed", "7"], {"format": "csv", "generator.seed": 7}),
+        (["report", "--result", "result.json"], {"result": "result.json"}),
+    ])
+    def test_records_config_with_flag_overrides(self, tmp_path, monkeypatch, argv,
+                                                recorded):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "result.json").write_text('{"monthly": [], "selected_ids": []}')
+        cfg = write_config(tmp_path, format="csv",
+                           ablate={"selectors": ["random"], "budgets": [3]},
+                           bench={"sizes": [30], "budget": 3})
+        assert main(argv + ["--config", cfg, "--out", "out"]) == EXIT_OK
+        config = json.loads((tmp_path / "out" / "run.json").read_text())["config"]
+        for key, value in recorded.items():
+            entry = config
+            for part in key.split("."):
+                entry = entry[part]
+            assert entry == value
 
 
 class TestErrorPaths:
@@ -375,6 +412,26 @@ class TestErrorPaths:
         ("noise", "noise_rates", ["x"]),
         ("bench", "bench.sizes", [0]),
         ("bench", "bench.dim", "x"),
+        # a section that is not an object, or a list entry of the wrong type
+        ("train", "split", 5),
+        ("stream", "stream", 5),
+        ("train", "generator", 5),
+        ("train", "train", 5),
+        ("ablate", "ablate", 5),
+        ("bench", "bench", 5),
+        ("train", "train.hidden", ["x"]),
+        ("train", "train.hidden", [0]),
+        ("stream", "stream.selector", 5),
+        ("ablate", "ablate.selectors", 5),
+        ("bench", "bench.hidden", 5),
+        ("report", "result", 5),
+        ("synth", "format", []),
+        # [0, 1] values are range-checked before any training starts
+        ("train", "label_ratio", 1.5),
+        ("stream", "label_ratio", -0.1),
+        ("train", "noise_rate", 1.5),
+        ("noise", "noise_rates", [0.0, 1.5]),
+        ("bench", "seeds", [0, 1]),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
                                            value):
@@ -389,6 +446,35 @@ class TestErrorPaths:
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"{key}: expected" in capsys.readouterr().err
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[]")
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "expected an object, got []" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,period", [
+        ("train", "train", "2099-01"),
+        ("stream", "stream", "2099-01..2099-03"),
+    ])
+    def test_split_period_without_dataset_month(self, tmp_path, capsys, command,
+                                                key, period):
+        cfg = write_config(tmp_path, split={"train_months": 2, key: period})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_CONFIG
+        assert f"split.{key}: no month of the dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,problem", [
+        (["train", "--label-ratio", "1.5"], "label_ratio: expected float in [0, 1]"),
+        (["ablate", "--budgets"], "ablate.budgets: expected a nonempty list"),
+        (["bench", "--sizes"], "bench.sizes: expected a nonempty list"),
+    ])
+    def test_bad_flag_value_exits_config(self, tmp_path, capsys, argv, problem):
+        cfg = write_config(tmp_path)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out"),
+                            "--seed", "0"]) == EXIT_CONFIG
+        assert problem in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
