@@ -35,7 +35,7 @@ from .metrics import (
     compute_metrics,
     emit_report,
 )
-from .net import Classifier, LayerSpec, Optimizer, default_architecture
+from .net import Classifier, Optimizer
 from .selection import (
     SelectionScore,
     SelectorConfig,

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import data as dio
@@ -77,12 +77,29 @@ def _typed_list(values, key, kind, minimum=None, maximum=None):
     return [_typed(v, key, kind, minimum, maximum) for v in values]
 
 
+# the keys a config section may hold ("" is the top level); train and
+# generator are checked by the constructor of their config object
+SECTION_KEYS = {
+    "": {"dataset", "generator", "split", "label_ratio", "noise_rate", "noise_rates",
+         "train", "stream", "ablate", "bench", "seed", "seeds", "out", "format",
+         "result"},
+    "split": {"train", "stream", "train_months"},
+    "stream": {"budget", "selector", "retrain_epochs"},
+    "ablate": {"selectors", "budgets"},
+    "bench": {"sizes", "budget", "dim", "hidden", "batch"},
+}
+
+
 def _section(config, key):
-    """The object at dotted ``key`` ({} when absent); any other value is an error."""
+    """The object at dotted ``key`` ({} when absent; the config itself for
+    ""). Any other value, or a key ``SECTION_KEYS`` does not allow, is an error."""
     parent, _, name = key.rpartition(".")
-    entry = (_section(config, parent) if parent else config).get(name, {})
+    entry = _section(config, parent).get(name, {}) if key else config
     if not isinstance(entry, dict):
         raise ConfigError(f"{key}: expected an object, got {entry!r}")
+    unknown = sorted(set(entry) - SECTION_KEYS.get(key, set(entry)))
+    if unknown:
+        raise ConfigError(f"{key or 'config'}: unknown keys {unknown}")
     return entry
 
 
@@ -98,6 +115,9 @@ def _build(cls, cfg, key):
     try:
         return cls(**cfg)
     except (TypeError, ValueError) as e:
+        name, sep, problem = str(e).partition(": ")
+        if sep and name in {f.name for f in fields(cls)}:  # names a field
+            key, e = f"{key}.{name}", problem
         raise ConfigError(f"{key}: {e}") from None
 
 
@@ -137,7 +157,11 @@ def _fmt_f1(f1):
 
 def _period(split, key, months):
     """The months of period ``split[key]``, which must hold a dataset month."""
-    period = dio.parse_period(_typed(split[key], f"split.{key}", str))
+    try:
+        period = dio.parse_period(_typed(split[key], f"split.{key}", str))
+    except dio.DataError:
+        raise ConfigError(f"split.{key}: expected YYYY-MM or an ordered "
+                          f"YYYY-MM..YYYY-MM, got {split[key]!r}") from None
     if not set(period) & set(months):
         raise ConfigError(f"split.{key}: no month of the dataset is in {split[key]!r}")
     return period
@@ -168,9 +192,6 @@ def _setup_from_config(config):
     if shared:
         raise ConfigError(f"split.train and split.stream share months {shared}")
     stream = _section(config, "stream")
-    unknown = sorted(set(stream) - {"budget", "selector", "retrain_epochs"})
-    if unknown:
-        raise ConfigError(f"stream: unknown keys {unknown}")
     return ExperimentSetup(
         dataset=dataset,
         train_months=train_months,
@@ -390,6 +411,8 @@ def main(argv=None):
             value = getattr(args, flag[2:].replace("-", "_"))
             if key is not None and value is not None:
                 config = _override(config, key, value)
+        for key in SECTION_KEYS:  # whichever command runs, and reads them or not
+            _section(config, key)
         out = args.out or config.get("out") or os.environ.get(DEFAULT_OUT_ENV)
         if not out:
             raise ConfigError("no output directory: use --out, config 'out', "

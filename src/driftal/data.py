@@ -64,17 +64,13 @@ class Dataset:
         return Dataset(self.name, self.feature_dim, [self.records[i] for i in indices])
 
 
-def _check_month(month):
-    parts = month.split("-")
-    if len(parts) != 2 or len(parts[0]) != 4:
-        raise DataError(f"month {month!r} is not YYYY-MM")
-    try:
-        y, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DataError(f"month {month!r} is not YYYY-MM") from None
-    if not 1 <= m <= 12:
-        raise DataError(f"month {month!r} has invalid month number")
-    return y, m
+def _check_month(month, key="month"):
+    """(year, month) of a 'YYYY-MM' string; any other value is an error naming ``key``."""
+    parts = month.split("-") if isinstance(month, str) else []
+    if (len(parts) == 2 and len(parts[0]) == 4 and all(p.isdecimal() for p in parts)
+            and 1 <= int(parts[1]) <= 12):
+        return int(parts[0]), int(parts[1])
+    raise DataError(f"{key}: expected YYYY-MM, got {month!r}")
 
 
 def month_range(start, end):
@@ -256,13 +252,15 @@ def load_dataset(path):
     if manifest["version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {manifest['version']}")
     dim = manifest["feature_dim"]
+    if isinstance(dim, bool) or dim < 1:
+        raise DataError(f"{mpath}: 'feature_dim' must be an int >= 1, got {dim!r}")
     dataset = Dataset(manifest["name"], dim)
     all_ids = []
     for pos, shard in enumerate(manifest["shards"]):
         require_keys(shard, {"month": str, "file": str, "format": str, "sha256": str,
                              "benign": int, "malware": int}, f"{mpath} shard {pos}")
         month, fname, fmt = shard["month"], shard["file"], shard["format"]
-        _check_month(month)
+        _check_month(month, f"{mpath} shard {pos}: 'month'")
         if fmt not in SHARD_FORMATS:
             raise DataError(f"shard {fname} has unknown format {fmt!r}")
         try:
@@ -358,10 +356,20 @@ class DriftGeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.drift_rate <= 1.0:
-            raise DataError("drift_rate must be in [0, 1]")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise DataError("overlap must be in [0, 1]")
+        for name, minimum in (("dim", 1), ("months", 1),
+                              ("samples_per_month_per_class", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise DataError(f"{name}: expected int >= {minimum}, got {value!r}")
+        for name in ("drift_rate", "overlap", "prob_low", "prob_high"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 <= value <= 1):
+                raise DataError(f"{name}: expected float in [0, 1], got {value!r}")
+        if self.prob_low > self.prob_high:
+            raise DataError(f"prob_low: expected <= prob_high ({self.prob_high!r}), "
+                            f"got {self.prob_low!r}")
+        _check_month(self.start_month, "start_month")
 
 
 def synth_drift_generate(cfg):
@@ -386,13 +394,9 @@ def synth_drift_generate(cfg):
     theta = np.stack([draw_rates(d), draw_rates(d)])  # [class, feature]
     theta[1, shared_mask] = theta[0, shared_mask]
 
-    month_names = []
     y, m = _check_month(cfg.start_month)
-    for _ in range(cfg.months):
-        month_names.append(f"{y:04d}-{m:02d}")
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
+    last = 12 * y + m - 1 + cfg.months - 1  # months since year 0, zero-based
+    month_names = month_range(cfg.start_month, f"{last // 12:04d}-{last % 12 + 1:02d}")
 
     dataset = Dataset(f"synth-drift-{cfg.seed}", d)
     counter = 0

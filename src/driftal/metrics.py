@@ -95,21 +95,20 @@ def write_report_csv(payload, path):
 # ---------------------------------------------------------------------------
 
 
-def forward_ops(architecture, batch):
-    """Multiply-accumulate count for one batched forward pass."""
-    return sum(
-        batch * (2 * s.input_dim * s.output_dim + s.output_dim)
-        for s in architecture
-    )
+def forward_ops(widths, batch):
+    """Multiply-accumulate count for one batched forward pass of a net with
+    layer ``widths`` (``Classifier.architecture``)."""
+    return sum(batch * (2 * n_in * n_out + n_out)
+               for n_in, n_out in zip(widths, widths[1:]))
 
 
-def backward_ops(architecture, batch):
+def backward_ops(widths, batch):
     """Analytic count for backprop: dW and d_input matmuls per layer."""
     total = 0
-    for i, s in enumerate(architecture):
-        total += batch * 2 * s.input_dim * s.output_dim  # dW = delta^T @ input
+    for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        total += batch * 2 * n_in * n_out  # dW = delta^T @ input
         if i > 0:
-            total += batch * 2 * s.input_dim * s.output_dim  # d_input = delta @ W
+            total += batch * 2 * n_in * n_out  # d_input = delta @ W
     return total
 
 

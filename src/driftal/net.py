@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "identity")
-
 
 class ShapeError(ValueError):
     """Input or parameter shapes do not chain consistently."""
@@ -21,41 +19,6 @@ class ShapeError(ValueError):
 
 class NumericError(FloatingPointError):
     """Non-finite value encountered in parameters or gradients."""
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    input_dim: int
-    output_dim: int
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if self.input_dim <= 0 or self.output_dim <= 0:
-            raise ShapeError(f"layer dims must be positive, got {self}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-def default_architecture(input_dim, hidden=(512, 128)):
-    """input -> hidden ReLU layers -> 2 logits; last hidden is the embedding."""
-    specs = []
-    prev = input_dim
-    for h in hidden:
-        specs.append(LayerSpec(prev, h, "relu"))
-        prev = h
-    specs.append(LayerSpec(prev, 2, "identity"))
-    return specs
-
-
-def validate_architecture(specs):
-    if not specs:
-        raise ShapeError("architecture must have at least one layer")
-    for a, b in zip(specs, specs[1:]):
-        if a.output_dim != b.input_dim:
-            raise ShapeError(f"layer dims do not chain: {a} -> {b}")
-    last = specs[-1]
-    if last.output_dim != 2 or last.activation != "identity":
-        raise ShapeError("final layer must emit 2 identity logits")
 
 
 def softmax(logits):
@@ -70,8 +33,30 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
+def _widths(architecture):
+    """``architecture`` as a tuple ``(input_dim, *hidden, 2)`` of ints >= 1."""
+    widths = tuple(architecture)
+    if (len(widths) < 2 or widths[-1] != 2
+            or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in widths)):
+        raise ShapeError("architecture must be (input_dim, *hidden, 2) with int "
+                         f"widths >= 1, got {widths}")
+    return widths
+
+
+def _layer_list(widths):
+    """The checkpoint ``meta`` form of ``widths``: ``[in, out, activation]`` per layer."""
+    last = len(widths) - 2
+    return [[n_in, n_out, "relu" if i < last else "identity"]
+            for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))]
+
+
 class Classifier:
     """MLP with explicit parameters and hand-written backprop.
+
+    ``architecture`` is the tuple of layer widths ``(input_dim, *hidden, 2)``.
+    Every layer but the last applies ReLU, the last emits two logits, and
+    the embedding is the last layer's input: the last hidden activation,
+    or the input itself for a ``(d, 2)`` net.
 
     All parameters live in one contiguous float64 vector ``theta``;
     ``weights`` and ``biases`` are tuples of views into it, so writing
@@ -81,42 +66,34 @@ class Classifier:
     """
 
     def __init__(self, architecture, seed=0, init=True):
-        validate_architecture(list(architecture))
-        self.architecture = list(architecture)
+        self.architecture = _widths(architecture)
         self.seed = int(seed)
-        size = sum(s.output_dim * (s.input_dim + 1) for s in self.architecture)
-        self.theta = np.zeros(size)
+        pairs = zip(self.architecture, self.architecture[1:])
+        self.theta = np.zeros(sum(n_out * (n_in + 1) for n_in, n_out in pairs))
         self.weights, self.biases = self.layer_views(self.theta)
         if init:
             rng = np.random.default_rng(self.seed)
-            for spec, w in zip(self.architecture, self.weights):
-                bound = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
+            for w in self.weights:
+                bound = np.sqrt(6.0 / sum(w.shape))
                 w[...] = rng.uniform(-bound, bound, size=w.shape)
-
-    # index of the layer whose activation is the embedding; -1 means the
-    # raw input (single-layer nets have no penultimate activation)
-    @property
-    def embedding_layer_index(self):
-        return len(self.architecture) - 2
 
     @property
     def input_dim(self):
-        return self.architecture[0].input_dim
+        return self.architecture[0]
 
     @property
     def embedding_dim(self):
-        i = self.embedding_layer_index
-        return self.architecture[i].output_dim if i >= 0 else self.input_dim
+        return self.architecture[-2]
 
     def layer_views(self, flat):
         """Per-layer (weights, biases) tuples of views into a vector shaped
         like ``theta``; each layer's weights are followed by its biases."""
         weights, biases, start = [], [], 0
-        for s in self.architecture:
-            end = start + s.output_dim * s.input_dim
-            weights.append(flat[start:end].reshape(s.output_dim, s.input_dim))
-            biases.append(flat[end : end + s.output_dim])
-            start = end + s.output_dim
+        for n_in, n_out in zip(self.architecture, self.architecture[1:]):
+            end = start + n_out * n_in
+            weights.append(flat[start:end].reshape(n_out, n_in))
+            biases.append(flat[end : end + n_out])
+            start = end + n_out
         return tuple(weights), tuple(biases)
 
     def copy(self):
@@ -130,18 +107,8 @@ class Classifier:
 
     def _check_input(self, X):
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            if X.shape[0] != self.input_dim:
-                raise ShapeError(
-                    f"input has dim {X.shape[0]}, model expects {self.input_dim}"
-                )
-        elif X.ndim == 2:
-            if X.shape[1] != self.input_dim:
-                raise ShapeError(
-                    f"input has dim {X.shape[1]}, model expects {self.input_dim}"
-                )
-        else:
-            raise ShapeError(f"input must be 1-D or 2-D, got ndim={X.ndim}")
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ShapeError(f"input has shape {X.shape}, model expects (n, {self.input_dim})")
         return X
 
     def forward_batch(self, X):
@@ -151,27 +118,23 @@ class Classifier:
         ``backward_batch`` consumes.
         """
         X = self._check_input(X)
-        if X.ndim == 1:
-            X = X[None, :]
+        last = len(self.weights) - 1
         inputs, pres = [], []
         a = X
-        for spec, w, b in zip(self.architecture, self.weights, self.biases):
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
             pre = a @ w.T + b
             pres.append(pre)
-            a = _relu(pre) if spec.activation == "relu" else pre
-        logits = a
-        # the embedding is the last layer's input: the penultimate
-        # activation, or X itself for a one-layer net
+            a = _relu(pre) if i < last else pre
         cache = {"inputs": inputs, "pres": pres, "n": X.shape[0]}
-        return logits, softmax(logits), inputs[-1], cache
+        return a, softmax(a), inputs[-1], cache
 
     def backward_batch(self, cache, d_logits, d_embedding=None):
         """Backpropagate upstream gradients to every parameter.
 
         ``d_logits`` is the loss gradient w.r.t. the final logits; an
-        optional ``d_embedding`` is injected at the penultimate-layer
-        activation (where the contrastive loss attaches). Returns one
+        optional ``d_embedding`` is injected at the embedding, the top
+        layer's input (where the contrastive loss attaches). Returns one
         flat gradient shaped like ``theta``.
         """
         d_logits = np.asarray(d_logits, dtype=np.float64)
@@ -179,15 +142,16 @@ class Classifier:
             raise ShapeError("d_logits shape does not match cached forward pass")
         grad = np.empty_like(self.theta)
         d_weights, d_biases = self.layer_views(grad)
+        last = len(self.weights) - 1
         delta = d_logits
-        for i in range(len(self.architecture) - 1, -1, -1):
-            if self.architecture[i].activation == "relu":
+        for i in range(last, -1, -1):
+            if i < last:
                 delta = delta * (cache["pres"][i] > 0)
             np.matmul(delta.T, cache["inputs"][i], out=d_weights[i])
             delta.sum(axis=0, out=d_biases[i])
             if i > 0:
                 delta = delta @ self.weights[i]
-                if d_embedding is not None and i - 1 == self.embedding_layer_index:
+                if d_embedding is not None and i == last:
                     delta = delta + d_embedding
         return grad
 
@@ -226,9 +190,7 @@ class Classifier:
         meta = {
             "version": self.CHECKPOINT_VERSION,
             "seed": self.seed,
-            "architecture": [
-                [s.input_dim, s.output_dim, s.activation] for s in self.architecture
-            ],
+            "architecture": _layer_list(self.architecture),
         }
         meta = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
@@ -243,8 +205,15 @@ class Classifier:
                     raise ValueError(f"checkpoint {path} meta has no {key!r}")
             if meta["version"] != cls.CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {meta['version']}")
-            arch = [LayerSpec(i, o, a) for i, o, a in meta["architecture"]]
-            model = cls(arch, seed=meta["seed"], init=False)
+            layers = meta["architecture"]
+            try:
+                widths = _widths([layers[0][0]] + [layer[1] for layer in layers])
+            except (TypeError, LookupError, ShapeError):
+                widths = None
+            if widths is None or layers != _layer_list(widths):
+                raise ValueError(f"checkpoint {path} meta 'architecture' is not the "
+                                 f"layer list of (input_dim, *hidden, 2): {layers!r}")
+            model = cls(widths, seed=meta["seed"], init=False)
             for name, view in model._named_views().items():
                 array = _array(data, name, path)
                 if array.shape != view.shape:

@@ -23,7 +23,7 @@ from .losses import (
     supervised_contrastive,
     total_loss,
 )
-from .net import Classifier, NumericError, Optimizer, default_architecture
+from .net import Classifier, NumericError, Optimizer
 
 
 @dataclass
@@ -62,7 +62,7 @@ class TrainReport:
 
 def build_model(input_dim, cfg):
     """Fresh classifier with the configured hidden sizes and seed."""
-    return Classifier(default_architecture(input_dim, cfg.hidden), seed=cfg.seed)
+    return Classifier((input_dim, *cfg.hidden, 2), seed=cfg.seed)
 
 
 def sample_minibatches(n_labeled, n_unlabeled, cfg, rng):

@@ -21,7 +21,7 @@ from driftal.losses import (
     supervised_contrastive,
 )
 from driftal.metrics import bench, compute_metrics, write_bench_csv
-from driftal.net import Classifier, LayerSpec, softmax
+from driftal.net import Classifier, softmax
 from driftal.selection import SelectorConfig, lp_distances, select
 from driftal.trainer import TrainConfig, build_model, step_loss_and_grads, train
 
@@ -142,10 +142,7 @@ class TestCriterion1:
         seed = trial
         while True:
             rng = np.random.default_rng(1000 + seed)
-            model = Classifier(
-                [LayerSpec(6, 5, "relu"), LayerSpec(5, 2, "identity")],
-                seed=seed,
-            )
+            model = Classifier((6, 5, 2), seed=seed)
             Xl = (rng.random((4, 6)) < 0.5).astype(np.uint8)
             yl = rng.integers(0, 2, 4)
             Bu = (rng.random((4, 6)) < 0.5).astype(np.uint8)
@@ -218,9 +215,7 @@ class TestCriterion2:
 class TestCriterion3:
     def test_selection_oracle_equivalence(self, criterion):
         t0 = time.perf_counter()
-        model = Classifier(
-            [LayerSpec(6, 4, "relu"), LayerSpec(4, 2, "identity")], seed=0
-        )
+        model = Classifier((6, 4, 2), seed=0)
         kinds = ("multi_criteria", "margin_only", "lp_only",
                  "low_confidence_only")
         mismatches = 0

@@ -432,6 +432,17 @@ class TestErrorPaths:
         ("train", "noise_rate", 1.5),
         ("noise", "noise_rates", [0.0, 1.5]),
         ("bench", "seeds", [0, 1]),
+        # the generator is checked before any data is made
+        ("synth", "generator.seed", -1),
+        ("train", "generator.months", 2.5),
+        ("train", "generator.samples_per_month_per_class", -1),
+        ("train", "generator.prob_low", 2),
+        ("train", "generator.prob_low", 0.9),  # above the default prob_high
+        ("train", "generator.dim", 0),
+        ("train", "generator.start_month", "2020-13"),
+        # a malformed split period is a config value, not a data error
+        ("train", "split.train", "2020-13"),
+        ("stream", "split.stream", "2020-04..2020-03"),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
                                            value):
@@ -482,17 +493,28 @@ class TestErrorPaths:
                      "--seed", "-1"]) == EXIT_CONFIG
         assert "--seed: expected" in capsys.readouterr().err
 
+    def test_negative_synth_seed_flag_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == EXIT_CONFIG
+        assert "generator.seed: expected int >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section,key,value", [
         ("train", "optimizer", "sgd"),
         ("train", "lr_schedule", "cosine"),
         ("train.loss", "normalize_embeddings", False),
         ("stream", "warm_start", False),
         ("stream", "retrain_epoch", 3),
+        # every section rejects unknown keys, whichever command reads it
+        ("split", "train_month", 1),
+        ("ablate", "budget", [3]),
+        ("bench", "budgets", [3]),
+        ("", "label_ration", 0.9),  # the top level
     ])
     def test_unread_config_key_rejected(self, tmp_path, capsys, section, key, value):
         cfg = base_config()
         entry = cfg
-        for part in section.split("."):
+        for part in filter(None, section.split(".")):
             entry = entry.setdefault(part, {})
         entry[key] = value
         path = tmp_path / "c.json"

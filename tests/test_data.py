@@ -231,6 +231,14 @@ class TestManifestValidation:
         with pytest.raises(dio.DataError, match=f"'{key}' must be of type"):
             dio.load_dataset(ds_dir)
 
+    @pytest.mark.parametrize("dim", [0, True])
+    def test_feature_dim_below_one(self, tmp_path, dim):
+        ds_dir = self.saved(tmp_path)
+        edit_manifest(ds_dir, lambda m: m.update(feature_dim=dim))
+        with pytest.raises(dio.DataError,
+                           match=f"'feature_dim' must be an int >= 1, got {dim!r}"):
+            dio.load_dataset(ds_dir)
+
     def test_missing_shard_file(self, tmp_path):
         ds_dir = self.saved(tmp_path)
         (ds_dir / "2020-02.bfv").unlink()
@@ -392,6 +400,16 @@ class TestDriftGenerator:
             dio.DriftGeneratorConfig(drift_rate=1.5)
         with pytest.raises(dio.DataError):
             dio.DriftGeneratorConfig(overlap=-0.1)
+
+    @pytest.mark.parametrize("name,value", [
+        ("dim", 0), ("dim", True), ("months", 2.5), ("samples_per_month_per_class", -1),
+        ("seed", -1), ("prob_low", 2), ("prob_high", -0.1),
+        ("prob_low", 0.9),  # above the default prob_high
+        ("start_month", "2020-13"), ("start_month", 202001), ("start_month", "2020-1x"),
+    ])
+    def test_invalid_field_named(self, name, value):
+        with pytest.raises(dio.DataError, match=f"^{name}: expected"):
+            dio.DriftGeneratorConfig(**{name: value})
 
 
 class TestMonthParsing:

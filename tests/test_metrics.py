@@ -15,7 +15,6 @@ from driftal.metrics import (
     train_step_ops,
     write_bench_csv,
 )
-from driftal.net import LayerSpec
 from driftal.stream import StreamResult
 
 
@@ -107,7 +106,7 @@ class TestEmitReport:
 
 class TestOpCounts:
     def test_forward_single_layer_closed_form(self):
-        arch = [LayerSpec(3, 2, "identity")]
+        arch = (3, 2)
         # batch * (2 * in * out + out) per layer
         assert forward_ops(arch, 4) == 4 * (2 * 3 * 2 + 2)
 
@@ -115,7 +114,7 @@ class TestOpCounts:
         assert distance_ops(10, 5, 8) == 10 * 5 * 3 * 8
 
     def test_train_step_linear_in_batch(self):
-        arch = [LayerSpec(6, 4, "relu"), LayerSpec(4, 2, "identity")]
+        arch = (6, 4, 2)
         assert train_step_ops(arch, 2, 2) * 3 == train_step_ops(arch, 6, 6)
 
 

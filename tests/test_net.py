@@ -6,34 +6,33 @@ import pytest
 
 from driftal.net import (
     Classifier,
-    LayerSpec,
     Optimizer,
     ShapeError,
-    default_architecture,
     softmax,
 )
 
 
 def small_net(seed=0):
-    arch = [LayerSpec(8, 6, "relu"), LayerSpec(6, 2, "identity")]
-    return Classifier(arch, seed=seed)
+    return Classifier((8, 6, 2), seed=seed)
 
 
 def reference_forward(model, x):
     """Independent forward pass with explicit per-element loops.
 
     Returns (probabilities, embedding); the embedding is the penultimate
-    activation, or the input itself for a single-layer net.
+    activation, or the input itself for a single-layer net. Every layer but
+    the last applies ReLU.
     """
     a = [float(v) for v in x]
     acts = [a]
-    for spec, W, b in zip(model.architecture, model.weights, model.biases):
+    last = len(model.weights) - 1
+    for k, (W, b) in enumerate(zip(model.weights, model.biases)):
         out = []
-        for i in range(spec.output_dim):
+        for i in range(W.shape[0]):
             s = b[i]
-            for j in range(spec.input_dim):
+            for j in range(W.shape[1]):
                 s += W[i, j] * a[j]
-            out.append(max(s, 0.0) if spec.activation == "relu" else s)
+            out.append(max(s, 0.0) if k < last else s)
         a = out
         acts.append(a)
     m = max(a)
@@ -44,12 +43,12 @@ def reference_forward(model, x):
 
 class TestForward:
     def test_zero_model_is_uniform(self):
-        m = Classifier([LayerSpec(4, 2, "identity")], init=False)
+        m = Classifier((4, 2), init=False)
         probs = m.predict_batch(np.array([[1, 0, 1, 1]]))
         assert np.allclose(probs, [[0.5, 0.5]])
 
     def test_identity_layer_closed_form(self):
-        m = Classifier([LayerSpec(2, 2, "identity")], init=False)
+        m = Classifier((2, 2), init=False)
         m.weights[0][...] = np.eye(2)
         probs = m.predict_batch(np.array([[3.0, 0.0]]))
         e3 = np.exp(3.0)
@@ -66,7 +65,7 @@ class TestForward:
             assert np.allclose(e, ref_emb, atol=1e-12)
 
     def test_single_layer_embedding_is_input(self):
-        m = Classifier([LayerSpec(3, 2, "identity")], seed=1)
+        m = Classifier((3, 2), seed=1)
         x = np.array([1.0, 0.0, 1.0])
         ref_probs, ref_emb = reference_forward(m, x)
         assert np.allclose(m.predict_batch(x[None])[0], ref_probs, atol=1e-12)
@@ -81,8 +80,8 @@ class TestForward:
     def test_deterministic(self):
         m = small_net()
         x = np.ones(8)
-        _, p1, e1, _ = m.forward_batch(x)
-        _, p2, e2, _ = m.forward_batch(x)
+        _, p1, e1, _ = m.forward_batch(x[None])
+        _, p2, e2, _ = m.forward_batch(x[None])
         assert (p1 == p2).all()
         assert (e1 == e2).all()
 
@@ -95,7 +94,7 @@ class TestForward:
     def test_embedding_is_penultimate_activation(self):
         m = small_net()
         x = np.ones(8)
-        _, _, emb, cache = m.forward_batch(x)
+        _, _, emb, cache = m.forward_batch(x[None])
         assert emb.shape == (1, 6)
         assert (emb == np.maximum(cache["pres"][0], 0.0)).all()
         assert (m.embed_batch(x[None]) == emb).all()
@@ -110,7 +109,7 @@ class TestBackward:
         assert not grad.any()
 
     def test_single_linear_layer_chain_rule(self):
-        m = Classifier([LayerSpec(3, 2, "identity")], init=False)
+        m = Classifier((3, 2), init=False)
         x = np.array([[1.0, 2.0, 3.0]])
         delta = np.array([[0.5, -0.25]])
         _, _, _, cache = m.forward_batch(x)
@@ -120,9 +119,7 @@ class TestBackward:
 
     def test_finite_differences(self):
         rng = np.random.default_rng(5)
-        arch = [LayerSpec(5, 8, "relu"), LayerSpec(8, 4, "relu"),
-                LayerSpec(4, 2, "identity")]
-        m = Classifier(arch, seed=2)
+        m = Classifier((5, 8, 4, 2), seed=2)
         X = rng.random((4, 5))
         y = rng.integers(0, 2, 4)
 
@@ -152,7 +149,7 @@ class TestBackward:
 
 class TestOptimizer:
     def test_adam_first_step_magnitude(self):
-        m = Classifier([LayerSpec(1, 2, "identity")], init=False)
+        m = Classifier((1, 2), init=False)
         opt = Optimizer(learning_rate=1e-3)
         opt.step(m, np.ones_like(m.theta))
         # bias-corrected first step moves by ~lr regardless of grad scale
@@ -161,7 +158,7 @@ class TestOptimizer:
 
     def test_adam_matches_scalar_recurrence(self):
         # minimize (theta - 3)^2 via grad 2(theta - 3), against scalar Adam
-        m = Classifier([LayerSpec(1, 2, "identity")], init=False)
+        m = Classifier((1, 2), init=False)
         m.weights[0][0, 0] = 10.0
         opt = Optimizer(learning_rate=0.1)
         theta, mom, vel = 10.0, 0.0, 0.0
@@ -177,7 +174,7 @@ class TestOptimizer:
             assert np.isclose(m.weights[0][0, 0], theta, rtol=0, atol=1e-12)
 
     def test_nonfinite_gradient_rejected(self):
-        m = Classifier([LayerSpec(1, 2, "identity")], init=False)
+        m = Classifier((1, 2), init=False)
         opt = Optimizer(learning_rate=0.1)
         bad = np.zeros_like(m.theta)
         (bw,), _ = m.layer_views(bad)
@@ -206,7 +203,7 @@ class TestBatch:
         probs = m.predict_batch(X)
         embs = m.embed_batch(X)
         for i, x in enumerate(X):
-            _, row_probs, row_emb, _ = m.forward_batch(x)
+            _, row_probs, row_emb, _ = m.forward_batch(x[None])
             ref_probs, ref_emb = reference_forward(m, x)
             assert np.allclose(probs[i], row_probs[0], atol=1e-12)
             assert np.allclose(embs[i], row_emb[0], atol=1e-12)
@@ -223,7 +220,7 @@ class TestBatch:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        m = Classifier(default_architecture(16, hidden=(8, 4)), seed=9)
+        m = Classifier((16, 8, 4, 2), seed=9)
         opt = Optimizer()
         _, probs, _, cache = m.forward_batch(np.ones((2, 16)))
         opt.step(m, m.backward_batch(cache, np.ones((2, 2)) * 0.1))
@@ -233,14 +230,12 @@ class TestCheckpoint:
         assert (m.theta == loaded.theta).all()
         for a, b in zip(m.weights + m.biases, loaded.weights + loaded.biases):
             assert (a == b).all()
-        assert [vars(s) for s in loaded.architecture] == [
-            vars(s) for s in m.architecture
-        ]
+        assert loaded.architecture == m.architecture == (16, 8, 4, 2)
 
     @pytest.mark.parametrize("name", ["meta", "w1", "b0"])
     def test_missing_array_named(self, tmp_path, name):
         path = tmp_path / "model.npz"
-        Classifier(default_architecture(16, hidden=(8, 4)), seed=9).save(path)
+        Classifier((16, 8, 4, 2), seed=9).save(path)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files if k != name}
         np.savez(path, **arrays)
@@ -253,7 +248,7 @@ class TestCheckpoint:
     ])
     def test_wrong_shape_array_named(self, tmp_path, name, reshape):
         path = tmp_path / "model.npz"
-        Classifier(default_architecture(16, hidden=(8, 4)), seed=9).save(path)
+        Classifier((16, 8, 4, 2), seed=9).save(path)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         needed = arrays[name].shape
@@ -266,7 +261,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key", ["version", "architecture", "seed", None])
     def test_meta_missing_key_named(self, tmp_path, key):
         path = tmp_path / "model.npz"
-        Classifier(default_architecture(16, hidden=(8, 4)), seed=9).save(path)
+        Classifier((16, 8, 4, 2), seed=9).save(path)
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(bytes(arrays["meta"]).decode())
@@ -279,10 +274,37 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"meta has no '{key}'"):
             Classifier.load(path)
 
+    @pytest.mark.parametrize("layers", [
+        5,  # not a list
+        [[16, 8], [8, 4, "relu"], [4, 2, "identity"]],  # short triple
+        [[16, "8", "relu"], ["8", 4, "relu"], [4, 2, "identity"]],  # non-int width
+        [[16, 8, "relu"], [7, 4, "relu"], [4, 2, "identity"]],  # widths do not chain
+        [[16, 8, "identity"], [8, 4, "relu"], [4, 2, "identity"]],  # identity hidden
+    ])
+    def test_bad_architecture_named(self, tmp_path, layers):
+        path = tmp_path / "model.npz"
+        Classifier((16, 8, 4, 2), seed=9).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["architecture"] = layers
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="'architecture'"):
+            Classifier.load(path)
+
+    def test_checkpoint_meta_layer_list(self, tmp_path):
+        path = tmp_path / "model.npz"
+        Classifier((16, 8, 4, 2), seed=9).save(path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert meta == {"version": 1, "seed": 9, "architecture": [
+            [16, 8, "relu"], [8, 4, "relu"], [4, 2, "identity"]]}
+
 
 class TestParameterVector:
     def test_views_share_theta(self):
-        m = Classifier(default_architecture(16, hidden=(8, 4)), seed=9)
+        m = Classifier((16, 8, 4, 2), seed=9)
         views = m.weights + m.biases
         assert all(np.shares_memory(v, m.theta) for v in views)
         # the views tile theta exactly: no element is left out or shared
@@ -299,7 +321,7 @@ class TestParameterVector:
             m.biases[0] = np.zeros(6)
 
     def test_step_shows_in_views_of_built_and_loaded(self, tmp_path):
-        built = Classifier(default_architecture(16, hidden=(8, 4)), seed=9)
+        built = Classifier((16, 8, 4, 2), seed=9)
         built.save(tmp_path / "model.npz")
         loaded = Classifier.load(tmp_path / "model.npz")
         for m in (built, loaded):
@@ -325,13 +347,16 @@ class TestParameterVector:
 
 
 class TestValidation:
-    def test_bad_dims_rejected(self):
+    @pytest.mark.parametrize("architecture", [
+        (4, 0, 2), (4,), (4, 3), (4, True, 2), (4, 2.0, 2),
+    ], ids=["zero-width", "one-width", "last-not-2", "bool-width", "float-width"])
+    def test_bad_dims_rejected(self, architecture):
         with pytest.raises(ShapeError):
-            Classifier([LayerSpec(4, 3, "relu"), LayerSpec(2, 2, "identity")])
+            Classifier(architecture)
 
     def test_final_layer_must_be_two_logits(self):
         with pytest.raises(ShapeError):
-            Classifier([LayerSpec(4, 3, "identity")])
+            Classifier((4, 3))
 
     def test_softmax_stability(self):
         p = softmax(np.array([1000.0, 0.0]))

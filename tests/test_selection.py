@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import driftal.selection as selection
-from driftal.net import Classifier, LayerSpec, NumericError
+from driftal.net import Classifier, NumericError
 from driftal.selection import (
     SelectorConfig,
     confidence_scores,
@@ -31,8 +31,7 @@ def nn_oracle(U, L, p):
 
 
 def tiny_model(d=6, seed=0):
-    arch = [LayerSpec(d, 4, "relu"), LayerSpec(4, 2, "identity")]
-    return Classifier(arch, seed=seed)
+    return Classifier((d, 4, 2), seed=seed)
 
 
 class TestMargin:
