@@ -11,36 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, check_fields, checked, typed
+
 MODES = ("bernoulli_bit_flip", "bernoulli_mask", "flip_plus_mask", "uniform_bit_flip")
-
-
-class AugmentConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    mode: str = "bernoulli_bit_flip"
-    weak_prob: float = 0.01
-    strong_prob: float = 0.05
+    mode: str = checked("bernoulli_bit_flip", str, choices=MODES)
+    weak_prob: float = checked(0.01, float, minimum=0, maximum=1)
+    strong_prob: float = checked(0.05, float, minimum=0, maximum=1)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise AugmentConfigError(f"unknown augmentation mode {self.mode!r}")
-        for name in ("weak_prob", "strong_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise AugmentConfigError(f"{name}={p} outside [0, 1]")
+        check_fields(self)
         if self.weak_prob > self.strong_prob:
-            raise AugmentConfigError(
-                "weak_prob must not exceed strong_prob "
-                f"({self.weak_prob} > {self.strong_prob})"
-            )
-
-
-def _check_prob(p, name):
-    if not 0.0 <= p <= 1.0:
-        raise AugmentConfigError(f"{name}={p} outside [0, 1]")
+            raise ConfigError(f"weak_prob: expected <= strong_prob "
+                              f"({self.strong_prob!r}), got {self.weak_prob!r}")
 
 
 def bernoulli_bit_flip(x, p, rng):
@@ -48,7 +34,7 @@ def bernoulli_bit_flip(x, p, rng):
 
     Works on a single vector or a (batch, d) matrix of {0,1} values.
     """
-    _check_prob(p, "p")
+    typed(p, "p", float, minimum=0, maximum=1)
     x = np.asarray(x, dtype=np.uint8)
     noise = (rng.random(x.shape) < p).astype(np.uint8)
     return x ^ noise
@@ -56,7 +42,7 @@ def bernoulli_bit_flip(x, p, rng):
 
 def bernoulli_mask(x, q, rng):
     """Zero each bit independently with probability q."""
-    _check_prob(q, "q")
+    typed(q, "q", float, minimum=0, maximum=1)
     x = np.asarray(x, dtype=np.uint8)
     keep = (rng.random(x.shape) >= q).astype(np.uint8)
     return x & keep
@@ -77,9 +63,7 @@ def _apply(x, mode, prob, rng):
     if mode == "flip_plus_mask":
         # flip then mask, sharing the probability value
         return bernoulli_mask(bernoulli_bit_flip(x, prob, rng), prob, rng)
-    if mode == "uniform_bit_flip":
-        return uniform_bit_flip(x, rng)
-    raise AugmentConfigError(f"unknown augmentation mode {mode!r}")
+    return uniform_bit_flip(x, rng)  # the last of MODES, which AugmentConfig checks
 
 
 def weak_view(x, cfg, rng):

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import data as dio
 from . import metrics as met
 from .augment import AugmentConfig
+from .config import ConfigError, typed, typed_list
 from .experiment import Experiment, ExperimentSetup
 from .losses import LossConfig
 from .net import NumericError
@@ -35,10 +36,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 DEFAULT_OUT_ENV = "DRIFTAL_OUT"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _load_config(path):
@@ -55,30 +52,8 @@ def _load_config(path):
     return config
 
 
-def _typed(value, key, kind, minimum=None, maximum=None):
-    """Config value ``key`` as ``kind`` (int, float or str) in [minimum, maximum].
-
-    A float key also takes an integer; booleans are never numbers here.
-    """
-    accepted = (int, float) if kind is float else kind
-    if (isinstance(value, bool) or not isinstance(value, accepted)
-            or (minimum is not None and not value >= minimum)
-            or (maximum is not None and not value <= maximum)):
-        bound = ("" if minimum is None else f" >= {minimum}" if maximum is None
-                 else f" in [{minimum}, {maximum}]")
-        raise ConfigError(f"{key}: expected {kind.__name__}{bound}, got {value!r}")
-    return kind(value)
-
-
-def _typed_list(values, key, kind, minimum=None, maximum=None):
-    """A nonempty list of ``_typed`` values."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{key}: expected a nonempty list, got {values!r}")
-    return [_typed(v, key, kind, minimum, maximum) for v in values]
-
-
-# the keys a config section may hold ("" is the top level); train and
-# generator are checked by the constructor of their config object
+# the keys a config section may hold ("" is the top level); a section that
+# builds a config object holds that object's fields
 SECTION_KEYS = {
     "": {"dataset", "generator", "split", "label_ratio", "noise_rate", "noise_rates",
          "train", "stream", "ablate", "bench", "seed", "seeds", "out", "format",
@@ -87,6 +62,10 @@ SECTION_KEYS = {
     "stream": {"budget", "selector", "retrain_epochs"},
     "ablate": {"selectors", "budgets"},
     "bench": {"sizes", "budget", "dim", "hidden", "batch"},
+    **{key: {f.name for f in fields(cls)} for key, cls in (
+        ("generator", dio.DriftGeneratorConfig), ("train", TrainConfig),
+        ("train.loss", LossConfig), ("train.augment", AugmentConfig),
+        ("stream.selector", SelectorConfig))},
 }
 
 
@@ -97,7 +76,7 @@ def _section(config, key):
     entry = _section(config, parent).get(name, {}) if key else config
     if not isinstance(entry, dict):
         raise ConfigError(f"{key}: expected an object, got {entry!r}")
-    unknown = sorted(set(entry) - SECTION_KEYS.get(key, set(entry)))
+    unknown = sorted(set(entry) - SECTION_KEYS[key])
     if unknown:
         raise ConfigError(f"{key or 'config'}: unknown keys {unknown}")
     return entry
@@ -114,11 +93,8 @@ def _override(config, key, value):
 def _build(cls, cfg, key):
     try:
         return cls(**cfg)
-    except (TypeError, ValueError) as e:
-        name, sep, problem = str(e).partition(": ")
-        if sep and name in {f.name for f in fields(cls)}:  # names a field
-            key, e = f"{key}.{name}", problem
-        raise ConfigError(f"{key}: {e}") from None
+    except ConfigError as e:
+        raise ConfigError(f"{key}.{e}") from None
 
 
 def _train_config(config):
@@ -126,12 +102,8 @@ def _train_config(config):
     if "seed" in train:
         raise ConfigError("train: 'seed' is not a config key; the run seed "
                           "comes from --seed or 'seeds'")
-    train["loss"] = _build(LossConfig, _section(config, "train.loss"), "train.loss")
-    train["augment"] = _build(AugmentConfig, _section(config, "train.augment"),
-                              "train.augment")
-    if "hidden" in train:
-        train["hidden"] = tuple(_typed_list(train["hidden"], "train.hidden", int,
-                                            minimum=1))
+    for name, cls in (("loss", LossConfig), ("augment", AugmentConfig)):
+        train[name] = _build(cls, _section(config, f"train.{name}"), f"train.{name}")
     return _build(TrainConfig, train, "train")
 
 
@@ -140,15 +112,15 @@ def _stream_cell(config):
     selector = _build(SelectorConfig, _section(config, "stream.selector"),
                       "stream.selector")
     budget = _section(config, "stream").get("budget", 50)
-    return selector, _typed(budget, "stream.budget", int, minimum=0)
+    return selector, typed(budget, "stream.budget", int, minimum=0)
 
 
 def _seeds(args, config):
     if args.seed is not None:
-        return [_typed(args.seed, "--seed", int, minimum=0)]
+        return [typed(args.seed, "--seed", int, minimum=0)]
     if "seeds" not in config:
-        return [_typed(config.get("seed", 0), "seed", int, minimum=0)]
-    return _typed_list(config["seeds"], "seeds", int, minimum=0)
+        return [typed(config.get("seed", 0), "seed", int, minimum=0)]
+    return typed_list(config["seeds"], "seeds", int, minimum=0)
 
 
 def _fmt_f1(f1):
@@ -158,7 +130,7 @@ def _fmt_f1(f1):
 def _period(split, key, months):
     """The months of period ``split[key]``, which must hold a dataset month."""
     try:
-        period = dio.parse_period(_typed(split[key], f"split.{key}", str))
+        period = dio.parse_period(typed(split[key], f"split.{key}", str))
     except dio.DataError:
         raise ConfigError(f"split.{key}: expected YYYY-MM or an ordered "
                           f"YYYY-MM..YYYY-MM, got {split[key]!r}") from None
@@ -172,7 +144,7 @@ def _setup_from_config(config):
     if ("dataset" in config) == ("generator" in config):
         raise ConfigError("exactly one of 'dataset' or 'generator' is required")
     if "dataset" in config:
-        _, dataset = dio.load_dataset(_typed(config["dataset"], "dataset", str))
+        _, dataset = dio.load_dataset(typed(config["dataset"], "dataset", str))
     else:
         gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"),
                      "generator")
@@ -182,27 +154,33 @@ def _setup_from_config(config):
     if "train" in split:
         train_months = _period(split, "train", months)
     else:
-        k = _typed(split.get("train_months", 2), "split.train_months", int, minimum=1)
+        k = typed(split.get("train_months", 2), "split.train_months", int, minimum=1)
         train_months = months[:k]
+    in_train = set(train_months)
     if "stream" in split:
         stream_months = _period(split, "stream", months)
     else:
-        stream_months = [m for m in months if m not in set(train_months)]
-    shared = sorted(set(train_months) & set(stream_months))
+        stream_months = [m for m in months if m not in in_train]
+    shared = sorted(in_train & set(stream_months))
     if shared:
         raise ConfigError(f"split.train and split.stream share months {shared}")
+    label_ratio = typed(config.get("label_ratio", 0.4), "label_ratio", float,
+                        minimum=0, maximum=1)
+    n_train = sum(r.month in in_train for r in dataset.records)
+    if round(label_ratio * n_train) == 0:  # as data.label_ratio_split counts
+        raise ConfigError(f"label_ratio: expected a ratio that labels at least one of "
+                          f"the {n_train} training rows, got {label_ratio!r}")
     stream = _section(config, "stream")
     return ExperimentSetup(
         dataset=dataset,
         train_months=train_months,
         stream_months=stream_months,
-        label_ratio=_typed(config.get("label_ratio", 0.4), "label_ratio", float,
-                           minimum=0, maximum=1),
-        noise_rate=_typed(config.get("noise_rate", 0.0), "noise_rate", float,
-                          minimum=0, maximum=1),
+        label_ratio=label_ratio,
+        noise_rate=typed(config.get("noise_rate", 0.0), "noise_rate", float,
+                         minimum=0, maximum=1),
         train_cfg=_train_config(config),
-        retrain_epochs=_typed(stream.get("retrain_epochs", 10),
-                              "stream.retrain_epochs", int, minimum=1),
+        retrain_epochs=typed(stream.get("retrain_epochs", 10),
+                             "stream.retrain_epochs", int, minimum=1),
     )
 
 
@@ -213,9 +191,7 @@ def _setup_from_config(config):
 
 def cmd_synth(args, config, out_dir):
     gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"), "generator")
-    fmt = _typed(config.get("format", "binary"), "format", str)
-    if fmt not in dio.SHARD_FORMATS:
-        raise ConfigError(f"format: {fmt!r} is not one of {sorted(dio.SHARD_FORMATS)}")
+    fmt = typed(config.get("format", "binary"), "format", str, choices=dio.SHARD_FORMATS)
     dataset = dio.synth_drift_generate(gen)
     dio.save_dataset(dataset, out_dir / "dataset", fmt=fmt)
     print(f"wrote {len(dataset.records)} records over {len(dataset.months())} "
@@ -263,11 +239,10 @@ def cmd_stream(args, config, out_dir):
 def cmd_ablate(args, config, out_dir):
     seeds = _seeds(args, config)
     ablate = _section(config, "ablate")
-    kinds = _typed_list(ablate.get("selectors", list(SELECTOR_KINDS)),
-                        "ablate.selectors", str)
-    budgets = _typed_list(ablate.get("budgets", [50]), "ablate.budgets", int, minimum=0)
-    selectors = [_build(SelectorConfig, {"kind": kind}, "ablate.selectors")
-                 for kind in kinds]
+    kinds = typed_list(ablate.get("selectors", list(SELECTOR_KINDS)),
+                       "ablate.selectors", str, choices=SELECTOR_KINDS)
+    budgets = typed_list(ablate.get("budgets", [50]), "ablate.budgets", int, minimum=0)
+    selectors = [SelectorConfig(kind=kind) for kind in kinds]
     rows = []
     exp = Experiment(_setup_from_config(config))
     for selector, budget, runs in exp.sweep(selectors, budgets, seeds):
@@ -289,13 +264,13 @@ def cmd_bench(args, config, out_dir):
         raise ConfigError(f"seeds: expected one seed for bench, got {seeds}")
     bench = _section(config, "bench")
     records = met.bench(
-        _typed_list(bench.get("sizes", [100, 1000, 5000, 10000, 50000, 100000, 500000]),
+        typed_list(bench.get("sizes", [100, 1000, 5000, 10000, 50000, 100000, 500000]),
                     "bench.sizes", int, minimum=1),
-        budget=_typed(bench.get("budget", 400), "bench.budget", int, minimum=0),
-        dim=_typed(bench.get("dim", 100), "bench.dim", int, minimum=1),
-        hidden=tuple(_typed_list(bench.get("hidden", [32, 16]), "bench.hidden", int,
+        budget=typed(bench.get("budget", 400), "bench.budget", int, minimum=0),
+        dim=typed(bench.get("dim", 100), "bench.dim", int, minimum=1),
+        hidden=tuple(typed_list(bench.get("hidden", [32, 16]), "bench.hidden", int,
                                  minimum=1)),
-        batch=_typed(bench.get("batch", 10), "bench.batch", int, minimum=1),
+        batch=typed(bench.get("batch", 10), "bench.batch", int, minimum=1),
         seed=seeds[0],
     )
     path = met.write_bench_csv(records, out_dir / "bench.csv")
@@ -306,7 +281,7 @@ def cmd_bench(args, config, out_dir):
 
 def cmd_noise(args, config, out_dir):
     seeds = _seeds(args, config)
-    rates = _typed_list(config.get(
+    rates = typed_list(config.get(
         "noise_rates", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     ), "noise_rates", float, minimum=0, maximum=1)
     selector, budget = _stream_cell(config)
@@ -342,7 +317,7 @@ def _check_result(payload, where):
 
 
 def cmd_report(args, config, out_dir):
-    src = Path(_typed(config.get("result"), "result", str))
+    src = Path(typed(config.get("result"), "result", str))
     if not src.exists():
         raise dio.DataError(f"result file not found: {src}")
     try:
@@ -417,7 +392,7 @@ def main(argv=None):
         if not out:
             raise ConfigError("no output directory: use --out, config 'out', "
                               f"or ${DEFAULT_OUT_ENV}")
-        out_dir = Path(_typed(out, "out", str))
+        out_dir = Path(typed(out, "out", str))
         out_dir.mkdir(parents=True, exist_ok=True)
         seeds, artifacts = fn(args, config, out_dir)
         hashes = {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -1,0 +1,64 @@
+"""Typed config values: ``checked`` declares a dataclass field's kind and range
+once, ``check_fields`` checks every such field, and the CLI checks its own keys
+with the same ``typed``. A bad value raises ``ConfigError("<key>: expected ...")``."""
+
+from __future__ import annotations
+
+from dataclasses import field, fields
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def typed(value, key, kind, minimum=None, maximum=None, above=None, choices=None,
+          nullable=False):
+    """Config value ``key`` as ``kind`` (int, float or str) within its bounds.
+
+    ``minimum`` and ``maximum`` are inclusive, ``above`` is exclusive. A float
+    key also takes an integer, booleans are never numbers here, and a
+    ``nullable`` key also takes None.
+    """
+    if value is None and nullable:
+        return None
+    accepted = (int, float) if kind is float else kind
+    if not (isinstance(value, bool) or not isinstance(value, accepted)
+            or (minimum is not None and not value >= minimum)
+            or (above is not None and not value > above)
+            or (maximum is not None and not value <= maximum)
+            or (choices is not None and value not in choices)):
+        try:
+            return kind(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    low = f"[{minimum}" if above is None else f"({above}"
+    bound = ("" if minimum is None and above is None
+             else f" in {low}, {maximum}]" if maximum is not None
+             else f" >= {minimum}" if above is None else f" > {above}")
+    wanted = f"one of {sorted(choices)}" if choices else f"{kind.__name__}{bound}"
+    raise ConfigError(f"{key}: expected {'None or ' * nullable}{wanted}, got {value!r}")
+
+
+def typed_list(values, key, kind, **bounds):
+    """A nonempty list of ``typed`` values."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{key}: expected a nonempty list, got {values!r}")
+    return [typed(v, key, kind, **bounds) for v in values]
+
+
+def checked(default, kind, **bounds):
+    """A dataclass field of ``kind`` within ``bounds``, as ``typed`` takes them."""
+    return field(default=default, metadata={"kind": kind, **bounds})
+
+
+def check_fields(obj):
+    """Check every ``checked`` field of dataclass ``obj``. A field whose default
+    is a tuple holds a nonempty tuple; one whose default is None may be None."""
+    for f in fields(obj):
+        if "kind" not in f.metadata:
+            continue
+        value = getattr(obj, f.name)
+        if isinstance(f.default, tuple):
+            object.__setattr__(obj, f.name, tuple(typed_list(value, f.name, **f.metadata)))
+        else:
+            typed(value, f.name, nullable=f.default is None, **f.metadata)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, check_fields, checked
+
 MAGIC = b"BFVS"
 BINARY_VERSION = 1
 MANIFEST_VERSION = 1
@@ -64,13 +66,13 @@ class Dataset:
         return Dataset(self.name, self.feature_dim, [self.records[i] for i in indices])
 
 
-def _check_month(month, key="month"):
+def _check_month(month, key="month", error=DataError):
     """(year, month) of a 'YYYY-MM' string; any other value is an error naming ``key``."""
-    parts = month.split("-") if isinstance(month, str) else []
-    if (len(parts) == 2 and len(parts[0]) == 4 and all(p.isdecimal() for p in parts)
+    parts = month.split("-") if isinstance(month, str) and month.isascii() else []
+    if ([len(p) for p in parts] == [4, 2] and all(p.isdigit() for p in parts)
             and 1 <= int(parts[1]) <= 12):
         return int(parts[0]), int(parts[1])
-    raise DataError(f"{key}: expected YYYY-MM, got {month!r}")
+    raise error(f"{key}: expected YYYY-MM, got {month!r}")
 
 
 def month_range(start, end):
@@ -345,31 +347,24 @@ def inject_label_noise(labeled, noise_rate, seed):
 
 @dataclass
 class DriftGeneratorConfig:
-    dim: int = 200
-    months: int = 12
-    samples_per_month_per_class: int = 500
-    drift_rate: float = 0.15  # per-month chance a feature's rate is resampled
-    overlap: float = 0.3  # fraction of features sharing one rate across classes
-    start_month: str = "2020-01"
-    prob_low: float = 0.02
-    prob_high: float = 0.85
-    seed: int = 0
+    dim: int = checked(200, int, minimum=1)
+    months: int = checked(12, int, minimum=1)
+    samples_per_month_per_class: int = checked(500, int, minimum=1)
+    # per-month chance a feature's rate is resampled
+    drift_rate: float = checked(0.15, float, minimum=0, maximum=1)
+    # fraction of features sharing one rate across classes
+    overlap: float = checked(0.3, float, minimum=0, maximum=1)
+    start_month: str = checked("2020-01", str)
+    prob_low: float = checked(0.02, float, minimum=0, maximum=1)
+    prob_high: float = checked(0.85, float, minimum=0, maximum=1)
+    seed: int = checked(0, int, minimum=0)
 
     def __post_init__(self):
-        for name, minimum in (("dim", 1), ("months", 1),
-                              ("samples_per_month_per_class", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise DataError(f"{name}: expected int >= {minimum}, got {value!r}")
-        for name in ("drift_rate", "overlap", "prob_low", "prob_high"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 <= value <= 1):
-                raise DataError(f"{name}: expected float in [0, 1], got {value!r}")
+        check_fields(self)
         if self.prob_low > self.prob_high:
-            raise DataError(f"prob_low: expected <= prob_high ({self.prob_high!r}), "
-                            f"got {self.prob_low!r}")
-        _check_month(self.start_month, "start_month")
+            raise ConfigError(f"prob_low: expected <= prob_high ({self.prob_high!r}), "
+                              f"got {self.prob_low!r}")
+        _check_month(self.start_month, "start_month", ConfigError)
 
 
 def synth_drift_generate(cfg):

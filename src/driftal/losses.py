@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields, checked
 from .net import softmax
 
 _CLAMP = 1e-12
@@ -28,18 +29,13 @@ class DegenerateBatchError(ValueError):
 
 @dataclass(frozen=True)
 class LossConfig:
-    confidence_threshold: float = 0.95
-    lambda_u: float = 1.0
-    lambda_con: float = 0.5
-    contrastive_temperature: float = 0.07
+    confidence_threshold: float = checked(0.95, float, above=0, maximum=1)
+    lambda_u: float = checked(1.0, float, minimum=0)
+    lambda_con: float = checked(0.5, float, minimum=0)
+    contrastive_temperature: float = checked(0.07, float, above=0)
 
     def __post_init__(self):
-        if not 0.0 < self.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must be in (0, 1]")
-        if self.lambda_u < 0 or self.lambda_con < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.contrastive_temperature <= 0:
-            raise ValueError("contrastive_temperature must be positive")
+        check_fields(self)
 
 
 @dataclass

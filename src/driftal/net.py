@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields, checked
+
 
 class ShapeError(ValueError):
     """Input or parameter shapes do not chain consistently."""
@@ -233,7 +235,7 @@ def _array(checkpoint, name, path):
 class Optimizer:
     """Adam (Kingma & Ba, 2015) over a Classifier's parameter vector ``theta``."""
 
-    learning_rate: float = 1e-3
+    learning_rate: float = checked(1e-3, float, above=0)
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -242,8 +244,7 @@ class Optimizer:
     v: np.ndarray | None = None  # second moment, shaped like theta
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_fields(self)
 
     def step(self, model, grad):
         """Update ``model.theta`` in place; raises on a bad gradient."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .config import ConfigError, check_fields, checked
 from .net import NumericError
 
 SELECTOR_KINDS = (
@@ -29,25 +30,20 @@ SELECTOR_KINDS = (
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    kind: str = "multi_criteria"
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
-    p_norm: float = 2.0
-    low_confidence_cutoff: float = 0.75
+    kind: str = checked("multi_criteria", str, choices=SELECTOR_KINDS)
+    alpha: float = checked(1.0, float, minimum=0)
+    beta: float = checked(1.0, float, minimum=0)
+    gamma: float = checked(1.0, float, minimum=0)
+    p_norm: float = checked(2.0, float, minimum=1)
+    low_confidence_cutoff: float = checked(0.75, float, minimum=0, maximum=1)
     # optional pre-filter keeping only the intersection of the top-q
     # quantiles of the three criteria before scoring; disabled by default
-    intersection_quantile: float | None = None
+    intersection_quantile: float | None = checked(None, float, minimum=0, maximum=1)
 
     def __post_init__(self):
-        if self.kind not in SELECTOR_KINDS:
-            raise ValueError(f"unknown selector kind {self.kind!r}")
-        if self.p_norm < 1:
-            raise ValueError("p_norm must be >= 1")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("criterion weights must be non-negative")
+        check_fields(self)
         if self.kind == "multi_criteria" and self.alpha + self.beta + self.gamma == 0:
-            raise ValueError("multi_criteria weights must not all be zero")
+            raise ConfigError("alpha: expected alpha + beta + gamma > 0 for multi_criteria")
 
 
 def ranks_by_lp(cfg):

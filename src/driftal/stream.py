@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import selection as sel
+from .config import check_fields, checked
 from .metrics import aggregate, compute_metrics
 from .trainer import TrainConfig, train
 
@@ -23,15 +24,14 @@ class PoolInvariantError(RuntimeError):
 
 @dataclass
 class StreamConfig:
-    budget: int = 50
+    budget: int = checked(50, int, minimum=0)
     selector: sel.SelectorConfig = field(default_factory=sel.SelectorConfig)
     # warm-start retrain per month; run_stream sets its seed per month
     retrain: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=10))
-    seed: int = 0
+    seed: int = checked(0, int, minimum=0)
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        check_fields(self)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import augment as aug
+from .config import check_fields, checked
 from .losses import (
     DegenerateBatchError,
     LossBreakdown,
@@ -28,20 +29,17 @@ from .net import Classifier, NumericError, Optimizer
 
 @dataclass
 class TrainConfig:
-    epochs: int = 50
-    labeled_batch: int = 64
-    unlabeled_batch: int = 64
+    epochs: int = checked(50, int, minimum=1)
+    labeled_batch: int = checked(64, int, minimum=1)
+    unlabeled_batch: int = checked(64, int, minimum=1)
     loss: LossConfig = field(default_factory=LossConfig)
     augment: aug.AugmentConfig = field(default_factory=aug.AugmentConfig)
-    learning_rate: float = 1e-3
-    hidden: tuple = (512, 128)
-    seed: int = 0
+    learning_rate: float = checked(1e-3, float, above=0)
+    hidden: tuple = checked((512, 128), int, minimum=1)
+    seed: int = checked(0, int, minimum=0)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.labeled_batch < 1 or self.unlabeled_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
+        check_fields(self)
 
 
 @dataclass

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from driftal.augment import (
     AugmentConfig,
-    AugmentConfigError,
     bernoulli_bit_flip,
     bernoulli_mask,
     strong_view,
     uniform_bit_flip,
     weak_view,
 )
+from driftal.config import ConfigError
 
 BIG = 100_000
 
@@ -36,7 +36,7 @@ class TestBitFlip:
         assert abs(out.mean() - p) < three_sigma(p)
 
     def test_invalid_probability(self):
-        with pytest.raises(AugmentConfigError):
+        with pytest.raises(ConfigError, match="^p: expected"):
             bernoulli_bit_flip(np.zeros(3, dtype=np.uint8), 1.5, np.random.default_rng(0))
 
 
@@ -97,11 +97,11 @@ class TestViews:
         assert not strong_view(x, cfg, np.random.default_rng(1)).any()
 
     def test_weak_exceeding_strong_rejected(self):
-        with pytest.raises(AugmentConfigError):
+        with pytest.raises(ConfigError, match="^weak_prob: expected"):
             AugmentConfig(weak_prob=0.2, strong_prob=0.1)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(AugmentConfigError):
+        with pytest.raises(ConfigError, match="^mode: expected"):
             AugmentConfig(mode="rotate")
 
 

@@ -443,6 +443,29 @@ class TestErrorPaths:
         # a malformed split period is a config value, not a data error
         ("train", "split.train", "2020-13"),
         ("stream", "split.stream", "2020-04..2020-03"),
+        # every config dataclass field is typed and range-checked
+        ("stream", "train.epochs", 1.5),
+        ("stream", "train.epochs", True),
+        ("stream", "train.labeled_batch", 2.5),
+        ("stream", "train.unlabeled_batch", True),
+        ("stream", "train.learning_rate", "x"),
+        ("stream", "train.learning_rate", 0),
+        ("stream", "train.loss.lambda_u", "x"),
+        ("stream", "train.loss.lambda_u", True),
+        ("stream", "train.augment.weak_prob", "x"),
+        ("stream", "train.augment.weak_prob", 0.5),  # above the default strong_prob
+        ("stream", "stream.selector.alpha", True),
+        ("stream", "stream.selector.p_norm", "x"),
+        ("stream", "stream.selector.intersection_quantile", 5),
+        ("stream", "stream.selector.intersection_quantile", -0.5),
+        ("stream", "stream.selector.intersection_quantile", "x"),
+        ("stream", "stream.selector.low_confidence_cutoff", "x"),
+        ("stream", "stream.selector.low_confidence_cutoff", -3),
+        ("stream", "stream.selector.kind", "entropy"),
+        ("ablate", "ablate.selectors", ["entropy"]),
+        # a ratio that labels none of the 100 training rows
+        ("stream", "label_ratio", 0),
+        ("stream", "label_ratio", 0.001),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
                                            value):

@@ -1,0 +1,135 @@
+"""Every config dataclass field against a reference table of its kind and range.
+
+The table is written out here, not read from the fields' metadata; it is
+the README's table of config keys. Given one field's value (the other
+fields at values that satisfy the rules between fields), a constructor
+must succeed exactly when the table accepts the value, and otherwise raise
+``ConfigError("<field>: expected ...")``, never another exception.
+"""
+
+import math
+import re
+import sys
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from driftal.augment import MODES, AugmentConfig
+from driftal.config import ConfigError
+from driftal.data import DriftGeneratorConfig
+from driftal.losses import LossConfig
+from driftal.net import Optimizer
+from driftal.selection import SELECTOR_KINDS, SelectorConfig
+from driftal.stream import StreamConfig
+from driftal.trainer import TrainConfig
+
+
+def integer(low):
+    return lambda v: type(v) is int and v >= low
+
+
+def number(low, high=math.inf, low_open=False):
+    """An int or float in [low, high] ((low, high] if ``low_open``) that a
+    float can hold."""
+    def accepts(v):
+        if type(v) not in (int, float) or (type(v) is int and abs(v) > sys.float_info.max):
+            return False
+        return (v > low if low_open else v >= low) and v <= high
+    return accepts
+
+
+def one_of(choices):
+    return lambda v: type(v) is str and v in choices
+
+
+def month(v):
+    return type(v) is str and re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", v) is not None
+
+
+def widths(v):
+    return type(v) in (list, tuple) and len(v) > 0 and all(integer(1)(w) for w in v)
+
+
+def optional(accepts):
+    return lambda v: v is None or accepts(v)
+
+
+# (class, field, accepts, other fields that keep the rules between fields true)
+TABLE = [
+    (DriftGeneratorConfig, "dim", integer(1), {}),
+    (DriftGeneratorConfig, "months", integer(1), {}),
+    (DriftGeneratorConfig, "samples_per_month_per_class", integer(1), {}),
+    (DriftGeneratorConfig, "drift_rate", number(0, 1), {}),
+    (DriftGeneratorConfig, "overlap", number(0, 1), {}),
+    (DriftGeneratorConfig, "start_month", month, {}),
+    (DriftGeneratorConfig, "prob_low", number(0, 1), {"prob_high": 1.0}),
+    (DriftGeneratorConfig, "prob_high", number(0, 1), {"prob_low": 0.0}),
+    (DriftGeneratorConfig, "seed", integer(0), {}),
+    (TrainConfig, "epochs", integer(1), {}),
+    (TrainConfig, "labeled_batch", integer(1), {}),
+    (TrainConfig, "unlabeled_batch", integer(1), {}),
+    (TrainConfig, "learning_rate", number(0, low_open=True), {}),
+    (TrainConfig, "hidden", widths, {}),
+    (TrainConfig, "seed", integer(0), {}),
+    (LossConfig, "confidence_threshold", number(0, 1, low_open=True), {}),
+    (LossConfig, "lambda_u", number(0), {}),
+    (LossConfig, "lambda_con", number(0), {}),
+    (LossConfig, "contrastive_temperature", number(0, low_open=True), {}),
+    (AugmentConfig, "mode", one_of(MODES), {}),
+    (AugmentConfig, "weak_prob", number(0, 1), {"strong_prob": 1.0}),
+    (AugmentConfig, "strong_prob", number(0, 1), {"weak_prob": 0.0}),
+    (SelectorConfig, "kind", one_of(SELECTOR_KINDS), {}),
+    (SelectorConfig, "alpha", number(0), {}),
+    (SelectorConfig, "beta", number(0), {}),
+    (SelectorConfig, "gamma", number(0), {}),
+    (SelectorConfig, "p_norm", number(1), {}),
+    (SelectorConfig, "low_confidence_cutoff", number(0, 1), {}),
+    (SelectorConfig, "intersection_quantile", optional(number(0, 1)), {}),
+    (StreamConfig, "budget", integer(0), {}),
+    (StreamConfig, "seed", integer(0), {}),
+    (Optimizer, "learning_rate", number(0, low_open=True), {}),
+]
+
+# the fields that hold a nested config object, not a value
+NESTED = {"loss", "augment", "selector", "retrain"}
+
+NEAR_BOUNDS = st.sampled_from([
+    -1, 0, 1, 2, 64, -0.5, -0.0, 0.0, 1e-3, 0.5, 1.0, 1.5, math.inf, 10**400,
+    "2020-01", "2020-12", "2020-13", "2020-1", "202001", *MODES, *SELECTOR_KINDS,
+])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+           | NEAR_BOUNDS)
+VALUES = SCALARS | st.lists(SCALARS, max_size=3) | st.lists(st.integers(-1, 600), max_size=3)
+
+
+@pytest.mark.parametrize("cls", sorted({row[0] for row in TABLE} - {Optimizer},
+                                       key=lambda c: c.__name__))
+def test_table_covers_every_field(cls):
+    named = {name for c, name, _, _ in TABLE if c is cls}
+    assert named == {f.name for f in fields(cls)} - NESTED
+
+
+@settings(max_examples=600, deadline=None)
+@given(row=st.sampled_from(TABLE), value=VALUES)
+def test_field_accepts_exactly_its_range(row, value):
+    cls, name, accepts, others = row
+    try:
+        obj = cls(**others, **{name: value})
+    except ConfigError as e:
+        assert not accepts(value), f"{name}={value!r} rejected: {e}"
+        assert re.match(f"{name}: expected", str(e)), str(e)
+    else:
+        assert accepts(value), f"{name}={value!r} accepted"
+        assert getattr(obj, name) == (tuple(value) if name == "hidden" else value)
+
+
+@pytest.mark.parametrize("cls,values,name", [
+    (AugmentConfig, {"weak_prob": 0.2, "strong_prob": 0.1}, "weak_prob"),
+    (DriftGeneratorConfig, {"prob_low": 0.9, "prob_high": 0.5}, "prob_low"),
+    (SelectorConfig, {"alpha": 0, "beta": 0.0, "gamma": 0}, "alpha"),
+])
+def test_rule_between_fields_names_a_field(cls, values, name):
+    with pytest.raises(ConfigError, match=f"^{name}: expected"):
+        cls(**values)

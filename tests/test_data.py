@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftal import data as dio
+from driftal.config import ConfigError
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
 from driftal.trainer import TrainConfig, build_model, train
@@ -396,9 +397,9 @@ class TestDriftGenerator:
         assert f1_fresh >= f1_first - 0.05
 
     def test_invalid_config(self):
-        with pytest.raises(dio.DataError):
+        with pytest.raises(ConfigError):
             dio.DriftGeneratorConfig(drift_rate=1.5)
-        with pytest.raises(dio.DataError):
+        with pytest.raises(ConfigError):
             dio.DriftGeneratorConfig(overlap=-0.1)
 
     @pytest.mark.parametrize("name,value", [
@@ -408,7 +409,7 @@ class TestDriftGenerator:
         ("start_month", "2020-13"), ("start_month", 202001), ("start_month", "2020-1x"),
     ])
     def test_invalid_field_named(self, name, value):
-        with pytest.raises(dio.DataError, match=f"^{name}: expected"):
+        with pytest.raises(ConfigError, match=f"^{name}: expected"):
             dio.DriftGeneratorConfig(**{name: value})
 
 
