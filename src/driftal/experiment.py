@@ -33,14 +33,12 @@ class Experiment:
 
     def __init__(self, setup):
         self.setup = setup
-        self._initial = {}  # seed -> (model, (Xl, yl, ids_l), (Xu, ids_u))
+        self._initial = {}  # seed -> (model, (Xl, yl, ids_l), (Xu, yu, ids_u), report)
         ds = setup.dataset
-        self.oracle = {r.id: r.label for r in ds.records}
-        train_set = dio.Dataset(
-            ds.name, ds.feature_dim,
-            [r for r in ds.records if r.month in set(setup.train_months)],
+        train_months = set(setup.train_months)
+        self.train_set = dio.Dataset(
+            ds.name, ds.feature_dim, [r for r in ds.records if r.month in train_months],
         )
-        self.train_set = train_set
         self.stream = months_from_dataset(ds, months=set(setup.stream_months))
 
     def initial_fit(self, seed):
@@ -51,15 +49,14 @@ class Experiment:
         labeled, unlabeled = dio.label_ratio_split(self.train_set, s.label_ratio, seed)
         if s.noise_rate > 0:
             labeled = dio.inject_label_noise(labeled, s.noise_rate, seed)
-        Xl, yl, ids_l = labeled.to_arrays()
-        Xu, _, ids_u = unlabeled.to_arrays()
+        labeled, unlabeled = labeled.to_arrays(), unlabeled.to_arrays()
         cfg = replace(s.train_cfg, seed=seed)
         model = build_model(self.train_set.feature_dim, cfg)
-        model, report = train(model, (Xl, yl), Xu, cfg)
-        self._initial[seed] = (model, (Xl, yl, ids_l), (Xu, ids_u), report)
+        model, report = train(model, labeled[:2], unlabeled[0], cfg)
+        self._initial[seed] = (model, labeled, unlabeled, report)
         return self._initial[seed]
 
-    def run(self, selector, budget, seed, score_sink=None):
+    def run(self, selector, budget, seed):
         """One full stream run; returns a StreamResult."""
         model, labeled, unlabeled, _ = self.initial_fit(seed)
         cfg = StreamConfig(
@@ -70,10 +67,7 @@ class Experiment:
             ),
             seed=seed,
         )
-        return run_stream(
-            model, labeled, unlabeled, self.stream, self.oracle, cfg,
-            score_sink=score_sink,
-        )
+        return run_stream(model, labeled, unlabeled, self.stream, cfg)
 
     def sweep(self, selectors, budgets, seeds):
         """Selector x budget x seed grid with shared seeds per cell.

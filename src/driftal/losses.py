@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields, checked
-from .net import softmax
 
 _CLAMP = 1e-12
 
@@ -68,7 +67,7 @@ def supervised_ce(probs, labels):
     return loss, d_logits
 
 
-def consistency_loss(weak_probs, strong_logits, threshold):
+def consistency_loss(weak_probs, strong_probs, threshold):
     """FixMatch-style pseudo-label consistency term.
 
     Samples whose weak-view max probability reaches the threshold
@@ -76,19 +75,19 @@ def consistency_loss(weak_probs, strong_logits, threshold):
     argmax; the sum is divided by the TOTAL unlabeled batch size, not by
     the confident count. The pseudo-label carries no gradient.
 
-    Returns (loss, confident_count, d_strong_logits).
+    Returns (loss, confident_count, d_strong_logits), the gradient taken
+    w.r.t. the logits that produced ``strong_probs`` via softmax.
     """
     weak_probs = np.asarray(weak_probs, dtype=np.float64)
-    strong_logits = np.asarray(strong_logits, dtype=np.float64)
-    if len(weak_probs) != len(strong_logits):
+    strong_probs = np.asarray(strong_probs, dtype=np.float64)
+    if len(weak_probs) != len(strong_probs):
         raise ValueError("weak/strong batch length mismatch")
     n = len(weak_probs)
     if n == 0:
-        return 0.0, 0, np.zeros_like(strong_logits)
+        return 0.0, 0, np.zeros_like(strong_probs)
     conf_mask = weak_probs.max(axis=1) >= threshold
     count = int(conf_mask.sum())
     pseudo = weak_probs.argmax(axis=1)
-    strong_probs = softmax(strong_logits)
     picked = np.clip(strong_probs[np.arange(n), pseudo], _CLAMP, 1.0)
     loss = float((-np.log(picked) * conf_mask).sum() / n)
     onehot = np.zeros_like(strong_probs)

@@ -10,7 +10,6 @@ selectors that rank by the distance (``ranks_by_lp``) compute it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,6 @@ class SelectionScore:
     margin: np.ndarray
     lp_distance: np.ndarray
     confidence: np.ndarray
-    margin_norm: np.ndarray
-    lp_norm: np.ndarray
-    confidence_norm: np.ndarray
     hybrid: np.ndarray
 
 
@@ -113,12 +109,12 @@ def minmax_normalize(values):
     return (v - lo) / (hi - lo)
 
 
-def hybrid_scores(margin_norm, lp_norm, confidence_norm, alpha, beta, gamma):
-    """Weighted sum rewarding low margin, high distance, low confidence."""
+def hybrid_scores(margin, lp, confidence, alpha, beta, gamma):
+    """Weighted sum of normalized criteria: low margin, high distance, low confidence."""
     return (
-        alpha * (1.0 - np.asarray(margin_norm))
-        + beta * np.asarray(lp_norm)
-        + gamma * (1.0 - np.asarray(confidence_norm))
+        alpha * (1.0 - np.asarray(margin))
+        + beta * np.asarray(lp)
+        + gamma * (1.0 - np.asarray(confidence))
     )
 
 
@@ -126,19 +122,18 @@ def score_pool(pool_X, model, labeled_embs, cfg):
     """Compute the SelectionScore bundle for an unlabeled pool.
 
     When ``ranks_by_lp(cfg)`` is False, ``labeled_embs`` is not read and
-    ``lp_distance``, ``lp_norm`` and ``hybrid`` are NaN.
+    ``lp_distance`` and ``hybrid`` are NaN.
     """
     _, probs, embs, _ = model.forward_batch(pool_X)
     m = margin_scores(probs)
     c = confidence_scores(probs)
-    mn, cn = minmax_normalize(m), minmax_normalize(c)
     if ranks_by_lp(cfg):
         d = lp_distances(embs, labeled_embs, cfg.p_norm)
-        dn = minmax_normalize(d)
-        h = hybrid_scores(mn, dn, cn, cfg.alpha, cfg.beta, cfg.gamma)
+        h = hybrid_scores(minmax_normalize(m), minmax_normalize(d),
+                          minmax_normalize(c), cfg.alpha, cfg.beta, cfg.gamma)
     else:
-        d = dn = h = np.full(len(m), np.nan)
-    return SelectionScore(m, d, c, mn, dn, cn, h)
+        d = h = np.full(len(m), np.nan)
+    return SelectionScore(m, d, c, h)
 
 
 def _top_k(keys, k, eligible=None):
@@ -187,20 +182,3 @@ def select(pool_X, model, labeled_embs, cfg, budget, rng=None):
             eligible = None  # fall back to the full pool
     return _top_k(scores.hybrid, k, eligible=eligible), scores
 
-
-def export_scores_csv(path, scores, selected, month=""):
-    """Audit CSV: one row per pool sample with raw and hybrid scores."""
-    selected = set(selected)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["month", "index", "margin", "lp_distance", "confidence",
-                    "hybrid", "selected"])
-        for i in range(len(scores.hybrid)):
-            w.writerow([
-                month, i,
-                f"{scores.margin[i]:.10g}",
-                f"{scores.lp_distance[i]:.10g}",
-                f"{scores.confidence[i]:.10g}",
-                f"{scores.hybrid[i]:.10g}",
-                int(i in selected),
-            ])

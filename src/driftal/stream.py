@@ -1,9 +1,9 @@
-"""Monthly stream replay with budgeted oracle labeling.
+"""Monthly stream replay with budgeted labeling.
 
 Test-then-train protocol: each month is evaluated with the current model
 before any of its samples can be labeled or trained on. Selected samples
-move from the unlabeled pool to the labeled set with their true labels,
-and the model is warm-start retrained on the updated pools.
+move from the unlabeled pool to the labeled set with the true labels they
+carry, and the model is warm-start retrained on the updated pools.
 """
 
 from __future__ import annotations
@@ -87,31 +87,39 @@ def _result(monthly, selected, seed):
 
 
 class _Pool:
-    """Growing labeled/unlabeled pools with id-level bookkeeping."""
+    """Growing labeled/unlabeled (X, y, ids) pools with id-level bookkeeping.
 
-    def __init__(self, Xl, yl, ids_l, Xu, ids_u):
+    Training never reads ``yu``: it is the truth that labeling reveals.
+    """
+
+    def __init__(self, labeled, unlabeled):
+        Xl, yl, ids_l = labeled
+        Xu, yu, ids_u = unlabeled
         self.Xl = np.asarray(Xl, dtype=np.uint8)
         self.yl = np.asarray(yl, dtype=np.int64)
         self.ids_l = list(ids_l)
         self.Xu = np.asarray(Xu, dtype=np.uint8)
+        self.yu = np.asarray(yu, dtype=np.int64)
         self.ids_u = list(ids_u)
 
-    def add_unlabeled(self, X, ids):
+    def add_unlabeled(self, X, y, ids):
         if len(X):
             self.Xu = np.concatenate([self.Xu, X]) if len(self.Xu) else np.array(X)
+            self.yu = np.concatenate([self.yu, np.asarray(y, dtype=np.int64)])
             self.ids_u.extend(ids)
 
-    def promote(self, indices, labels):
-        """Move pool rows at ``indices`` into the labeled set."""
+    def promote(self, indices):
+        """Move pool rows at ``indices``, with their labels, into the labeled set."""
         if not len(indices):
             return
         idx = np.asarray(indices, dtype=int)
         self.Xl = np.concatenate([self.Xl, self.Xu[idx]])
-        self.yl = np.concatenate([self.yl, np.asarray(labels, dtype=np.int64)])
+        self.yl = np.concatenate([self.yl, self.yu[idx]])
         self.ids_l.extend(self.ids_u[i] for i in idx)
         keep = np.ones(len(self.Xu), dtype=bool)
         keep[idx] = False
         self.Xu = self.Xu[keep]
+        self.yu = self.yu[keep]
         self.ids_u = [i for i, k in zip(self.ids_u, keep) if k]
 
     def check(self, expected_total):
@@ -131,19 +139,16 @@ class _Pool:
             )
 
 
-def run_stream(model, labeled, unlabeled, months, oracle, cfg,
-               score_sink=None):
+def run_stream(model, labeled, unlabeled, months, cfg):
     """Replay the monthly stream with budget-k active labeling.
 
-    ``labeled`` is (X, y, ids); ``unlabeled`` is (X, ids); ``months`` is a
-    chronological list of MonthData; ``oracle`` maps sample id to its true
-    label. With budget 0 (or an empty selection) the month is recorded
-    and pooled but no retraining happens, which makes the k=0 run the
-    static no-adaptation baseline.
+    ``labeled`` and ``unlabeled`` are (X, y, ids) blocks and ``months`` is
+    a chronological list of MonthData; a selected row is labeled by moving
+    its true label with it. With budget 0 (or an empty selection) the
+    month is recorded and pooled but no retraining happens, which makes
+    the k=0 run the static no-adaptation baseline.
     """
-    Xl, yl, ids_l = labeled
-    Xu, ids_u = unlabeled
-    pool = _Pool(Xl, yl, ids_l, Xu, ids_u)
+    pool = _Pool(labeled, unlabeled)
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
     monthly = []
@@ -155,7 +160,7 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
         monthly.append(compute_metrics(preds, mdata.y, month=mdata.month))
 
         # (2) the month joins the unlabeled pool
-        pool.add_unlabeled(mdata.X, mdata.ids)
+        pool.add_unlabeled(mdata.X, mdata.y, mdata.ids)
         expected_total += len(mdata.ids)
 
         # (3) score and select under the budget; only the selectors that
@@ -163,17 +168,13 @@ def run_stream(model, labeled, unlabeled, months, oracle, cfg,
         labeled_embs = (
             model.embed_batch(pool.Xl) if sel.ranks_by_lp(cfg.selector) else None
         )
-        chosen, scores = sel.select(
+        chosen, _ = sel.select(
             pool.Xu, model, labeled_embs, cfg.selector, cfg.budget, rng=rng,
         )
-        if score_sink is not None and scores is not None:
-            score_sink(mdata.month, scores, chosen)
 
-        # (4) oracle labels the selection
-        chosen_ids = [pool.ids_u[i] for i in chosen]
-        selected_per_month.append(chosen_ids)
-        labels = [oracle[i] for i in chosen_ids]
-        pool.promote(chosen, labels)
+        # (4) the selection is labeled: its rows move with their labels
+        selected_per_month.append([pool.ids_u[i] for i in chosen])
+        pool.promote(chosen)
         pool.check(expected_total)
 
         # (5) retrain on the updated pools

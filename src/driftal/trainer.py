@@ -16,7 +16,6 @@ import numpy as np
 from . import augment as aug
 from .config import check_fields, checked
 from .losses import (
-    DegenerateBatchError,
     LossBreakdown,
     LossConfig,
     consistency_loss,
@@ -105,22 +104,19 @@ def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
     con = 0.0
     d_emb = None
     if loss_cfg.lambda_con > 0 and len(Xl) >= 2:
-        try:
-            con, d_emb_raw = supervised_contrastive(
-                emb, yl, loss_cfg.contrastive_temperature
-            )
-            d_emb = loss_cfg.lambda_con * d_emb_raw
-        except DegenerateBatchError:
-            pass
+        con, d_emb_raw = supervised_contrastive(
+            emb, yl, loss_cfg.contrastive_temperature
+        )
+        d_emb = loss_cfg.lambda_con * d_emb_raw
     grad = model.backward_batch(cache, d_logits, d_embedding=d_emb)
 
     unsup = 0.0
     count = 0
     if len(Xw) > 0 and loss_cfg.lambda_u > 0:
         weak_probs = model.predict_batch(Xw)
-        s_logits, _, _, s_cache = model.forward_batch(Xs)
+        _, s_probs, _, s_cache = model.forward_batch(Xs)
         unsup, count, d_s = consistency_loss(
-            weak_probs, s_logits, loss_cfg.confidence_threshold
+            weak_probs, s_probs, loss_cfg.confidence_threshold
         )
         if count > 0:
             grad = grad + model.backward_batch(s_cache, loss_cfg.lambda_u * d_s)

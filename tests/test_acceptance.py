@@ -116,8 +116,9 @@ class TestCriterion1:
                 if np.all(np.abs(weak.max(axis=1) - tau) > 1e-3):
                     break
             s_logits = rng.normal(size=(n, 2))
-            _, _, g = consistency_loss(weak, s_logits, tau)
-            fd = fd_grid(lambda L: consistency_loss(weak, L, tau)[0], s_logits)
+            _, _, g = consistency_loss(weak, softmax(s_logits), tau)
+            fd = fd_grid(lambda L: consistency_loss(weak, softmax(L), tau)[0],
+                         s_logits)
             errs["consistency"] = max(errs["consistency"], max_rel_err(g, fd))
 
             m = int(rng.integers(3, 8))

@@ -75,29 +75,28 @@ class TestConsistency:
         weak = np.full((3, 2), 0.5)
         weak[:, 0] = 0.9
         weak[:, 1] = 0.1
-        loss, count, grad = consistency_loss(weak, np.zeros((3, 2)), 0.95)
+        loss, count, grad = consistency_loss(weak, np.full((3, 2), 0.5), 0.95)
         assert loss == 0 and count == 0
         assert not grad.any()
 
     def test_single_confident_sample(self):
         weak = np.array([[0.96, 0.04]])
-        logits = np.log(np.array([[0.96, 0.04]]))
-        loss, count, _ = consistency_loss(weak, logits, 0.95)
+        loss, count, _ = consistency_loss(weak, np.array([[0.96, 0.04]]), 0.95)
         assert count == 1
         assert np.isclose(loss, -np.log(0.96))
 
     def test_divides_by_total_batch(self):
         weak = np.array([[0.99, 0.01], [0.99, 0.01], [0.6, 0.4], [0.6, 0.4]])
-        logits = np.log(np.array([[0.8, 0.2]] * 4))
-        loss, count, _ = consistency_loss(weak, logits, 0.95)
+        strong = np.array([[0.8, 0.2]] * 4)
+        loss, count, _ = consistency_loss(weak, strong, 0.95)
         assert count == 2
         assert np.isclose(loss, 2 * -np.log(0.8) / 4)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         weak = softmax(rng.normal(scale=2, size=(20, 2)))
-        logits = rng.normal(size=(20, 2))
-        losses = [consistency_loss(weak, logits, t)[0]
+        strong = softmax(rng.normal(size=(20, 2)))
+        losses = [consistency_loss(weak, strong, t)[0]
                   for t in (0.5, 0.7, 0.9, 0.95, 0.99)]
         assert all(a >= b for a, b in zip(losses, losses[1:]))
 
@@ -105,15 +104,15 @@ class TestConsistency:
         rng = np.random.default_rng(2)
         weak = softmax(rng.normal(scale=2, size=(6, 2)))
         logits = rng.normal(size=(6, 2))
-        _, _, grad = consistency_loss(weak, logits, 0.7)
+        _, _, grad = consistency_loss(weak, softmax(logits), 0.7)
         eps = 1e-6
         for i in range(6):
             for j in range(2):
                 up, dn = logits.copy(), logits.copy()
                 up[i, j] += eps
                 dn[i, j] -= eps
-                fd = (consistency_loss(weak, up, 0.7)[0]
-                      - consistency_loss(weak, dn, 0.7)[0]) / (2 * eps)
+                fd = (consistency_loss(weak, softmax(up), 0.7)[0]
+                      - consistency_loss(weak, softmax(dn), 0.7)[0]) / (2 * eps)
                 assert abs(fd - grad[i, j]) < 1e-7
 
 

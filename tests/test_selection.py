@@ -6,7 +6,6 @@ from driftal.net import Classifier, NumericError
 from driftal.selection import (
     SelectorConfig,
     confidence_scores,
-    export_scores_csv,
     hybrid_scores,
     lp_distances,
     margin_scores,
@@ -274,7 +273,7 @@ class TestSelect:
         assert calls == []
         assert np.array_equal(scores.margin, full.margin)
         assert np.array_equal(scores.confidence, full.confidence)
-        for name in ("lp_distance", "lp_norm", "hybrid"):
+        for name in ("lp_distance", "hybrid"):
             column = getattr(scores, name)
             assert column.shape == (50,) and np.isnan(column).all()
 
@@ -297,19 +296,6 @@ class TestSelect:
         assert np.array_equal(scores.lp_distance, full.lp_distance)
         assert chosen == selection_oracle(full, cfg, 10)
 
-    def test_export_csv_unread_distance(self, tmp_path):
-        cfg = SelectorConfig(kind="margin_only")
-        chosen, scores = select(self.pool, self.model, None, cfg, 5)
-        path = tmp_path / "scores.csv"
-        export_scores_csv(path, scores, chosen, month="2020-03")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "month,index,margin,lp_distance,confidence,hybrid,selected"
-        assert len(lines) == 51
-        rows = [line.split(",") for line in lines[1:]]
-        assert all(r[3] == "nan" and r[5] == "nan" for r in rows)
-        assert [r[2] for r in rows] == [f"{m:.10g}" for m in scores.margin]
-        assert sum(int(r[-1]) for r in rows) == 5
-
     def test_intersection_prefilter(self):
         cfg = SelectorConfig(intersection_quantile=0.8)
         chosen, scores = select(self.pool, self.model, self.labeled_embs, cfg, 10)
@@ -323,13 +309,3 @@ class TestSelect:
             SelectorConfig(p_norm=0.5)
         with pytest.raises(ValueError):
             SelectorConfig(alpha=0, beta=0, gamma=0)
-
-    def test_export_csv(self, tmp_path):
-        cfg = SelectorConfig()
-        chosen, scores = select(self.pool, self.model, self.labeled_embs, cfg, 5)
-        path = tmp_path / "scores.csv"
-        export_scores_csv(path, scores, chosen, month="2020-03")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "month,index,margin,lp_distance,confidence,hybrid,selected"
-        assert len(lines) == 51
-        assert sum(int(l.split(",")[-1]) for l in lines[1:]) == 5
