@@ -239,6 +239,13 @@ def require_keys(entry, types, where):
             raise DataError(f"{where}: {key!r} must be of type {names}")
 
 
+def check_unique_ids(ids, error, where):
+    """Raise ``error`` naming the first repeated ids, if ``ids`` has any."""
+    if len(set(ids)) != len(ids):
+        dups = sorted(i for i, n in Counter(ids).items() if n > 1)
+        raise error(f"{where}: repeated ids {dups[:5]}")
+
+
 def load_dataset(path):
     """Read and validate a dataset directory; returns (manifest, Dataset)."""
     path = Path(path)
@@ -283,9 +290,7 @@ def load_dataset(path):
             for i, label, x in zip(ids, labels.tolist(), X)
         )
         all_ids += ids
-    if len(set(all_ids)) != len(all_ids):
-        dups = sorted(i for i, n in Counter(all_ids).items() if n > 1)
-        raise DataError(f"dataset {path} repeats ids: {dups[:5]}")
+    check_unique_ids(all_ids, DataError, f"dataset {path}")
     return manifest, dataset
 
 

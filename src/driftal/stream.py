@@ -4,6 +4,10 @@ Test-then-train protocol: each month is evaluated with the current model
 before any of its samples can be labeled or trained on. Selected samples
 move from the unlabeled pool to the labeled set with the true labels they
 carry, and the model is warm-start retrained on the updated pools.
+
+The stream's rows (the initial labeled and unlabeled blocks, then each
+month) are stacked once into one matrix, every id checked unique before
+any training, and the two pools are arrays of row indices into it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 
 from . import selection as sel
 from .config import check_fields, checked
+from .data import check_unique_ids
 from .metrics import aggregate, compute_metrics
 from .trainer import TrainConfig, train
 
@@ -79,109 +84,69 @@ class StreamResult:
         }
 
 
-def _result(monthly, selected, seed):
-    f1m, f1s = aggregate([m.f1 for m in monthly])
-    fnm, fns = aggregate([m.fnr for m in monthly])
-    fpm, fps = aggregate([m.fpr for m in monthly])
-    return StreamResult(monthly, selected, f1m, f1s, fnm, fns, fpm, fps, seed)
-
-
-class _Pool:
-    """Growing labeled/unlabeled (X, y, ids) pools with id-level bookkeeping.
-
-    Training never reads ``yu``: it is the truth that labeling reveals.
-    """
-
-    def __init__(self, labeled, unlabeled):
-        Xl, yl, ids_l = labeled
-        Xu, yu, ids_u = unlabeled
-        self.Xl = np.asarray(Xl, dtype=np.uint8)
-        self.yl = np.asarray(yl, dtype=np.int64)
-        self.ids_l = list(ids_l)
-        self.Xu = np.asarray(Xu, dtype=np.uint8)
-        self.yu = np.asarray(yu, dtype=np.int64)
-        self.ids_u = list(ids_u)
-
-    def add_unlabeled(self, X, y, ids):
-        if len(X):
-            self.Xu = np.concatenate([self.Xu, X]) if len(self.Xu) else np.array(X)
-            self.yu = np.concatenate([self.yu, np.asarray(y, dtype=np.int64)])
-            self.ids_u.extend(ids)
-
-    def promote(self, indices):
-        """Move pool rows at ``indices``, with their labels, into the labeled set."""
-        if not len(indices):
-            return
-        idx = np.asarray(indices, dtype=int)
-        self.Xl = np.concatenate([self.Xl, self.Xu[idx]])
-        self.yl = np.concatenate([self.yl, self.yu[idx]])
-        self.ids_l.extend(self.ids_u[i] for i in idx)
-        keep = np.ones(len(self.Xu), dtype=bool)
-        keep[idx] = False
-        self.Xu = self.Xu[keep]
-        self.yu = self.yu[keep]
-        self.ids_u = [i for i, k in zip(self.ids_u, keep) if k]
-
-    def check(self, expected_total):
-        """Rows are conserved and every id sits in the pools exactly once."""
-        total = len(self.ids_l) + len(self.ids_u)
-        if total != expected_total:
-            raise PoolInvariantError(
-                f"pool total {total} != expected {expected_total}"
-            )
-        set_l, set_u = set(self.ids_l), set(self.ids_u)
-        overlap = set_l & set_u
-        if overlap:
-            raise PoolInvariantError(f"ids in both pools: {sorted(overlap)[:5]}")
-        if len(set_l) + len(set_u) != total:
-            raise PoolInvariantError(
-                f"{total - len(set_l) - len(set_u)} repeated ids within a pool"
-            )
+def check_pools(lab, unl, revealed):
+    """Each of the ``revealed`` stream rows sits in exactly one pool, once."""
+    counts = np.bincount(np.concatenate([lab, unl]), minlength=revealed)
+    if len(counts) > revealed:
+        raise PoolInvariantError(f"pool row {len(counts) - 1} of {revealed} revealed")
+    bad = np.flatnonzero(counts != 1)[:5]
+    if len(bad):
+        raise PoolInvariantError(f"rows {bad.tolist()} sit in the pools "
+                                 f"{counts[bad].tolist()} times, not once")
 
 
 def run_stream(model, labeled, unlabeled, months, cfg):
     """Replay the monthly stream with budget-k active labeling.
 
-    ``labeled`` and ``unlabeled`` are (X, y, ids) blocks and ``months`` is
-    a chronological list of MonthData; a selected row is labeled by moving
-    its true label with it. With budget 0 (or an empty selection) the
-    month is recorded and pooled but no retraining happens, which makes
-    the k=0 run the static no-adaptation baseline.
+    ``labeled`` and ``unlabeled`` are (X, y, ids) blocks and ``months`` a
+    chronological list of MonthData. Each month is (1) evaluated by the
+    current model, (2) appended to the unlabeled pool, (3) scored, and up
+    to ``budget`` pool rows picked; (4) the picked rows, in picked order and
+    with their true labels, move to the end of the labeled pool, and (5) if
+    any were picked the model is warm-start retrained on both pools with
+    seed ``cfg.seed`` + months evaluated. Budget 0 never retrains: it is
+    the static no-adaptation baseline.
     """
-    pool = _Pool(labeled, unlabeled)
-    model = model.copy()
-    rng = np.random.default_rng(cfg.seed)
-    monthly = []
-    selected_per_month = []
-    expected_total = len(pool.ids_l) + len(pool.ids_u)
+    blocks = [labeled, unlabeled] + [(m.X, m.y, m.ids) for m in months]
+    X = np.concatenate([np.asarray(b[0], dtype=np.uint8) for b in blocks])
+    y = np.concatenate([np.asarray(b[1], dtype=np.int64) for b in blocks])
+    ids = [i for b in blocks for i in b[2]]
+    if not len(X) == len(y) == len(ids):
+        raise PoolInvariantError(f"{len(X)} rows, {len(y)} labels, {len(ids)} ids")
+    check_unique_ids(ids, PoolInvariantError, "rows of both pools and the months")
+    revealed = len(labeled[2]) + len(unlabeled[2])
+    lab, unl = np.arange(len(labeled[2])), np.arange(len(labeled[2]), revealed)
+    model, rng = model.copy(), np.random.default_rng(cfg.seed)
+    monthly, selected_per_month = [], []
     for mdata in months:
         # (1) evaluate before the month's data can influence anything
         preds = model.predict_batch(mdata.X).argmax(axis=1) if len(mdata.X) else []
         monthly.append(compute_metrics(preds, mdata.y, month=mdata.month))
 
         # (2) the month joins the unlabeled pool
-        pool.add_unlabeled(mdata.X, mdata.y, mdata.ids)
-        expected_total += len(mdata.ids)
+        unl = np.concatenate([unl, np.arange(revealed, revealed + len(mdata.ids))])
+        revealed += len(mdata.ids)
 
         # (3) score and select under the budget; only the selectors that
         # rank by the Lp distance read the labeled embeddings
-        labeled_embs = (
-            model.embed_batch(pool.Xl) if sel.ranks_by_lp(cfg.selector) else None
-        )
-        chosen, _ = sel.select(
-            pool.Xu, model, labeled_embs, cfg.selector, cfg.budget, rng=rng,
-        )
+        lp = sel.ranks_by_lp(cfg.selector)
+        labeled_embs = model.embed_batch(X[lab]) if lp else None
+        chosen, _ = sel.select(X[unl], model, labeled_embs, cfg.selector,
+                               cfg.budget, rng=rng)
 
         # (4) the selection is labeled: its rows move with their labels
-        selected_per_month.append([pool.ids_u[i] for i in chosen])
-        pool.promote(chosen)
-        pool.check(expected_total)
+        picked = unl[chosen]
+        selected_per_month.append([ids[j] for j in picked])
+        lab, unl = np.concatenate([lab, picked]), np.delete(unl, chosen)
+        check_pools(lab, unl, revealed)
 
         # (5) retrain on the updated pools
         if chosen:
             rcfg = replace(cfg.retrain, seed=cfg.seed + len(monthly))
-            model, _ = train(model, (pool.Xl, pool.yl), pool.Xu, rcfg)
-    return _result(monthly, selected_per_month, cfg.seed)
+            model, _ = train(model, (X[lab], y[lab]), X[unl], rcfg)
+    stats = [s for k in ("f1", "fnr", "fpr")
+             for s in aggregate([getattr(m, k) for m in monthly])]
+    return StreamResult(monthly, selected_per_month, *stats, cfg.seed)
 
 
 def aggregate_runs(results):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +8,14 @@ from driftal import stream
 from driftal.data import DriftGeneratorConfig, synth_drift_generate
 from driftal.experiment import Experiment, ExperimentSetup
 from driftal.losses import LossConfig
-from driftal.selection import SelectorConfig
+from driftal.metrics import compute_metrics
+from driftal.selection import SELECTOR_KINDS, SelectorConfig, ranks_by_lp, select
 from driftal.stream import (
     MonthData,
     StreamConfig,
-    _Pool,
     PoolInvariantError,
     aggregate_runs,
+    check_pools,
     months_from_dataset,
     run_stream,
 )
@@ -53,41 +55,72 @@ def make_world(n_train=40, n_pool=30, d=6, n_months=3, per_month=20, seed=0):
     return model, (Xl, yl, ids_l), (Xu, yu, ids_u), months
 
 
-def make_pool(ids_l, ids_u, yu=None):
-    """Pool of zero labeled rows (label 0) and one-valued unlabeled rows."""
-    yu = [1] * len(ids_u) if yu is None else yu
-    return _Pool((np.zeros((len(ids_l), 3), np.uint8), [0] * len(ids_l), ids_l),
-                 (np.ones((len(ids_u), 3), np.uint8), yu, ids_u))
+def record_train_calls(monkeypatch):
+    """Replace the stream's ``train`` with one that records each call's inputs."""
+    calls = []
+
+    def recording_train(model, labeled_xy, unlabeled_x, cfg):
+        calls.append((labeled_xy, unlabeled_x))
+        return train(model, labeled_xy, unlabeled_x, cfg)
+
+    monkeypatch.setattr(stream, "train", recording_train)
+    return calls
 
 
-class TestPool:
-    def test_promote_moves_rows(self):
-        """Rows, ids and labels move together, in ``chosen`` order."""
-        pool = make_pool(["a"], ["p", "q", "r", "s", "t"], yu=[0, 0, 1, 1, 0])
-        pool.Xu[:, 0] = np.arange(5)  # tag each row with its pool index
-        pool.promote([3, 1])
-        assert pool.ids_l == ["a", "s", "q"]
-        assert pool.yl.tolist() == [0, 1, 0]
-        assert pool.Xl[1:, 0].tolist() == [3, 1]
-        assert pool.ids_u == ["p", "r", "t"]
-        assert pool.yu.tolist() == [0, 1, 0]
-        assert pool.Xu[:, 0].tolist() == [0, 2, 4]
-        pool.check(6)
+def pools(lab, unl):
+    return np.array(lab, dtype=np.int64), np.array(unl, dtype=np.int64)
 
-    def test_check_detects_overlap(self):
-        pool = make_pool(["a"], ["a"])
-        with pytest.raises(PoolInvariantError):
-            pool.check(2)
 
-    def test_check_detects_count_drift(self):
-        pool = make_pool(["a"], ["b"])
-        with pytest.raises(PoolInvariantError):
-            pool.check(3)
+class TestCheckPools:
+    def test_every_row_once_passes(self):
+        check_pools(*pools([0, 3], [2, 1, 4]), 5)
+        check_pools(*pools([], []), 0)
 
-    def test_check_detects_repeated_id(self):
-        pool = make_pool(["a"], ["b", "c", "b"])
-        with pytest.raises(PoolInvariantError, match="repeated"):
-            pool.check(4)
+    def test_row_in_both_pools(self):
+        with pytest.raises(PoolInvariantError, match=r"rows \[1\] .* \[2\] times"):
+            check_pools(*pools([0, 1], [1, 2]), 3)
+
+    def test_row_in_neither_pool(self):
+        with pytest.raises(PoolInvariantError, match=r"rows \[1\] .* \[0\] times"):
+            check_pools(*pools([0], [2]), 3)
+
+    def test_row_repeated_within_a_pool(self):
+        with pytest.raises(PoolInvariantError, match=r"rows \[1\] .* \[2\] times"):
+            check_pools(*pools([0], [1, 2, 1]), 3)
+
+    @pytest.mark.parametrize("lab,unl", [([0, 1], [2, 3]), ([0], [1, 7])])
+    def test_row_beyond_revealed(self, lab, unl):
+        with pytest.raises(PoolInvariantError, match="of 3 revealed"):
+            check_pools(*pools(lab, unl), 3)
+
+
+class TestStreamBoundary:
+    """Stream ids and row counts are checked once, before any training."""
+
+    @staticmethod
+    def _raises_untrained(monkeypatch, world, match):
+        calls = record_train_calls(monkeypatch)
+        with pytest.raises(PoolInvariantError, match=match):
+            run_stream(*world, small_cfg(budget=5))
+        assert calls == []
+
+    def test_id_repeated_within_a_month(self, monkeypatch):
+        model, labeled, unlabeled, months = make_world()
+        months[2].ids[3] = months[2].ids[0]
+        self._raises_untrained(monkeypatch, (model, labeled, unlabeled, months),
+                               re.escape("repeated ids ['m2_0']"))
+
+    def test_id_repeated_within_labeled_block(self, monkeypatch):
+        model, labeled, unlabeled, months = make_world()
+        labeled[2][5] = labeled[2][1]
+        self._raises_untrained(monkeypatch, (model, labeled, unlabeled, months),
+                               re.escape("repeated ids ['l1']"))
+
+    def test_month_with_fewer_ids_than_rows(self, monkeypatch):
+        model, labeled, unlabeled, months = make_world()
+        months[2].ids.pop()
+        self._raises_untrained(monkeypatch, (model, labeled, unlabeled, months),
+                               "130 rows, 130 labels, 129 ids")
 
 
 class TestRunStream:
@@ -154,19 +187,28 @@ class TestRunStream:
         model, labeled, unlabeled, months = make_world()
         blocks = [labeled[1:], unlabeled[1:]] + [(m.y, m.ids) for m in months]
         truth = {i: int(c) for y, ids in blocks for i, c in zip(ids, y)}
-        retrains = []
-
-        def recording_train(model, labeled_xy, unlabeled_x, cfg):
-            retrains.append(labeled_xy[1].tolist())
-            return train(model, labeled_xy, unlabeled_x, cfg)
-
-        monkeypatch.setattr(stream, "train", recording_train)
+        retrains = record_train_calls(monkeypatch)
         result = run_stream(model, labeled, unlabeled, months, small_cfg())
         assert len(retrains) == len(months)
         ids_l = list(labeled[2])
-        for ids, yl in zip(result.selected_ids, retrains):
+        for ids, ((_, yl), _) in zip(result.selected_ids, retrains):
             ids_l += ids
-            assert yl == [truth[i] for i in ids_l]
+            assert yl.tolist() == [truth[i] for i in ids_l]
+
+    def test_promotion_keeps_row_order(self, monkeypatch):
+        """Picked rows join the labeled pool in picked order; the rest keep theirs."""
+        model, labeled, unlabeled, months = make_world(n_pool=3, n_months=1,
+                                                       per_month=2)
+        monkeypatch.setattr(stream.sel, "select",
+                            lambda *args, **kw: ([3, 1], None))
+        retrains = record_train_calls(monkeypatch)
+        run_stream(model, labeled, unlabeled, months, small_cfg())
+        pool_X = np.concatenate([unlabeled[0], months[0].X])
+        pool_y = np.concatenate([unlabeled[1], months[0].y])
+        (Xl, yl), Xu = retrains[0]
+        assert np.array_equal(Xl, np.concatenate([labeled[0], pool_X[[3, 1]]]))
+        assert np.array_equal(yl, np.concatenate([labeled[1], pool_y[[3, 1]]]))
+        assert np.array_equal(Xu, pool_X[[0, 2, 4]])
 
     def test_empty_month_handled(self):
         model, labeled, unlabeled, months = make_world()
@@ -202,6 +244,60 @@ class TestRunStream:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             StreamConfig(budget=-1)
+
+
+def reference_stream(model, labeled, unlabeled, months, cfg):
+    """The protocol of ``run_stream``'s docstring, with pools as id -> row dicts.
+
+    Returns the monthly (tp, fp, tn, fn) counts and the selected ids.
+    """
+    def rows(X, y, ids):
+        return {i: (np.asarray(x, np.uint8), int(c)) for i, x, c in zip(ids, X, y)}
+
+    def stack(pool):
+        d = len(months[0].X[0])
+        X = np.array([x for x, _ in pool.values()], np.uint8).reshape(-1, d)
+        return X, np.array([c for _, c in pool.values()], np.int64)
+
+    lab, unl = rows(*labeled), rows(*unlabeled)
+    model, rng = model.copy(), np.random.default_rng(cfg.seed)
+    counts, selected = [], []
+    for evaluated, m in enumerate(months, start=1):
+        preds = model.predict_batch(m.X).argmax(axis=1)
+        mm = compute_metrics(preds, m.y, month=m.month)
+        counts.append((mm.tp, mm.fp, mm.tn, mm.fn))
+        unl.update(rows(m.X, m.y, m.ids))
+        embs = model.embed_batch(stack(lab)[0]) if ranks_by_lp(cfg.selector) else None
+        chosen, _ = select(stack(unl)[0], model, embs, cfg.selector, cfg.budget,
+                           rng=rng)
+        picked = [list(unl)[j] for j in chosen]
+        selected.append(picked)
+        for i in picked:
+            lab[i] = unl.pop(i)
+        if picked:
+            rcfg = replace(cfg.retrain, seed=cfg.seed + evaluated)
+            model, _ = train(model, stack(lab), stack(unl)[0], rcfg)
+    return counts, selected
+
+
+class TestReferenceStream:
+    """``run_stream`` against an id-keyed reference of the same protocol."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return make_world(n_train=24, n_pool=10, d=12, n_months=3, per_month=12,
+                          seed=3)
+
+    @pytest.mark.parametrize("kind", SELECTOR_KINDS)
+    @pytest.mark.parametrize("budget", [0, 1, 23])  # 23 = first month's pool + 1
+    def test_matches_reference(self, world, kind, budget):
+        cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind))
+        result = run_stream(*world, cfg)
+        counts, selected = reference_stream(*world, cfg)
+        assert result.selected_ids == selected
+        assert [(m.tp, m.fp, m.tn, m.fn) for m in result.monthly] == counts
+        if budget == 23 and kind != "low_confidence_only":  # it skips confident rows
+            assert [len(ids) for ids in selected] == [22, 12, 12]
 
 
 class TestExperimentLabels:
