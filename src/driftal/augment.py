@@ -36,16 +36,14 @@ def bernoulli_bit_flip(x, p, rng):
     """
     typed(p, "p", float, minimum=0, maximum=1)
     x = np.asarray(x, dtype=np.uint8)
-    noise = (rng.random(x.shape) < p).astype(np.uint8)
-    return x ^ noise
+    return x ^ (rng.random(x.shape) < p)
 
 
 def bernoulli_mask(x, q, rng):
     """Zero each bit independently with probability q."""
     typed(q, "q", float, minimum=0, maximum=1)
     x = np.asarray(x, dtype=np.uint8)
-    keep = (rng.random(x.shape) >= q).astype(np.uint8)
-    return x & keep
+    return x & (rng.random(x.shape) >= q)
 
 
 def uniform_bit_flip(x, rng):

@@ -9,6 +9,7 @@ never needs numeric differentiation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,12 @@ def supervised_ce(probs, labels):
     if len(probs) != len(labels):
         raise ValueError("probs and labels length mismatch")
     n = len(probs)
-    picked = np.clip(probs[np.arange(n), labels], _CLAMP, 1.0)
+    rows = np.arange(n)
+    picked = np.clip(probs[rows, labels], _CLAMP, 1.0)
     loss = float(-np.log(picked).mean())
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), labels] = 1.0
-    d_logits = (probs - onehot) / n
+    d_logits = probs.copy()  # probs minus the one-hot targets, over n
+    d_logits[rows, labels] -= 1.0
+    d_logits /= n
     return loss, d_logits
 
 
@@ -88,11 +90,13 @@ def consistency_loss(weak_probs, strong_probs, threshold):
     conf_mask = weak_probs.max(axis=1) >= threshold
     count = int(conf_mask.sum())
     pseudo = weak_probs.argmax(axis=1)
-    picked = np.clip(strong_probs[np.arange(n), pseudo], _CLAMP, 1.0)
+    rows = np.arange(n)
+    picked = np.clip(strong_probs[rows, pseudo], _CLAMP, 1.0)
     loss = float((-np.log(picked) * conf_mask).sum() / n)
-    onehot = np.zeros_like(strong_probs)
-    onehot[np.arange(n), pseudo] = 1.0
-    d_logits = conf_mask[:, None] * (strong_probs - onehot) / n
+    d_logits = strong_probs.copy()  # mask * (probs minus one-hot pseudo-labels), over n
+    d_logits[rows, pseudo] -= 1.0
+    d_logits *= conf_mask[:, None]
+    d_logits /= n
     return loss, count, d_logits
 
 
@@ -113,41 +117,48 @@ def supervised_contrastive(embeddings, labels, temperature):
         raise DegenerateBatchError("contrastive loss needs at least 2 samples")
     if len(labels) != n:
         raise ValueError("embeddings and labels length mismatch")
-    norms = np.linalg.norm(E, axis=1, keepdims=True)
-    norms = np.maximum(norms, _CLAMP)
+    norms = np.sqrt((E * E).sum(axis=1, keepdims=True))  # bit-equal to np.linalg.norm
+    np.maximum(norms, _CLAMP, out=norms)
     Z = E / norms
     t = float(temperature)
-    S = (Z @ Z.T) / t
+    S = Z @ Z.T
+    S /= t
     np.fill_diagonal(S, -np.inf)  # exclude the anchor from its denominator
-    pos = (labels[:, None] == labels[None, :]) & ~np.eye(n, dtype=bool)
+    pos = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos, False)
     pos_counts = pos.sum(axis=1)
     valid = pos_counts > 0
 
     # log softmax over each row's off-diagonal entries
-    row_max = S.max(axis=1, keepdims=True)
-    expS = np.exp(S - row_max)
+    S -= S.max(axis=1, keepdims=True)
+    expS = np.exp(S)
     denom = expS.sum(axis=1, keepdims=True)
-    log_prob = (S - row_max) - np.log(denom)
+    log_prob = S - np.log(denom)
 
     pos_log_prob = np.where(pos, log_prob, 0.0)  # diagonal log_prob is -inf
-    per_anchor = np.zeros(n)
-    per_anchor[valid] = -pos_log_prob[valid].sum(axis=1) / pos_counts[valid]
+    counts = np.maximum(pos_counts, 1)  # an anchor without a positive adds 0
+    per_anchor = np.where(valid, -pos_log_prob.sum(axis=1) / counts, 0.0)
     loss = float(per_anchor.sum() / n)
 
     # gradient of the similarity matrix
-    soft = expS / denom
-    G = np.zeros_like(S)
-    G[valid] = (soft[valid] - pos[valid] / pos_counts[valid, None]) / n
+    soft = np.divide(expS, denom, out=expS)
+    G = pos / counts[:, None]
+    np.subtract(soft, G, out=G)
+    G *= valid[:, None]  # zero rows for anchors without a positive
+    G /= n
     np.fill_diagonal(G, 0.0)
-    dZ = ((G + G.T) @ Z) / t
-    dE = (dZ - (dZ * Z).sum(axis=1, keepdims=True) * Z) / norms
-    return loss, dE
+    G += G.T
+    dZ = G @ Z
+    dZ /= t
+    dZ -= (dZ * Z).sum(axis=1, keepdims=True) * Z
+    dZ /= norms
+    return loss, dZ
 
 
 def total_loss(sup, unsup, con, cfg, confident_count=0):
     """Combine the three terms with the configured weights."""
     for name, v in (("sup", sup), ("unsup", unsup), ("con", con)):
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise FloatingPointError(f"non-finite {name} loss component: {v}")
     total = sup + cfg.lambda_u * unsup + cfg.lambda_con * con
     return LossBreakdown(

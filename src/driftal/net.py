@@ -26,9 +26,10 @@ class NumericError(FloatingPointError):
 def softmax(logits):
     """Row-wise stable softmax."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)  # a new array: exp and divide in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _relu(x):
@@ -70,8 +71,13 @@ class Classifier:
     def __init__(self, architecture, seed=0, init=True):
         self.architecture = _widths(architecture)
         self.seed = int(seed)
-        pairs = zip(self.architecture, self.architecture[1:])
-        self.theta = np.zeros(sum(n_out * (n_in + 1) for n_in, n_out in pairs))
+        # per layer: the weights' slice and shape, then the biases' slice
+        self._layout, start = [], 0
+        for n_in, n_out in zip(self.architecture, self.architecture[1:]):
+            end = start + n_out * n_in
+            self._layout.append((slice(start, end), (n_out, n_in), slice(end, end + n_out)))
+            start = end + n_out
+        self.theta = np.zeros(start)
         self.weights, self.biases = self.layer_views(self.theta)
         if init:
             rng = np.random.default_rng(self.seed)
@@ -90,13 +96,8 @@ class Classifier:
     def layer_views(self, flat):
         """Per-layer (weights, biases) tuples of views into a vector shaped
         like ``theta``; each layer's weights are followed by its biases."""
-        weights, biases, start = [], [], 0
-        for n_in, n_out in zip(self.architecture, self.architecture[1:]):
-            end = start + n_out * n_in
-            weights.append(flat[start:end].reshape(n_out, n_in))
-            biases.append(flat[end : end + n_out])
-            start = end + n_out
-        return tuple(weights), tuple(biases)
+        return (tuple(flat[w].reshape(shape) for w, shape, _ in self._layout),
+                tuple(flat[b] for _, _, b in self._layout))
 
     def copy(self):
         clone = Classifier(self.architecture, seed=self.seed, init=False)
@@ -125,7 +126,8 @@ class Classifier:
         a = X
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(a)
-            pre = a @ w.T + b
+            pre = a @ w.T
+            pre += b
             pres.append(pre)
             a = _relu(pre) if i < last else pre
         cache = {"inputs": inputs, "pres": pres, "n": X.shape[0]}
@@ -147,14 +149,14 @@ class Classifier:
         last = len(self.weights) - 1
         delta = d_logits
         for i in range(last, -1, -1):
-            if i < last:
-                delta = delta * (cache["pres"][i] > 0)
+            if i < last:  # delta is this call's own array below the top layer
+                delta *= cache["pres"][i] > 0
             np.matmul(delta.T, cache["inputs"][i], out=d_weights[i])
             delta.sum(axis=0, out=d_biases[i])
             if i > 0:
                 delta = delta @ self.weights[i]
                 if d_embedding is not None and i == last:
-                    delta = delta + d_embedding
+                    delta += d_embedding
         return grad
 
     # ------------------------------------------------------------------
@@ -247,19 +249,31 @@ class Optimizer:
         check_fields(self)
 
     def step(self, model, grad):
-        """Update ``model.theta`` in place; raises on a bad gradient."""
+        """Update ``model.theta`` in place; a bad gradient raises and changes
+        no state. The update is, in this order of operations,
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+        ``theta -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, with bias corrections
+        ``c = 1 - b**t``."""
         if np.shape(grad) != model.theta.shape:
             raise ShapeError(f"gradient {np.shape(grad)} != theta {model.theta.shape}")
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NumericError("non-finite gradient")
-        self.step_count += 1
         if self.m is None:
             self.m, self.v = np.zeros_like(model.theta), np.zeros_like(model.theta)
+        a, b = np.empty_like(self.m), np.empty_like(self.m)  # scratch
+        self.step_count += 1
         t = self.step_count
         self.m *= self.beta1
-        self.m += (1 - self.beta1) * grad
+        np.multiply(grad, 1 - self.beta1, out=a)
+        self.m += a
         self.v *= self.beta2
-        self.v += (1 - self.beta2) * grad * grad
-        mhat = self.m / (1 - self.beta1**t)
-        vhat = self.v / (1 - self.beta2**t)
-        model.theta -= self.learning_rate * mhat / (np.sqrt(vhat) + self.eps)
+        np.multiply(grad, 1 - self.beta2, out=a)
+        a *= grad
+        self.v += a
+        np.divide(self.v, 1 - self.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        np.divide(self.m, 1 - self.beta1**t, out=a)
+        a *= self.learning_rate
+        a /= b
+        model.theta -= a

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import ConfigError, check_fields, checked
 from .net import NumericError
@@ -76,8 +75,12 @@ def lp_distances(unlabeled_embs, labeled_embs, p_norm=2.0):
 
     One KD-tree nearest-neighbour query over the labeled embeddings; it is
     exact for any ``p_norm >= 1`` (including inf) and builds no pairwise
-    matrix. Non-finite embeddings raise ``NumericError``.
+    matrix. Non-finite embeddings raise ``NumericError``. ``scipy.spatial``
+    is imported here, at the first query, so that runs whose selector
+    never ranks by the distance do not load it.
     """
+    from scipy.spatial import cKDTree
+
     U = np.asarray(unlabeled_embs, dtype=np.float64)
     L = np.asarray(labeled_embs, dtype=np.float64)
     if len(L) == 0:

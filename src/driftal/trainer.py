@@ -104,10 +104,10 @@ def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
     con = 0.0
     d_emb = None
     if loss_cfg.lambda_con > 0 and len(Xl) >= 2:
-        con, d_emb_raw = supervised_contrastive(
+        con, d_emb = supervised_contrastive(
             emb, yl, loss_cfg.contrastive_temperature
         )
-        d_emb = loss_cfg.lambda_con * d_emb_raw
+        d_emb *= loss_cfg.lambda_con
     grad = model.backward_batch(cache, d_logits, d_embedding=d_emb)
 
     unsup = 0.0
@@ -119,7 +119,8 @@ def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
             weak_probs, s_probs, loss_cfg.confidence_threshold
         )
         if count > 0:
-            grad = grad + model.backward_batch(s_cache, loss_cfg.lambda_u * d_s)
+            d_s *= loss_cfg.lambda_u
+            grad += model.backward_batch(s_cache, d_s)
     breakdown = total_loss(sup, unsup, con, loss_cfg, confident_count=count)
     return breakdown, grad
 

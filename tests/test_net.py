@@ -176,12 +176,26 @@ class TestOptimizer:
     def test_nonfinite_gradient_rejected(self):
         m = Classifier((1, 2), init=False)
         opt = Optimizer(learning_rate=0.1)
-        bad = np.zeros_like(m.theta)
-        (bw,), _ = m.layer_views(bad)
-        bw[...] = 1.0
-        bw[0, 0] = np.nan
-        with pytest.raises(FloatingPointError):
-            opt.step(m, bad)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.zeros_like(m.theta)
+            (bw,), _ = m.layer_views(bad)
+            bw[...] = 1.0
+            bw[0, 0] = value
+            with pytest.raises(FloatingPointError):
+                opt.step(m, bad)
+            # the rejected step changed no state: no moments, no count
+            assert opt.m is None and opt.v is None and opt.step_count == 0
+            assert not m.theta.any()
+        opt.step(m, np.full_like(m.theta, 0.5))
+        state = [a.copy() for a in (m.theta, opt.m, opt.v)]
+        for value in (np.nan, np.inf, -np.inf):
+            bad[...] = 1.0
+            bad[-1] = value
+            with pytest.raises(FloatingPointError):
+                opt.step(m, bad)
+            assert opt.step_count == 1
+            for now, then in zip((m.theta, opt.m, opt.v), state):
+                assert now.tobytes() == then.tobytes()
 
 
 class TestBatch:
