@@ -120,7 +120,10 @@ def _seeds(args, config):
         return [typed(args.seed, "--seed", int, minimum=0)]
     if "seeds" not in config:
         return [typed(config.get("seed", 0), "seed", int, minimum=0)]
-    return typed_list(config["seeds"], "seeds", int, minimum=0)
+    seeds = typed_list(config["seeds"], "seeds", int, minimum=0)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds: expected distinct seeds, got {config['seeds']!r}")
+    return seeds
 
 
 def _fmt_f1(f1):
@@ -139,8 +142,9 @@ def _period(split, key, months):
     return period
 
 
-def _setup_from_config(config):
-    """Build an ExperimentSetup from the dataset/generator + split sections."""
+def _setup_from_config(config, streams=True):
+    """Build an ExperimentSetup from the dataset/generator + split sections. The
+    split of a command that ``streams`` must leave a month to stream."""
     if ("dataset" in config) == ("generator" in config):
         raise ConfigError("exactly one of 'dataset' or 'generator' is required")
     if "dataset" in config:
@@ -161,6 +165,9 @@ def _setup_from_config(config):
         stream_months = _period(split, "stream", months)
     else:
         stream_months = [m for m in months if m not in in_train]
+        if streams and not stream_months:
+            key = "train" if "train" in split else "train_months"
+            raise ConfigError(f"split.{key}: no month of the dataset is left to stream")
     shared = sorted(in_train & set(stream_months))
     if shared:
         raise ConfigError(f"split.train and split.stream share months {shared}")
@@ -202,7 +209,7 @@ def cmd_synth(args, config, out_dir):
 def cmd_train(args, config, out_dir):
     seeds = _seeds(args, config)
     artifacts = []
-    exp = Experiment(_setup_from_config(config))
+    exp = Experiment(_setup_from_config(config, streams=False))
     for seed in seeds:
         model, _, _, report = exp.initial_fit(seed)
         ckpt = out_dir / f"checkpoint_seed{seed}.npz"

@@ -170,7 +170,7 @@ def _read_shard_csv(raw, dim, path):
         ids = [r[0] for r in rows]
         labels = np.array([r[1] for r in rows], dtype=np.int64)
         cells = [r[2] for r in rows]
-    except (UnicodeDecodeError, ValueError, IndexError) as e:
+    except (UnicodeDecodeError, ValueError, IndexError, OverflowError) as e:
         raise DataError(f"shard {path} is not an id,label,features table: {e}") from None
     if len(header.split(",")) != dim + 2:
         raise DataError(f"shard {path} has {len(header.split(',')) - 2} features, "
@@ -272,6 +272,9 @@ def load_dataset(path):
         _check_month(month, f"{mpath} shard {pos}: 'month'")
         if fmt not in SHARD_FORMATS:
             raise DataError(f"shard {fname} has unknown format {fmt!r}")
+        if Path(fname).name != fname or "\x00" in fname:
+            raise DataError(f"{mpath} shard {pos}: 'file' must name a file in {path}, "
+                            f"got {fname!r}")
         try:
             raw = (path / fname).read_bytes()
         except OSError as e:

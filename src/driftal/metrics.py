@@ -141,21 +141,11 @@ class BenchRecord:
         return vars(self).copy()
 
 
-def _bench_epoch(model, opt, Xl, yl, Xu, aug_cfg, loss_cfg, batch, rng):
-    """One pass over the whole unlabeled pool, labeled batches cycled."""
-    from . import augment as aug
-    from .trainer import step_loss_and_grads
-
-    n_lab = len(Xl)
-    steps = int(np.ceil(len(Xu) / batch))
-    for s in range(steps):
-        lab = np.arange(s * batch, (s + 1) * batch) % n_lab
-        Bu = Xu[s * batch : (s + 1) * batch]
-        Xw = aug.weak_view(Bu, aug_cfg, rng)
-        Xs = aug.strong_view(Bu, aug_cfg, rng)
-        _, grad = step_loss_and_grads(model, Xl[lab], yl[lab], Xw, Xs, loss_cfg)
-        opt.step(model, grad)
-    return steps
+def _pool_batches(n_lab, n_pool, batch):
+    """One in-order pass over an ``n_pool``-row pool, labeled rows cycled."""
+    for start in range(0, n_pool, batch):
+        yield (np.arange(start, start + batch) % n_lab,
+               np.arange(start, min(start + batch, n_pool)))
 
 
 def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
@@ -169,15 +159,11 @@ def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
     """
     import time
 
-    from . import augment as aug
     from . import selection as sel
-    from .losses import LossConfig
     from .net import Optimizer
-    from .trainer import TrainConfig, build_model
+    from .trainer import TrainConfig, build_model, run_epoch
 
     records = []
-    aug_cfg = aug.AugmentConfig()
-    loss_cfg = LossConfig()
     sel_cfg = sel.SelectorConfig()
     n_lab = max(2, budget)
     for n in n_list:
@@ -190,26 +176,28 @@ def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
         # still covers nearly the whole pool
         budget_eff = min(budget, n // 10)
         Xl, yl, Xu = X[:n_lab], y[:n_lab], X[n_lab:]
-        cfg = TrainConfig(hidden=hidden, seed=seed)
+        cfg = TrainConfig(hidden=hidden, seed=seed, labeled_batch=batch,
+                          unlabeled_batch=batch)
         model = build_model(dim, cfg)
-        opt = Optimizer()
+        opt = Optimizer(learning_rate=cfg.learning_rate)
         # untimed one-sample select: whatever the select path imports at its
         # first call is loaded before the timing starts
         sel.select(Xu[:1], model, model.embed_batch(Xl), sel_cfg, 1)
         t0 = time.perf_counter()
-        steps1 = _bench_epoch(model, opt, Xl, yl, Xu, aug_cfg, loss_cfg, batch, rng)
+        run_epoch(model, opt, _pool_batches(n_lab, len(Xu), batch), Xl, yl, Xu, cfg, rng)
         chosen, _ = sel.select(Xu, model, model.embed_batch(Xl), sel_cfg, budget_eff)
         keep = np.ones(len(Xu), dtype=bool)
         keep[chosen] = False
         Xl2 = np.concatenate([Xl, Xu[~keep]])
         yl2 = np.concatenate([yl, y[n_lab:][~keep]])
-        steps2 = _bench_epoch(
-            model, opt, Xl2, yl2, Xu[keep], aug_cfg, loss_cfg, batch, rng
-        )
+        Xu2 = Xu[keep]
+        run_epoch(model, opt, _pool_batches(len(Xl2), len(Xu2), batch), Xl2, yl2, Xu2,
+                  cfg, rng)
         elapsed = time.perf_counter() - t0
 
         arch = model.architecture
-        ops = (steps1 + steps2) * train_step_ops(arch, batch, batch)
+        steps = -(-len(Xu) // batch) + -(-len(Xu2) // batch)  # ceil(n / batch) each
+        ops = steps * train_step_ops(arch, batch, batch)
         ops += forward_ops(arch, len(Xu))  # scoring: one forward, probs + embeddings
         ops += distance_ops(len(Xu), n_lab, model.embedding_dim)
         records.append(BenchRecord(n, elapsed, int(ops)))

@@ -120,7 +120,7 @@ def run_stream(model, labeled, unlabeled, months, cfg):
     monthly, selected_per_month = [], []
     for mdata in months:
         # (1) evaluate before the month's data can influence anything
-        preds = model.predict_batch(mdata.X).argmax(axis=1) if len(mdata.X) else []
+        preds = model.predict_batch(mdata.X).argmax(axis=1)
         monthly.append(compute_metrics(preds, mdata.y, month=mdata.month))
 
         # (2) the month joins the unlabeled pool

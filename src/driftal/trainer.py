@@ -25,6 +25,8 @@ from .losses import (
 )
 from .net import Classifier, NumericError, Optimizer
 
+_MAX_GRAD = float(np.sqrt(np.finfo(np.float64).max))  # Adam squares each entry
+
 
 @dataclass
 class TrainConfig:
@@ -71,7 +73,7 @@ def sample_minibatches(n_labeled, n_unlabeled, cfg, rng):
     if n_labeled == 0:
         raise ValueError("labeled set must be nonempty")
     order = rng.permutation(n_labeled)
-    u_order = rng.permutation(n_unlabeled) if n_unlabeled else np.array([], dtype=int)
+    u_order = rng.permutation(n_unlabeled)
     u_pos = 0
     for start in range(0, n_labeled, cfg.labeled_batch):
         lab = order[start : start + cfg.labeled_batch]
@@ -125,6 +127,33 @@ def step_loss_and_grads(model, Xl, yl, Xw, Xs, loss_cfg):
     return breakdown, grad
 
 
+def run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng):
+    """One ``opt`` step per (labeled_idx, unlabeled_idx) pair of ``batches``, on
+    the labeled rows and weak/strong views of the (possibly no) unlabeled rows.
+
+    A non-finite loss, or a gradient entry Adam cannot square, raises
+    NumericError naming the step. Returns the step-mean LossBreakdown (its
+    ``confident_count`` the epoch's) and the epoch's confident fraction.
+    """
+    sums = np.zeros(4)
+    n_conf = n_unlab = n_steps = 0
+    for lab_idx, u_idx in batches:
+        Bu = Xu[u_idx]
+        Xw = aug.weak_view(Bu, cfg.augment, rng)
+        Xs = aug.strong_view(Bu, cfg.augment, rng)
+        breakdown, grad = step_loss_and_grads(model, Xl[lab_idx], yl[lab_idx], Xw, Xs,
+                                              cfg.loss)
+        if not (np.isfinite(breakdown.total) and np.abs(grad).max() <= _MAX_GRAD):
+            raise NumericError(f"non-finite loss or gradient overflow, step {n_steps}")
+        opt.step(model, grad)
+        sums += (breakdown.sup, breakdown.unsup, breakdown.con, breakdown.total)
+        n_conf += breakdown.confident_count
+        n_unlab += len(Bu)
+        n_steps += 1
+    mean = LossBreakdown(*(sums / n_steps), confident_count=n_conf)
+    return mean, n_conf / n_unlab if n_unlab else 0.0
+
+
 def train(model, labeled, unlabeled, cfg):
     """Run the full semi-supervised loop for ``cfg.epochs`` epochs.
 
@@ -135,7 +164,7 @@ def train(model, labeled, unlabeled, cfg):
     Xl, yl = labeled
     Xl = np.asarray(Xl, dtype=np.float64)
     yl = np.asarray(yl, dtype=np.int64)
-    Xu = np.asarray(unlabeled, dtype=np.uint8) if len(unlabeled) else np.zeros((0, 0))
+    Xu = np.asarray(unlabeled, dtype=np.uint8)
     if len(Xl) == 0:
         raise ValueError("labeled set must be nonempty")
     if Xl.shape[1] != model.input_dim:
@@ -145,41 +174,12 @@ def train(model, labeled, unlabeled, cfg):
     rng = np.random.default_rng(cfg.seed)
     opt = Optimizer(learning_rate=cfg.learning_rate)
     t0 = time.perf_counter()
-    epoch_losses = []
-    conf_fracs = []
+    epochs = []  # (mean LossBreakdown, confident fraction) per epoch
     for epoch in range(cfg.epochs):
-        sums = np.zeros(4)
-        n_conf = 0
-        n_unlab = 0
-        n_steps = 0
-        for lab_idx, u_idx in sample_minibatches(len(Xl), len(Xu), cfg, rng):
-            Bu = Xu[u_idx] if len(u_idx) else np.zeros((0, Xl.shape[1]), dtype=np.uint8)
-            Xw = aug.weak_view(Bu, cfg.augment, rng) if len(Bu) else Bu
-            Xs = aug.strong_view(Bu, cfg.augment, rng) if len(Bu) else Bu
-            breakdown, grad = step_loss_and_grads(
-                model, Xl[lab_idx], yl[lab_idx], Xw, Xs, cfg.loss
-            )
-            if not np.isfinite(breakdown.total):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, step {n_steps}"
-                )
-            opt.step(model, grad)
-            sums += (breakdown.sup, breakdown.unsup, breakdown.con, breakdown.total)
-            n_conf += breakdown.confident_count
-            n_unlab += len(Bu)
-            n_steps += 1
-        avg = sums / n_steps
-        epoch_losses.append(
-            LossBreakdown(
-                sup=avg[0], unsup=avg[1], con=avg[2], total=avg[3],
-                confident_count=n_conf,
-            )
-        )
-        conf_fracs.append(n_conf / n_unlab if n_unlab else 0.0)
-    report = TrainReport(
-        epoch_losses=epoch_losses,
-        confident_fraction=conf_fracs,
-        seconds=time.perf_counter() - t0,
-        seed=cfg.seed,
-    )
-    return model, report
+        batches = sample_minibatches(len(Xl), len(Xu), cfg, rng)
+        try:
+            epochs.append(run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng))
+        except NumericError as e:
+            raise NumericError(f"epoch {epoch}: {e}") from None
+    losses, fracs = map(list, zip(*epochs))
+    return model, TrainReport(losses, fracs, time.perf_counter() - t0, cfg.seed)

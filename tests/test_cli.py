@@ -7,7 +7,7 @@ from driftal import data as dio
 from driftal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
 from driftal.net import Classifier
 
-from test_data import edit_manifest, rewrite_shard
+from test_data import edit_manifest, rewrite_shard, set_csv_cell
 
 
 def base_config(**extra):
@@ -281,6 +281,46 @@ class TestErrorPaths:
                      "--seed", "0"]) == EXIT_CONFIG
         assert "2020-02" in capsys.readouterr().err
 
+    def test_csv_label_beyond_int64_exits_data(self, tmp_path, capsys):
+        gen = dio.DriftGeneratorConfig(dim=20, months=4,
+                                       samples_per_month_per_class=25)
+        ds_dir = tmp_path / "ds"
+        dio.save_dataset(dio.synth_drift_generate(gen), ds_dir, fmt="csv")
+        rewrite_shard(ds_dir, ".csv",
+                      lambda raw: set_csv_cell(raw, 1, "99999999999999999999"))
+        cfg = base_config(dataset=str(ds_dir))
+        del cfg["generator"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "not an id,label,features table" in capsys.readouterr().err
+
+    def test_overflowing_unsup_weight_exits_numeric(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, train={
+            "epochs": 2, "hidden": [8],
+            "loss": {"lambda_u": 1e308, "confidence_threshold": 0.5}})
+        assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "epoch 0: non-finite loss or gradient overflow, step" in err
+
+    @pytest.mark.parametrize("split,key", [
+        ({"train_months": 9}, "split.train_months"),
+        ({"train_months": 4}, "split.train_months"),
+        ({"train": "2020-01..2020-04"}, "split.train"),
+    ])
+    def test_split_without_stream_month(self, tmp_path, capsys, split, key):
+        cfg = write_config(tmp_path, split=split, noise_rates=[0.0])
+        for command in ("stream", "ablate", "noise"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--seed", "0"]) == EXIT_CONFIG
+            assert (f"{key}: no month of the dataset is left to stream"
+                    in capsys.readouterr().err)
+        # training reads no stream month, so it takes the split
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "train"),
+                     "--seed", "0"]) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["stream", "ablate"])
     def test_non_finite_embeddings_exit_numeric(self, tmp_path, capsys,
                                                 monkeypatch, command):
@@ -466,6 +506,9 @@ class TestErrorPaths:
         # a ratio that labels none of the 100 training rows
         ("stream", "label_ratio", 0),
         ("stream", "label_ratio", 0.001),
+        # a repeated seed would run the same run twice
+        *[(command, "seeds", [0, 1, 0])
+          for command in ("train", "stream", "ablate", "bench", "noise")],
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
                                            value):

@@ -160,6 +160,16 @@ class TestShardValidation:
         with pytest.raises(dio.DataError, match="labels"):
             dio.load_dataset(ds_dir)
 
+    def test_csv_label_beyond_int64(self, tmp_path):
+        raw = b"id,label,f0,f1\na,99999999999999999999,0,1"
+        with pytest.raises(dio.DataError, match="not an id,label,features table"):
+            dio._read_shard_csv(raw, 2, "2020-01.csv")
+        ds_dir = self.saved(tmp_path, fmt="csv")
+        rewrite_shard(ds_dir, ".csv",
+                      lambda raw: set_csv_cell(raw, 1, "-99999999999999999999"))
+        with pytest.raises(dio.DataError, match="2020-01.csv"):
+            dio.load_dataset(ds_dir)
+
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     def test_duplicate_ids_across_shards(self, tmp_path, fmt):
         ds = make_dataset()

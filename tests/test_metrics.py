@@ -4,6 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from driftal import augment as aug
+from driftal import selection as sel
+from driftal import trainer
+from driftal.losses import LossConfig
+from driftal.net import Optimizer
 from driftal.metrics import (
     MonthlyMetrics,
     aggregate,
@@ -118,7 +123,69 @@ class TestOpCounts:
         assert train_step_ops(arch, 2, 2) * 3 == train_step_ops(arch, 6, 6)
 
 
+def reference_bench(n, budget, dim, hidden, batch, seed):
+    """``metrics.bench``'s training for one pool size, with the step loop it
+    ran before it called ``trainer.run_epoch``; returns (theta, operations)."""
+
+    def bench_epoch(model, opt, Xl, yl, Xu, aug_cfg, loss_cfg, rng):
+        n_lab = len(Xl)
+        steps = int(np.ceil(len(Xu) / batch))
+        for s in range(steps):
+            lab = np.arange(s * batch, (s + 1) * batch) % n_lab
+            Bu = Xu[s * batch : (s + 1) * batch]
+            Xw = aug.weak_view(Bu, aug_cfg, rng)
+            Xs = aug.strong_view(Bu, aug_cfg, rng)
+            _, grad = trainer.step_loss_and_grads(model, Xl[lab], yl[lab], Xw, Xs,
+                                                  loss_cfg)
+            opt.step(model, grad)
+        return steps
+
+    aug_cfg, loss_cfg, sel_cfg = aug.AugmentConfig(), LossConfig(), sel.SelectorConfig()
+    n_lab = max(2, budget)
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n + n_lab, dim)) < 0.3).astype(np.uint8)
+    y = rng.integers(0, 2, size=n + n_lab)
+    Xl, yl, Xu = X[:n_lab], y[:n_lab], X[n_lab:]
+    model = trainer.build_model(dim, trainer.TrainConfig(hidden=hidden, seed=seed))
+    opt = Optimizer()
+    sel.select(Xu[:1], model, model.embed_batch(Xl), sel_cfg, 1)
+    steps = bench_epoch(model, opt, Xl, yl, Xu, aug_cfg, loss_cfg, rng)
+    chosen, _ = sel.select(Xu, model, model.embed_batch(Xl), sel_cfg,
+                           min(budget, n // 10))
+    keep = np.ones(len(Xu), dtype=bool)
+    keep[chosen] = False
+    Xl2 = np.concatenate([Xl, Xu[~keep]])
+    yl2 = np.concatenate([yl, y[n_lab:][~keep]])
+    steps += bench_epoch(model, opt, Xl2, yl2, Xu[keep], aug_cfg, loss_cfg, rng)
+    arch = model.architecture
+    ops = (steps * train_step_ops(arch, batch, batch) + forward_ops(arch, n)
+           + distance_ops(n, n_lab, model.embedding_dim))
+    return model.theta, ops
+
+
 class TestBench:
+    @pytest.mark.parametrize("sizes,budget,dim,hidden,batch,seed", [
+        ([100, 300], 10, 20, (8,), 10, 0),
+        ([57, 203], 7, 13, (6, 4), 9, 3),  # batch divides neither pool
+        ([40, 81], 4, 10, (4,), 8, 1),
+        ([2003], 50, 60, (16,), 10, 0),  # 116 of its steps have confident rows
+    ])
+    def test_matches_reference_step_loop(self, monkeypatch, sizes, budget, dim, hidden,
+                                         batch, seed):
+        # bench steps through trainer.run_epoch; its models and operation
+        # counts are the old private loop's, bit for bit
+        models = []
+        build = trainer.build_model
+        monkeypatch.setattr(trainer, "build_model",
+                            lambda *a: models.append(build(*a)) or models[-1])
+        records = bench(sizes, budget=budget, dim=dim, hidden=hidden, batch=batch,
+                        seed=seed)
+        monkeypatch.undo()
+        for n, record, model in zip(sizes, records, models, strict=True):
+            theta, ops = reference_bench(n, budget, dim, hidden, batch, seed)
+            assert record.operations == ops
+            assert model.theta.tobytes() == theta.tobytes()
+
     def test_records_and_linearity(self):
         records = bench([40, 80], budget=4, dim=10, hidden=(4,), batch=8)
         assert [r.sample_count for r in records] == [40, 80]

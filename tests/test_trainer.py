@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from driftal.augment import AugmentConfig
+from driftal import trainer
+from driftal.augment import MODES, AugmentConfig
 from driftal.losses import LossConfig, supervised_ce
-from driftal.net import Optimizer
+from driftal.net import NumericError, Optimizer
 from driftal.trainer import (
     TrainConfig,
     build_model,
     sample_minibatches,
+    step_loss_and_grads,
     train,
 )
 
@@ -142,3 +144,50 @@ class TestTrain:
         m2, _ = train(build_model(8, cfg), (X, y), np.zeros((0, 8)), cfg)
         assert sum(b.confident_count for b in r1.epoch_losses) > 0
         assert not np.allclose(m1.theta, m2.theta)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("empty", [np.zeros((0, 8)), []], ids=["zeros", "list"])
+    def test_empty_pool_is_the_loop_without_views(self, mode, empty):
+        # views of an empty pool draw no random numbers, so training on one is,
+        # bit for bit, the loop that skips the views
+        X, y = toy_separable()
+        cfg = self.small_cfg(epochs=3, augment=AugmentConfig(mode=mode))
+        model, report = train(build_model(8, cfg), (X, y), empty, cfg)
+
+        ref = build_model(8, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        opt = Optimizer(learning_rate=cfg.learning_rate)
+        no_rows = np.zeros((0, 8), dtype=np.uint8)
+        for _ in range(cfg.epochs):
+            for lab, _u in sample_minibatches(len(X), 0, cfg, rng):
+                _, grad = step_loss_and_grads(ref, X[lab].astype(np.float64), y[lab],
+                                              no_rows, no_rows, cfg.loss)
+                opt.step(ref, grad)
+        assert model.theta.tobytes() == ref.theta.tobytes()
+        assert report.confident_fraction == [0.0] * cfg.epochs
+
+    def test_non_finite_loss_names_epoch_and_step(self, monkeypatch):
+        X, y = toy_separable()  # 200 rows: 13 steps per epoch
+        steps = []
+
+        def poisoned(*args):
+            breakdown, grad = step_loss_and_grads(*args)
+            steps.append(None)
+            if len(steps) == 13 + 3:
+                breakdown.total = float("inf")
+            return breakdown, grad
+
+        monkeypatch.setattr(trainer, "step_loss_and_grads", poisoned)
+        cfg = self.small_cfg()
+        problem = "^epoch 1: non-finite loss or gradient overflow, step 2$"
+        with pytest.raises(NumericError, match=problem):
+            train(build_model(8, cfg), (X, y), np.zeros((0, 8)), cfg)
+
+    def test_overflowing_unsup_weight_raises_numeric_error(self):
+        # the first confident step's gradient is too large for Adam to square
+        X, y = toy_separable()
+        Xu, _ = toy_separable(seed=9)
+        cfg = self.small_cfg(loss=LossConfig(lambda_u=1e308, confidence_threshold=0.5))
+        problem = "^epoch 0: non-finite loss or gradient overflow, step 0$"
+        with pytest.raises(NumericError, match=problem):
+            train(build_model(8, cfg), (X, y), Xu, cfg)
