@@ -12,6 +12,8 @@ import json
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -52,15 +54,7 @@ class Dataset:
 
     def to_arrays(self):
         """(X uint8 matrix, y int vector, ids list), record order preserved."""
-        if not self.records:
-            return (
-                np.zeros((0, self.feature_dim), dtype=np.uint8),
-                np.zeros(0, dtype=np.int64),
-                [],
-            )
-        X = np.stack([r.features for r in self.records])
-        y = np.array([r.label for r in self.records], dtype=np.int64)
-        return X, y, [r.id for r in self.records]
+        return record_arrays(self.records, self.feature_dim)
 
     def subset(self, indices):
         return Dataset(self.name, self.feature_dim, [self.records[i] for i in indices])
@@ -105,72 +99,160 @@ def parse_period(period):
 # ---------------------------------------------------------------------------
 
 
-def _shard_bytes_binary(records, dim):
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<III", BINARY_VERSION, dim, len(records))
-    for r in records:
-        rid = r.id.encode()
-        buf += struct.pack("<BH", r.label, len(rid))
-        buf += rid
-        buf += np.packbits(r.features).tobytes()
-    return bytes(buf)
+BINARY_HEADER = struct.Struct("<4sIII")  # magic, version, dim, record count
+MAX_BINARY_ID_BYTES = 0xFFFF  # the id length is a little-endian uint16
+# characters that end a CSV cell or (for ``str.splitlines``) a CSV row
+CSV_ID_BREAKS = ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def record_arrays(records, dim):
+    """(X uint8 [n, dim], y int64 [n], ids) of ``records``, in record order.
+
+    Every feature vector must have shape ``(dim,)``. The rows are joined by
+    one concatenate and reshape, which is 3-5x faster than ``np.stack`` on
+    10^4 rows; the shape check catches the ragged rows a bare reshape would
+    accept.
+    """
+    rows = list(map(attrgetter("features"), records))
+    if set(map(attrgetter("shape"), rows)) - {(dim,)}:
+        k = next(k for k, x in enumerate(rows) if x.shape != (dim,))
+        raise DataError(f"record {records[k].id!r} has features of shape "
+                        f"{rows[k].shape}, expected ({dim},)")
+    X = (np.concatenate(rows).reshape(len(rows), dim) if rows
+         else np.zeros((0, dim), dtype=np.uint8))
+    y = np.fromiter(map(attrgetter("label"), records), dtype=np.int64, count=len(rows))
+    return X, y, list(map(attrgetter("id"), records))
+
+
+def _check_labels(labels, where):
+    if ((labels != 0) & (labels != 1)).any():
+        raise DataError(f"{where} has labels outside {{0, 1}}")
+
+
+def _utf8_ids(ids):
+    """The UTF-8 bytes of each id and their lengths as an array."""
+    try:
+        raw_ids = [i.encode() for i in ids]
+    except UnicodeEncodeError as e:
+        raise DataError(f"id {e.object!r} cannot be encoded as UTF-8") from None
+    return raw_ids, np.fromiter(map(len, raw_ids), dtype=np.intp, count=len(raw_ids))
+
+
+def _insert_ids(block, at, raw_ids, idlen):
+    """The bytes of ``block``'s rows, each with its record's id inserted
+    before column ``at``, placed through one boolean run mask."""
+    n, width = block.shape
+    runs = np.empty((n, 3), dtype=np.intp)
+    runs[:, 0], runs[:, 1], runs[:, 2] = at, idlen, width - at
+    is_id = np.repeat(np.tile([False, True, False], n), runs.ravel())
+    out = np.empty(is_id.size, dtype=np.uint8)
+    out[~is_id] = block.ravel()
+    out[is_id] = np.frombuffer(b"".join(raw_ids), dtype=np.uint8)
+    return out.tobytes()
+
+
+def _shard_bytes_binary(ids, labels, X):
+    """Binary shard bytes of the rows ``(ids, labels, X)``.
+
+    After the header each record holds its label byte, the little-endian
+    uint16 byte length of its UTF-8 id, the id, and ``ceil(d / 8)`` bytes of
+    ``np.packbits`` bits whose padding bits are 0.
+    """
+    n, d = X.shape
+    labels = np.asarray(labels)
+    _check_labels(labels, "a binary shard")
+    raw_ids, idlen = _utf8_ids(ids)
+    if n and idlen.max() > MAX_BINARY_ID_BYTES:
+        k = int(np.argmax(idlen > MAX_BINARY_ID_BYTES))
+        raise DataError(f"id {ids[k][:32]!r}... has {idlen[k]} UTF-8 bytes; "
+                        f"a binary shard holds at most {MAX_BINARY_ID_BYTES}")
+    block = np.empty((n, 3 + (d + 7) // 8), dtype=np.uint8)
+    block[:, 0] = labels
+    block[:, 1] = idlen & 0xFF
+    block[:, 2] = idlen >> 8
+    block[:, 3:] = np.packbits(X, axis=1)
+    header = BINARY_HEADER.pack(MAGIC, BINARY_VERSION, d, n)
+    return header + _insert_ids(block, 3, raw_ids, idlen)
 
 
 def _read_shard_binary(raw, dim, path):
-    """(ids, labels, X) of one binary shard; every byte must belong to a record."""
-    if raw[:4] != MAGIC or len(raw) < 16:
+    """(ids, labels, X) of one binary shard; every byte must belong to a record,
+    every label must be 0 or 1 and every padding bit 0."""
+    if len(raw) < BINARY_HEADER.size or raw[:4] != MAGIC:
         raise DataError(f"shard {path} has bad magic bytes or a short header")
-    version, d, count = struct.unpack("<III", raw[4:16])
+    _, version, d, count = BINARY_HEADER.unpack_from(raw)
     if version != BINARY_VERSION:
         raise DataError(f"shard {path} has unsupported version {version}")
     if d != dim:
         raise DataError(f"shard {path} has dim {d}, manifest expects {dim}")
     nbytes = (d + 7) // 8
-    off = 16
-    ids, labels, starts = [], [], []
+    # each record starts after the last one's 3 + id length + nbytes bytes
+    off, starts = BINARY_HEADER.size, []
     try:
         for _ in range(count):
-            label, idlen = struct.unpack_from("<BH", raw, off)
-            off += 3
-            ids.append(raw[off : off + idlen].decode())
-            labels.append(label)
-            starts.append(off + idlen)
-            off += idlen + nbytes
-    except (struct.error, UnicodeDecodeError) as e:
-        raise DataError(f"shard {path} is truncated or malformed: {e}") from None
+            starts.append(off)
+            off += 3 + raw[off + 1] + (raw[off + 2] << 8) + nbytes
+    except IndexError:
+        raise DataError(f"shard {path} is truncated or malformed: record "
+                        f"{len(starts) - 1} has no id length") from None
     if off > len(raw):
         raise DataError(f"shard {path} is truncated: {count} records do not fit "
                         f"in {len(raw)} bytes")
     if off < len(raw):
         raise DataError(f"shard {path} has {len(raw) - off} trailing bytes "
                         "after its last record")
-    rows = np.add.outer(np.asarray(starts, dtype=np.intp), np.arange(nbytes))
-    X = np.unpackbits(np.frombuffer(raw, np.uint8)[rows], axis=1)[:, :d]
-    return ids, np.array(labels, dtype=np.int64), X
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    starts = np.array(starts, dtype=np.intp)
+    labels = buf[starts].astype(np.int64)
+    _check_labels(labels, f"shard {path}")
+    id_from = starts + 3
+    id_to = id_from + buf[starts + 1] + (buf[starts + 2].astype(np.intp) << 8)
+    try:
+        ids = [raw[a:b].decode() for a, b in zip(id_from.tolist(), id_to.tolist())]
+    except UnicodeDecodeError as e:
+        raise DataError(f"shard {path} is truncated or malformed: {e}") from None
+    packed = buf[np.add.outer(id_to, np.arange(nbytes))]
+    if d % 8 and (packed[:, -1] & (0xFF >> d % 8)).any():
+        raise DataError(f"shard {path} has set padding bits after feature {d - 1}")
+    return ids, labels, np.unpackbits(packed, axis=1, count=d)
 
 
-def _shard_bytes_csv(records, dim):
-    """CSV shard bytes in the reader's layout: "b," per cell, "\n" last."""
-    cells = np.full((len(records), 2 * dim), ord(","), dtype=np.uint8)
-    if records:
-        cells[:, 0::2] = np.stack([r.features for r in records]) + ord("0")
-    cells[:, -1] = ord("\n")
+def _has_csv_break(text):
+    return any(c in text for c in CSV_ID_BREAKS)
+
+
+def _shard_bytes_csv(ids, labels, X):
+    """CSV shard bytes of the rows ``(ids, labels, X)``: a header, then per
+    row ``id,label,`` and one ``b,`` per feature with the last "," as "\n"."""
+    n, dim = X.shape
+    labels = np.asarray(labels)
+    _check_labels(labels, "a CSV shard")
+    if _has_csv_break("".join(ids)):
+        bad = next(i for i in ids if _has_csv_break(i))
+        raise DataError(f"id {bad!r} holds a comma or a line break, which a CSV "
+                        "shard cannot carry")
+    raw_ids, idlen = _utf8_ids(ids)
+    block = np.full((n, 3 + 2 * dim), ord(","), dtype=np.uint8)
+    block[:, 1] = labels + ord("0")
+    block[:, 3::2] = X + ord("0")
+    block[:, -1] = ord("\n")
     header = "id,label," + ",".join(f"f{i}" for i in range(dim)) + "\n"
-    return header.encode() + b"".join(
-        f"{r.id},{r.label},".encode() + row.tobytes() for r, row in zip(records, cells)
-    )
+    return header.encode() + _insert_ids(block, 0, raw_ids, idlen)
 
 
 def _read_shard_csv(raw, dim, path):
-    """(ids, labels, X) of one CSV shard; every feature cell must be 0 or 1."""
+    """(ids, labels, X) of one CSV shard; every label and feature cell must be
+    exactly 0 or 1."""
     try:
         header, *lines = raw.decode().splitlines()
         rows = [line.split(",", 2) for line in lines]
         ids = [r[0] for r in rows]
-        labels = np.array([r[1] for r in rows], dtype=np.int64)
+        labels = [r[1] for r in rows]
+        if not set(labels) <= {"0", "1"}:
+            bad = next(label for label in labels if label not in ("0", "1"))
+            raise ValueError(f"labels must be 0 or 1, got {bad!r}")
         cells = [r[2] for r in rows]
-    except (UnicodeDecodeError, ValueError, IndexError, OverflowError) as e:
+    except (UnicodeDecodeError, ValueError, IndexError) as e:
         raise DataError(f"shard {path} is not an id,label,features table: {e}") from None
     if len(header.split(",")) != dim + 2:
         raise DataError(f"shard {path} has {len(header.split(',')) - 2} features, "
@@ -179,11 +261,12 @@ def _read_shard_csv(raw, dim, path):
     body = np.frombuffer(",".join([*cells, ""]).encode(), np.uint8)
     if set(map(len, cells)) - {2 * dim - 1} or body.size != 2 * dim * len(cells):
         raise DataError(f"shard {path} has rows that are not {dim} 0/1 cells")
-    body = body.reshape(len(cells), 2 * dim)
-    X = body[:, 0::2] - ord("0")
-    if (X > 1).any() or (body[:, 1::2] != ord(",")).any():
+    # read as a little-endian uint16, the cell "0," is 0x2C30 and "1," 0x2C31
+    X = body.view("<u2") - np.uint16(0x2C30)
+    if (X > 1).any():
         raise DataError(f"shard {path} has feature cells other than 0 or 1")
-    return ids, labels, X
+    labels = np.frombuffer("".join(labels).encode(), np.uint8) - ord("0")
+    return ids, labels.astype(np.int64), X.astype(np.uint8).reshape(len(cells), dim)
 
 
 # format -> (file suffix, writer, reader)
@@ -194,25 +277,33 @@ SHARD_FORMATS = {
 
 
 def save_dataset(dataset, path, fmt="binary"):
-    """Write manifest + per-month shards under ``path``."""
+    """Write manifest + per-month shards under ``path``.
+
+    Every shard is encoded before anything is written, so a row that the
+    format cannot carry raises ``DataError`` and leaves ``path`` untouched.
+    """
     if fmt not in SHARD_FORMATS:
         raise DataError(f"unknown shard format {fmt!r}")
     suffix, write, _ = SHARD_FORMATS[fmt]
+    encoded = []
+    for month, records in dataset.by_month().items():
+        X, labels, ids = record_arrays(records, dataset.feature_dim)
+        encoded.append((month, labels, write(ids, labels, X)))
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     shards = []
-    for month, records in dataset.by_month().items():
-        raw = write(records, dataset.feature_dim)
+    for month, labels, raw in encoded:
         fname = month + suffix
         (path / fname).write_bytes(raw)
+        benign = int((labels == 0).sum())
         shards.append(
             {
                 "month": month,
                 "file": fname,
                 "format": fmt,
                 "sha256": hashlib.sha256(raw).hexdigest(),
-                "benign": sum(1 for r in records if r.label == 0),
-                "malware": sum(1 for r in records if r.label == 1),
+                "benign": benign,
+                "malware": len(labels) - benign,
             }
         )
     manifest = {
@@ -283,15 +374,10 @@ def load_dataset(path):
             raise DataError(f"shard {fname} failed checksum validation")
         _, _, read = SHARD_FORMATS[fmt]
         ids, labels, X = read(raw, dim, fname)
-        if ((labels != 0) & (labels != 1)).any():
-            raise DataError(f"shard {fname} has labels outside {{0, 1}}")
         benign = int((labels == 0).sum())
         if benign != shard["benign"] or len(labels) - benign != shard["malware"]:
             raise DataError(f"shard {fname} counts disagree with manifest")
-        dataset.records.extend(
-            FeatureRecord(i, month, label, x)
-            for i, label, x in zip(ids, labels.tolist(), X)
-        )
+        dataset.records.extend(map(FeatureRecord, ids, repeat(month), labels.tolist(), X))
         all_ids += ids
     check_unique_ids(all_ids, DataError, f"dataset {path}")
     return manifest, dataset

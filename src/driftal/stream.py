@@ -18,7 +18,7 @@ import numpy as np
 
 from . import selection as sel
 from .config import check_fields, checked
-from .data import check_unique_ids
+from .data import check_unique_ids, record_arrays
 from .metrics import aggregate, compute_metrics
 from .trainer import TrainConfig, train
 
@@ -53,9 +53,8 @@ def months_from_dataset(dataset, months=None):
     for month, records in dataset.by_month().items():
         if months is not None and month not in months:
             continue
-        X = np.stack([r.features for r in records])
-        y = np.array([r.label for r in records], dtype=np.int64)
-        out.append(MonthData(month, [r.id for r in records], X, y))
+        X, y, ids = record_arrays(records, dataset.feature_dim)
+        out.append(MonthData(month, ids, X, y))
     return out
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -153,11 +155,26 @@ class TestShardValidation:
         with pytest.raises(dio.DataError, match="labels"):
             dio.load_dataset(ds_dir)
 
-    @pytest.mark.parametrize("value", ["2", "-1"])
+    # int("+1") == int("01") == int("0_1") == int("\uff11") == 1, but a label
+    # cell must be exactly 0 or 1
+    @pytest.mark.parametrize("value", ["2", "-1", " 1", "+1", "01", "0_1", "\uff11"])
     def test_csv_label_outside_classes(self, tmp_path, value):
         ds_dir = self.saved(tmp_path, fmt="csv")
         rewrite_shard(ds_dir, ".csv", lambda raw: set_csv_cell(raw, 1, value))
         with pytest.raises(dio.DataError, match="labels"):
+            dio.load_dataset(ds_dir)
+        with pytest.raises(dio.DataError, match="not an id,label,features table"):
+            dio.load_dataset(ds_dir)
+
+    def test_binary_padding_bits_set(self, tmp_path):
+        # d = 3: each row is one byte whose 5 low bits are padding
+        ds_dir = self.saved(tmp_path, ds=make_dataset(d=3))
+        raw = (ds_dir / "2020-01.bfv").read_bytes()
+        _, idlen = struct.unpack_from("<BH", raw, 16)
+        row = 16 + 3 + idlen
+        rewrite_shard(ds_dir, ".bfv",
+                      lambda raw: raw[:row] + bytes([raw[row] | 0x01]) + raw[row + 1:])
+        with pytest.raises(dio.DataError, match="padding bits"):
             dio.load_dataset(ds_dir)
 
     def test_csv_label_beyond_int64(self, tmp_path):
@@ -182,7 +199,8 @@ class TestShardValidation:
     def test_empty_shard_loads(self, tmp_path, fmt, suffix):
         ds_dir = self.saved(tmp_path, fmt=fmt)
         write = dio._shard_bytes_binary if fmt == "binary" else dio._shard_bytes_csv
-        rewrite_shard(ds_dir, suffix, lambda raw: write([], 10),
+        empty = ([], np.zeros(0, dtype=np.int64), np.zeros((0, 10), dtype=np.uint8))
+        rewrite_shard(ds_dir, suffix, lambda raw: write(*empty),
                       benign=0, malware=0)
         _, loaded = dio.load_dataset(ds_dir)
         assert len(loaded.records) == 50
@@ -263,6 +281,26 @@ class TestManifestValidation:
         with pytest.raises(dio.DataError, match="2020-01.csv has unknown format 'tsv'"):
             dio.load_dataset(ds_dir)
 
+    @pytest.mark.parametrize("fmt,rid", [
+        ("binary", "x" * 0x10000),
+        ("binary", "\u20ac" * 21846),  # 65,538 UTF-8 bytes in 21,846 characters
+        ("csv", "a,b"), ("csv", "a\nb"), ("csv", "a\rb"), ("csv", "a\u2028b"),
+        ("binary", "a\ud800"), ("csv", "a\ud800"),
+    ])
+    def test_save_rejects_an_id_the_format_cannot_carry(self, tmp_path, fmt, rid):
+        ds = make_dataset()
+        ds.records[-1].id = rid  # in the last month, so every other shard is valid
+        with pytest.raises(dio.DataError, match=re.escape(repr(rid[:32]))):
+            dio.save_dataset(ds, tmp_path / "ds", fmt=fmt)
+        assert not (tmp_path / "ds").exists()
+
+    def test_binary_id_of_65535_bytes_round_trips(self, tmp_path):
+        ds = make_dataset()
+        ds.records[0].id = "x" * 0xFFFF
+        dio.save_dataset(ds, tmp_path / "ds")
+        _, loaded = dio.load_dataset(tmp_path / "ds")
+        assert loaded.records[0].id == ds.records[0].id
+
     def test_save_rejects_unknown_format(self, tmp_path):
         with pytest.raises(dio.DataError, match="'CSV'"):
             dio.save_dataset(make_dataset(), tmp_path / "ds", fmt="CSV")
@@ -276,16 +314,21 @@ def per_cell_csv(records, dim):
     return ("\n".join(lines) + "\n").encode()
 
 
+def write_csv(records, dim):
+    X, y, ids = dio.record_arrays(records, dim)
+    return dio._shard_bytes_csv(ids, y, X)
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("n", [0, 1, 37])
     def test_matches_per_cell_reference(self, n):
         records = make_dataset(n=n, d=13).records
-        assert dio._shard_bytes_csv(records, 13) == per_cell_csv(records, 13)
+        assert write_csv(records, 13) == per_cell_csv(records, 13)
 
     def test_generated_dataset_matches_per_cell_reference(self):
         gen = dio.DriftGeneratorConfig(dim=30, months=2, samples_per_month_per_class=20)
         for records in dio.synth_drift_generate(gen).by_month().values():
-            assert dio._shard_bytes_csv(records, 30) == per_cell_csv(records, 30)
+            assert write_csv(records, 30) == per_cell_csv(records, 30)
 
 
 class TestLabelRatioSplit:
