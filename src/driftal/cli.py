@@ -160,17 +160,19 @@ def _setup_from_config(config, streams=True):
     else:
         k = typed(split.get("train_months", 2), "split.train_months", int, minimum=1)
         train_months = months[:k]
-    in_train = set(train_months)
+    # test-then-train: every stream month comes after the last training month
+    last = train_months[-1]
     if "stream" in split:
         stream_months = _period(split, "stream", months)
+        if stream_months[0] <= last:
+            raise ConfigError(f"split.stream: month {stream_months[0]} is not after "
+                              f"the last training month {last}")
     else:
-        stream_months = [m for m in months if m not in in_train]
+        stream_months = [m for m in months if m > last]
         if streams and not stream_months:
             key = "train" if "train" in split else "train_months"
             raise ConfigError(f"split.{key}: no month of the dataset is left to stream")
-    shared = sorted(in_train & set(stream_months))
-    if shared:
-        raise ConfigError(f"split.train and split.stream share months {shared}")
+    in_train = set(train_months)
     label_ratio = typed(config.get("label_ratio", 0.4), "label_ratio", float,
                         minimum=0, maximum=1)
     n_train = sum(r.month in in_train for r in dataset.records)
@@ -318,7 +320,13 @@ def _check_result(payload, where):
         raise dio.DataError(f"{where}: {len(monthly)} 'monthly' entries but "
                             f"{len(selected)} 'selected_ids' lists")
     for i, (entry, ids) in enumerate(zip(monthly, selected)):
-        dio.require_keys(entry, _MONTH_TYPES, f"{where}: monthly[{i}]")
+        at = f"{where}: monthly[{i}]"
+        dio.require_keys(entry, _MONTH_TYPES, at)
+        dio.check_month(entry["month"], f"{at}: 'month'")
+        for key in ("f1", "fnr", "fpr"):
+            if entry[key] is not None and not 0 <= entry[key] <= 1:  # NaN too
+                raise dio.DataError(f"{at}: {key!r} must be a number in [0, 1] or "
+                                    f"null, got {entry[key]!r}")
         if not isinstance(ids, list):
             raise dio.DataError(f"{where}: selected_ids[{i}] must be of type list")
 
@@ -329,7 +337,7 @@ def cmd_report(args, config, out_dir):
         raise dio.DataError(f"result file not found: {src}")
     try:
         payload = json.loads(src.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
         raise dio.DataError(f"result file {src} is not valid JSON: {e}") from None
     _check_result(payload, f"result file {src}")
     dest = met.write_report_csv(payload, out_dir / "result.csv")

@@ -11,16 +11,12 @@ class ConfigError(ValueError):
     pass
 
 
-def typed(value, key, kind, minimum=None, maximum=None, above=None, choices=None,
-          nullable=False):
+def typed(value, key, kind, minimum=None, maximum=None, above=None, choices=None):
     """Config value ``key`` as ``kind`` (int, float or str) within its bounds.
 
     ``minimum`` and ``maximum`` are inclusive, ``above`` is exclusive. A float
-    key also takes an integer, booleans are never numbers here, and a
-    ``nullable`` key also takes None.
+    key also takes an integer, and booleans are never numbers here.
     """
-    if value is None and nullable:
-        return None
     accepted = (int, float) if kind is float else kind
     if not (isinstance(value, bool) or not isinstance(value, accepted)
             or (minimum is not None and not value >= minimum)
@@ -36,7 +32,7 @@ def typed(value, key, kind, minimum=None, maximum=None, above=None, choices=None
              else f" in {low}, {maximum}]" if maximum is not None
              else f" >= {minimum}" if above is None else f" > {above}")
     wanted = f"one of {sorted(choices)}" if choices else f"{kind.__name__}{bound}"
-    raise ConfigError(f"{key}: expected {'None or ' * nullable}{wanted}, got {value!r}")
+    raise ConfigError(f"{key}: expected {wanted}, got {value!r}")
 
 
 def typed_list(values, key, kind, **bounds):
@@ -53,7 +49,7 @@ def checked(default, kind, **bounds):
 
 def check_fields(obj):
     """Check every ``checked`` field of dataclass ``obj``. A field whose default
-    is a tuple holds a nonempty tuple; one whose default is None may be None."""
+    is a tuple holds a nonempty tuple."""
     for f in fields(obj):
         if "kind" not in f.metadata:
             continue
@@ -61,4 +57,4 @@ def check_fields(obj):
         if isinstance(f.default, tuple):
             object.__setattr__(obj, f.name, tuple(typed_list(value, f.name, **f.metadata)))
         else:
-            typed(value, f.name, nullable=f.default is None, **f.metadata)
+            typed(value, f.name, **f.metadata)

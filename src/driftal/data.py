@@ -60,7 +60,7 @@ class Dataset:
         return Dataset(self.name, self.feature_dim, [self.records[i] for i in indices])
 
 
-def _check_month(month, key="month", error=DataError):
+def check_month(month, key="month", error=DataError):
     """(year, month) of a 'YYYY-MM' string; any other value is an error naming ``key``."""
     parts = month.split("-") if isinstance(month, str) and month.isascii() else []
     if ([len(p) for p in parts] == [4, 2] and all(p.isdigit() for p in parts)
@@ -71,8 +71,8 @@ def _check_month(month, key="month", error=DataError):
 
 def month_range(start, end):
     """All YYYY-MM strings from start to end inclusive."""
-    y0, m0 = _check_month(start)
-    y1, m1 = _check_month(end)
+    y0, m0 = check_month(start)
+    y1, m1 = check_month(end)
     if (y0, m0) > (y1, m1):
         raise DataError(f"month range {start}..{end} is reversed")
     out = []
@@ -90,7 +90,7 @@ def parse_period(period):
     if ".." in period:
         start, end = period.split("..", 1)
         return month_range(start, end)
-    _check_month(period)
+    check_month(period)
     return [period]
 
 
@@ -108,10 +108,10 @@ CSV_ID_BREAKS = ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 def record_arrays(records, dim):
     """(X uint8 [n, dim], y int64 [n], ids) of ``records``, in record order.
 
-    Every feature vector must have shape ``(dim,)``. The rows are joined by
-    one concatenate and reshape, which is 3-5x faster than ``np.stack`` on
-    10^4 rows; the shape check catches the ragged rows a bare reshape would
-    accept.
+    Every feature vector must have shape ``(dim,)``, and every label and
+    feature value must be 0 or 1. The rows are joined by one concatenate and
+    reshape, which is 3-5x faster than ``np.stack`` on 10^4 rows; the shape
+    check catches the ragged rows a bare reshape would accept.
     """
     rows = list(map(attrgetter("features"), records))
     if set(map(attrgetter("shape"), rows)) - {(dim,)}:
@@ -120,13 +120,15 @@ def record_arrays(records, dim):
                         f"{rows[k].shape}, expected ({dim},)")
     X = (np.concatenate(rows).reshape(len(rows), dim) if rows
          else np.zeros((0, dim), dtype=np.uint8))
-    y = np.fromiter(map(attrgetter("label"), records), dtype=np.int64, count=len(rows))
+    labels = list(map(attrgetter("label"), records))
+    # cheap screens (the set of labels, the max of a uint8 matrix), then exact
+    if not set(labels) <= {0, 1} or X.dtype != np.uint8 or X.max(initial=0) > 1:
+        bad = [v not in (0, 1) for v in labels] | ((X != 0) & (X != 1)).any(axis=1)
+        if bad.any():
+            raise DataError(f"record {records[int(np.argmax(bad))].id!r} has a label "
+                            "or feature value other than 0 and 1")
+    y = np.fromiter(labels, dtype=np.int64, count=len(rows))
     return X, y, list(map(attrgetter("id"), records))
-
-
-def _check_labels(labels, where):
-    if ((labels != 0) & (labels != 1)).any():
-        raise DataError(f"{where} has labels outside {{0, 1}}")
 
 
 def _utf8_ids(ids):
@@ -152,15 +154,14 @@ def _insert_ids(block, at, raw_ids, idlen):
 
 
 def _shard_bytes_binary(ids, labels, X):
-    """Binary shard bytes of the rows ``(ids, labels, X)``.
+    """Binary shard bytes of the rows ``(ids, labels, X)``, whose labels and
+    features ``record_arrays`` has checked to be 0 or 1.
 
     After the header each record holds its label byte, the little-endian
     uint16 byte length of its UTF-8 id, the id, and ``ceil(d / 8)`` bytes of
     ``np.packbits`` bits whose padding bits are 0.
     """
     n, d = X.shape
-    labels = np.asarray(labels)
-    _check_labels(labels, "a binary shard")
     raw_ids, idlen = _utf8_ids(ids)
     if n and idlen.max() > MAX_BINARY_ID_BYTES:
         k = int(np.argmax(idlen > MAX_BINARY_ID_BYTES))
@@ -204,7 +205,8 @@ def _read_shard_binary(raw, dim, path):
     buf = np.frombuffer(raw, dtype=np.uint8)
     starts = np.array(starts, dtype=np.intp)
     labels = buf[starts].astype(np.int64)
-    _check_labels(labels, f"shard {path}")
+    if (labels > 1).any():
+        raise DataError(f"shard {path} has labels outside {{0, 1}}")
     id_from = starts + 3
     id_to = id_from + buf[starts + 1] + (buf[starts + 2].astype(np.intp) << 8)
     try:
@@ -222,11 +224,10 @@ def _has_csv_break(text):
 
 
 def _shard_bytes_csv(ids, labels, X):
-    """CSV shard bytes of the rows ``(ids, labels, X)``: a header, then per
-    row ``id,label,`` and one ``b,`` per feature with the last "," as "\n"."""
+    """CSV shard bytes of the rows ``(ids, labels, X)``, checked as for
+    ``_shard_bytes_binary``: a header, then per row ``id,label,`` and one
+    ``b,`` per feature with the last "," as "\n"."""
     n, dim = X.shape
-    labels = np.asarray(labels)
-    _check_labels(labels, "a CSV shard")
     if _has_csv_break("".join(ids)):
         bad = next(i for i in ids if _has_csv_break(i))
         raise DataError(f"id {bad!r} holds a comma or a line break, which a CSV "
@@ -319,13 +320,15 @@ def save_dataset(dataset, path, fmt="binary"):
 def require_keys(entry, types, where):
     """``entry`` read from a file must be an object with a ``types[key]`` per key.
 
-    A ``types`` value is a type or a tuple of types, as for ``isinstance``.
+    A ``types`` value is a type or a tuple of types, as for ``isinstance``,
+    except that a JSON ``true`` or ``false`` is not an ``int``.
     """
     for key, kind in types.items():
         if not isinstance(entry, dict) or key not in entry:
             raise DataError(f"{where} has no {key!r}")
-        if not isinstance(entry[key], kind):
-            kinds = kind if isinstance(kind, tuple) else (kind,)
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if not isinstance(entry[key], kinds) or (isinstance(entry[key], bool)
+                                                 and bool not in kinds):
             names = " or ".join(k.__name__ for k in kinds)
             raise DataError(f"{where}: {key!r} must be of type {names}")
 
@@ -345,14 +348,14 @@ def load_dataset(path):
         raise DataError(f"no manifest.json under {path}")
     try:
         manifest = json.loads(mpath.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
         raise DataError(f"{mpath} is not valid JSON: {e}") from None
     require_keys(manifest, {"version": int, "name": str, "feature_dim": int,
                             "shards": list}, mpath)
     if manifest["version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {manifest['version']}")
     dim = manifest["feature_dim"]
-    if isinstance(dim, bool) or dim < 1:
+    if dim < 1:
         raise DataError(f"{mpath}: 'feature_dim' must be an int >= 1, got {dim!r}")
     dataset = Dataset(manifest["name"], dim)
     all_ids = []
@@ -360,7 +363,7 @@ def load_dataset(path):
         require_keys(shard, {"month": str, "file": str, "format": str, "sha256": str,
                              "benign": int, "malware": int}, f"{mpath} shard {pos}")
         month, fname, fmt = shard["month"], shard["file"], shard["format"]
-        _check_month(month, f"{mpath} shard {pos}: 'month'")
+        check_month(month, f"{mpath} shard {pos}: 'month'")
         if fmt not in SHARD_FORMATS:
             raise DataError(f"shard {fname} has unknown format {fmt!r}")
         if Path(fname).name != fname or "\x00" in fname:
@@ -397,6 +400,8 @@ def label_ratio_split(train, ratio, seed):
     rng = np.random.default_rng(seed)
     by_class = {0: [], 1: []}
     for i, r in enumerate(train.records):
+        if r.label not in by_class:
+            raise DataError(f"record {r.id!r} has label {r.label!r}, expected 0 or 1")
         by_class[r.label].append(i)
     labeled = []
     # largest-remainder apportionment keeps class proportions within one sample
@@ -458,7 +463,7 @@ class DriftGeneratorConfig:
         if self.prob_low > self.prob_high:
             raise ConfigError(f"prob_low: expected <= prob_high ({self.prob_high!r}), "
                               f"got {self.prob_low!r}")
-        _check_month(self.start_month, "start_month", ConfigError)
+        check_month(self.start_month, "start_month", ConfigError)
 
 
 def synth_drift_generate(cfg):
@@ -483,7 +488,7 @@ def synth_drift_generate(cfg):
     theta = np.stack([draw_rates(d), draw_rates(d)])  # [class, feature]
     theta[1, shared_mask] = theta[0, shared_mask]
 
-    y, m = _check_month(cfg.start_month)
+    y, m = check_month(cfg.start_month)
     last = 12 * y + m - 1 + cfg.months - 1  # months since year 0, zero-based
     month_names = month_range(cfg.start_month, f"{last // 12:04d}-{last % 12 + 1:02d}")
 

@@ -87,20 +87,17 @@ def default_synthetic_setup(
     dim=200,
     stream_months=12,
     samples=500,
-    drift_rate=0.15,
-    train_months=2,
     label_ratio=0.4,
-    noise_rate=0.0,
     epochs=20,
     retrain_epochs=8,
     hidden=(64, 32),
 ):
-    """Desk-scale synthetic drift experiment used by the demos and tests."""
+    """Desk-scale synthetic drift experiment used by the demos and tests: two
+    training months, then ``stream_months`` to stream, without label noise."""
     gen = dio.DriftGeneratorConfig(
         dim=dim,
-        months=train_months + stream_months,
+        months=2 + stream_months,
         samples_per_month_per_class=samples,
-        drift_rate=drift_rate,
         seed=seed,
     )
     dataset = dio.synth_drift_generate(gen)
@@ -108,10 +105,9 @@ def default_synthetic_setup(
     cfg = TrainConfig(epochs=epochs, hidden=hidden, loss=LossConfig())
     return ExperimentSetup(
         dataset=dataset,
-        train_months=months[:train_months],
-        stream_months=months[train_months:],
+        train_months=months[:2],
+        stream_months=months[2:],
         label_ratio=label_ratio,
-        noise_rate=noise_rate,
         train_cfg=cfg,
         retrain_epochs=retrain_epochs,
     )

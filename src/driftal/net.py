@@ -8,7 +8,8 @@ the contrastive loss and the distance-based selection criterion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -237,13 +238,14 @@ def _array(checkpoint, name, path):
 class Optimizer:
     """Adam (Kingma & Ba, 2015) over a Classifier's parameter vector ``theta``."""
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
+
     learning_rate: float = checked(1e-3, float, above=0)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: np.ndarray | None = None  # first moment, shaped like theta
-    v: np.ndarray | None = None  # second moment, shaped like theta
+    step_count: int = field(default=0, init=False)
+    m: np.ndarray | None = field(default=None, init=False)  # first moment, like theta
+    v: np.ndarray | None = field(default=None, init=False)  # second moment, like theta
 
     def __post_init__(self):
         check_fields(self)

@@ -34,9 +34,6 @@ class SelectorConfig:
     gamma: float = checked(1.0, float, minimum=0)
     p_norm: float = checked(2.0, float, minimum=1)
     low_confidence_cutoff: float = checked(0.75, float, minimum=0, maximum=1)
-    # optional pre-filter keeping only the intersection of the top-q
-    # quantiles of the three criteria before scoring; disabled by default
-    intersection_quantile: float | None = checked(None, float, minimum=0, maximum=1)
 
     def __post_init__(self):
         check_fields(self)
@@ -172,16 +169,5 @@ def select(pool_X, model, labeled_embs, cfg, budget, rng=None):
     if cfg.kind == "low_confidence_only":
         eligible = scores.confidence < cfg.low_confidence_cutoff
         return _top_k(-scores.confidence, k, eligible=eligible), scores
-    # multi_criteria
-    eligible = None
-    if cfg.intersection_quantile is not None:
-        q = cfg.intersection_quantile
-        eligible = (
-            (scores.margin <= np.quantile(scores.margin, q))
-            & (scores.lp_distance >= np.quantile(scores.lp_distance, 1 - q))
-            & (scores.confidence <= np.quantile(scores.confidence, q))
-        )
-        if not eligible.any():
-            eligible = None  # fall back to the full pool
-    return _top_k(scores.hybrid, k, eligible=eligible), scores
+    return _top_k(scores.hybrid, k), scores  # multi_criteria
 

@@ -102,6 +102,16 @@ class TestStream:
         result = json.loads((out / "seed0" / "result.json").read_text())
         assert [m["month"] for m in result["monthly"]] == ["2020-04"]
 
+    def test_default_stream_follows_training(self, tmp_path):
+        # the months before a later training period are never streamed
+        cfg = write_config(tmp_path, generator={**base_config()["generator"], "months": 6},
+                           split={"train": "2020-03..2020-04"})
+        out = tmp_path / "out"
+        assert main(["stream", "--config", cfg, "--out", str(out),
+                     "--seed", "0"]) == EXIT_OK
+        result = json.loads((out / "seed0" / "result.json").read_text())
+        assert [m["month"] for m in result["monthly"]] == ["2020-05", "2020-06"]
+
 
 class TestAblate:
     def test_grid(self, tmp_path):
@@ -281,6 +291,16 @@ class TestErrorPaths:
                      "--seed", "0"]) == EXIT_CONFIG
         assert "2020-02" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "stream"])
+    def test_stream_before_training_exits_config(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, generator={**base_config()["generator"], "months": 6},
+                           split={"train": "2020-05..2020-06",
+                                  "stream": "2020-01..2020-02"})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "split.stream" in err and "2020-01" in err
+
     def test_csv_label_beyond_int64_exits_data(self, tmp_path, capsys):
         gen = dio.DriftGeneratorConfig(dim=20, months=4,
                                        samples_per_month_per_class=25)
@@ -345,6 +365,7 @@ class TestErrorPaths:
         ("[]", "has no 'monthly'"),
         ('{"monthly": {}, "selected_ids": []}', "'monthly' must be of type list"),
         ("\udcff", "not valid JSON"),
+        pytest.param("[" + "1" * 5000 + "]", "not valid JSON", id="int-digit-limit"),
         ('{"monthly": [{}], "selected_ids": [[]]}', "monthly[0] has no 'month'"),
         ('{"monthly": [], "selected_ids": [[]]}',
          "0 'monthly' entries but 1 'selected_ids' lists"),
@@ -383,6 +404,15 @@ class TestErrorPaths:
         ([{"fpr": "x"}], [[]], "'fpr' must be of type int or float or NoneType"),
         ([{"tp": 1.5}], [[]], "monthly[0]: 'tp' must be of type int"),
         ([{}, {}], [[], 3], "selected_ids[1] must be of type list"),
+        # JSON true and false are not counts or ratios
+        ([{"tp": True}], [[]], "monthly[0]: 'tp' must be of type int"),
+        ([{"fpr": False}], [[]], "'fpr' must be of type int or float or NoneType"),
+        # a ratio is a finite number in [0, 1]
+        ([{"f1": float("nan")}], [[]], "'f1' must be a number in [0, 1] or null, got nan"),
+        ([{"fnr": float("inf")}], [[]], "'fnr' must be a number in [0, 1] or null"),
+        ([{"fpr": 1.5}], [[]], "'fpr' must be a number in [0, 1] or null"),
+        ([{"f1": -1}], [[]], "'f1' must be a number in [0, 1] or null"),
+        ([{}, {"month": "2020-13"}], [[], []], "monthly[1]: 'month': expected YYYY-MM"),
     ])
     def test_report_bad_entry(self, tmp_path, capsys, monthly, selected, problem):
         monthly = [self._month(**m) if isinstance(m, dict) else m
@@ -496,9 +526,9 @@ class TestErrorPaths:
         ("stream", "train.augment.weak_prob", 0.5),  # above the default strong_prob
         ("stream", "stream.selector.alpha", True),
         ("stream", "stream.selector.p_norm", "x"),
-        ("stream", "stream.selector.intersection_quantile", 5),
-        ("stream", "stream.selector.intersection_quantile", -0.5),
-        ("stream", "stream.selector.intersection_quantile", "x"),
+        ("stream", "stream.selector.p_norm", 0.5),
+        ("stream", "stream.selector.beta", "x"),
+        ("stream", "stream.selector.gamma", -1),
         ("stream", "stream.selector.low_confidence_cutoff", "x"),
         ("stream", "stream.selector.low_confidence_cutoff", -3),
         ("stream", "stream.selector.kind", "entropy"),
@@ -576,6 +606,8 @@ class TestErrorPaths:
         ("ablate", "budget", [3]),
         ("bench", "budgets", [3]),
         ("", "label_ration", 0.9),  # the top level
+        # a key that driftal no longer reads fails loudly instead of being ignored
+        ("stream.selector", "intersection_quantile", 0.5),
     ])
     def test_unread_config_key_rejected(self, tmp_path, capsys, section, key, value):
         cfg = base_config()

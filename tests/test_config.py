@@ -52,10 +52,6 @@ def widths(v):
     return type(v) in (list, tuple) and len(v) > 0 and all(integer(1)(w) for w in v)
 
 
-def optional(accepts):
-    return lambda v: v is None or accepts(v)
-
-
 # (class, field, accepts, other fields that keep the rules between fields true)
 TABLE = [
     (DriftGeneratorConfig, "dim", integer(1), {}),
@@ -86,7 +82,6 @@ TABLE = [
     (SelectorConfig, "gamma", number(0), {}),
     (SelectorConfig, "p_norm", number(1), {}),
     (SelectorConfig, "low_confidence_cutoff", number(0, 1), {}),
-    (SelectorConfig, "intersection_quantile", optional(number(0, 1)), {}),
     (StreamConfig, "budget", integer(0), {}),
     (StreamConfig, "seed", integer(0), {}),
     (Optimizer, "learning_rate", number(0, low_open=True), {}),

@@ -10,6 +10,7 @@ from driftal import data as dio
 from driftal.config import ConfigError
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
+from driftal.stream import months_from_dataset
 from driftal.trainer import TrainConfig, build_model, train
 
 
@@ -219,7 +220,10 @@ class TestManifestValidation:
 
     saved = staticmethod(TestShardValidation.saved)
 
-    @pytest.mark.parametrize("raw", [b"{not json", b"\xff"])
+    @pytest.mark.parametrize("raw", [
+        b"{not json", b"\xff",
+        pytest.param(b"[" + b"1" * 5000 + b"]", id="int-digit-limit"),
+    ])
     def test_not_json(self, tmp_path, raw):
         ds_dir = self.saved(tmp_path)
         (ds_dir / "manifest.json").write_bytes(raw)
@@ -249,6 +253,11 @@ class TestManifestValidation:
         (0, "file", 5),
         (0, "format", ["csv"]),
         (0, "benign", "25"),
+        # a JSON true or false is not an int
+        (None, "feature_dim", True),
+        (None, "version", True),
+        (0, "benign", True),
+        (1, "malware", False),
     ])
     def test_wrong_value_type(self, tmp_path, entry, key, value):
         ds_dir = self.saved(tmp_path)
@@ -260,7 +269,7 @@ class TestManifestValidation:
         with pytest.raises(dio.DataError, match=f"'{key}' must be of type"):
             dio.load_dataset(ds_dir)
 
-    @pytest.mark.parametrize("dim", [0, True])
+    @pytest.mark.parametrize("dim", [0])
     def test_feature_dim_below_one(self, tmp_path, dim):
         ds_dir = self.saved(tmp_path)
         edit_manifest(ds_dir, lambda m: m.update(feature_dim=dim))
@@ -301,6 +310,15 @@ class TestManifestValidation:
         _, loaded = dio.load_dataset(tmp_path / "ds")
         assert loaded.records[0].id == ds.records[0].id
 
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("features", [[2, 0, 255], [0.5, 0, 1], [-1, 0, 1]])
+    def test_save_rejects_a_value_outside_bits(self, tmp_path, fmt, features):
+        ds = make_dataset(d=3)
+        ds.records[-1].features = np.array(features)  # a binary shard keeps nonzero-ness
+        with pytest.raises(dio.DataError, match=ds.records[-1].id):
+            dio.save_dataset(ds, tmp_path / "ds", fmt=fmt)
+        assert not (tmp_path / "ds").exists()
+
     def test_save_rejects_unknown_format(self, tmp_path):
         with pytest.raises(dio.DataError, match="'CSV'"):
             dio.save_dataset(make_dataset(), tmp_path / "ds", fmt="CSV")
@@ -329,6 +347,30 @@ class TestCsvWriter:
         gen = dio.DriftGeneratorConfig(dim=30, months=2, samples_per_month_per_class=20)
         for records in dio.synth_drift_generate(gen).by_month().values():
             assert write_csv(records, 30) == per_cell_csv(records, 30)
+
+
+class TestRecordValues:
+    """Every label and feature value that reaches the model is 0 or 1."""
+
+    @pytest.mark.parametrize("label,features", [
+        (2, [0, 1, 1]), (-1, [0, 1, 1]), (1, [0, 2, 1]), (0, [0, 1, 255]),
+        (1, [0.0, 1.0, 0.5]), (0.5, [0, 1, 1]), ("1", [0, 1, 1]),
+    ])
+    def test_arrays_reject_a_value_outside_bits(self, label, features):
+        ds = make_dataset(n=4, d=3)
+        bad = ds.records[2]
+        bad.label, bad.features = label, np.array(features)
+        with pytest.raises(dio.DataError, match=f"record '{bad.id}'"):
+            ds.to_arrays()
+        with pytest.raises(dio.DataError, match=f"record '{bad.id}'"):
+            months_from_dataset(ds)
+
+    @pytest.mark.parametrize("label", [2, -1, "1", None])
+    def test_label_ratio_split_rejects_a_label_outside_classes(self, label):
+        ds = make_dataset()
+        ds.records[7].label = label
+        with pytest.raises(dio.DataError, match=f"record 'r0007' has label {label!r}"):
+            dio.label_ratio_split(ds, 0.4, 0)
 
 
 class TestLabelRatioSplit:

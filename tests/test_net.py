@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -148,6 +149,14 @@ class TestBackward:
 
 
 class TestOptimizer:
+    def test_learning_rate_is_the_only_setting(self):
+        assert [f.name for f in fields(Optimizer) if f.init] == ["learning_rate"]
+        with pytest.raises(TypeError):
+            Optimizer(beta1=0.5)
+        opt = Optimizer(learning_rate=0.1)
+        assert (opt.beta1, opt.beta2, opt.eps) == (0.9, 0.999, 1e-8)
+        assert (opt.step_count, opt.m, opt.v) == (0, None, None)
+
     def test_adam_first_step_magnitude(self):
         m = Classifier((1, 2), init=False)
         opt = Optimizer(learning_rate=1e-3)

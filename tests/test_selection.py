@@ -296,12 +296,6 @@ class TestSelect:
         assert np.array_equal(scores.lp_distance, full.lp_distance)
         assert chosen == selection_oracle(full, cfg, 10)
 
-    def test_intersection_prefilter(self):
-        cfg = SelectorConfig(intersection_quantile=0.8)
-        chosen, scores = select(self.pool, self.model, self.labeled_embs, cfg, 10)
-        assert len(chosen) <= 10
-        assert len(set(chosen)) == len(chosen)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SelectorConfig(kind="entropy")

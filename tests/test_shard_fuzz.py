@@ -6,7 +6,8 @@ reads as the rows it was written from. A binary shard that reads is written
 back to the same bytes; a CSV shard reads back the same after it is written
 again (its reader accepts CRLF rows and any header names, which the writer
 does not reproduce). A correct manifest load holds exactly the rows of the
-shard files its entries name, in entry order, under each entry's month.
+shard files its entries name, in entry order, under each entry's month, and
+its integer keys hold ints, not a JSON ``true`` or ``false``.
 """
 
 import functools
@@ -179,6 +180,8 @@ def apply_edits(manifest, edits):
 @given(edits=manifest_edits(), whole=st.none() | JSON)
 @example(edits=[("set", 0, "file", "\x00")], whole=None)
 @example(edits=[("set", 0, "file", "../ds/2020-01.bfv")], whole=None)
+@example(edits=[("set", None, "version", True)], whole=None)
+@example(edits=[("set", 0, "benign", True)], whole=None)
 def test_manifest(tmp_path, edits, whole):
     ds_dir = tmp_path / "ds"
     base, rows = saved_dataset(ds_dir)  # the shards are written once per test run
@@ -191,6 +194,10 @@ def test_manifest(tmp_path, edits, whole):
         return
     assert all(shard["file"] in rows for shard in manifest["shards"]), \
         "read a file that is not one of the dataset's shards"
+    assert all(type(entry[key]) is int for entry, key in [
+        (manifest, "version"), (manifest, "feature_dim"),
+        *((shard, key) for shard in manifest["shards"] for key in ("benign", "malware"))
+    ]), "read a true or false as a number"
     expected = [(r.id, shard["month"], r.label, r.features.tolist())
                 for shard in manifest["shards"] for r in rows[shard["file"]]]
     assert dataset.name == manifest["name"]
