@@ -22,7 +22,7 @@ from pathlib import Path
 from . import data as dio
 from . import metrics as met
 from .augment import AugmentConfig
-from .config import ConfigError, typed, typed_list
+from .config import ConfigError, entry, typed, typed_list
 from .experiment import Experiment, ExperimentSetup
 from .losses import LossConfig
 from .net import NumericError
@@ -73,13 +73,13 @@ def _section(config, key):
     """The object at dotted ``key`` ({} when absent; the config itself for
     ""). Any other value, or a key ``SECTION_KEYS`` does not allow, is an error."""
     parent, _, name = key.rpartition(".")
-    entry = _section(config, parent).get(name, {}) if key else config
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{key}: expected an object, got {entry!r}")
-    unknown = sorted(set(entry) - SECTION_KEYS[key])
+    section = _section(config, parent).get(name, {}) if key else config
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected an object, got {section!r}")
+    unknown = sorted(set(section) - SECTION_KEYS[key])
     if unknown:
         raise ConfigError(f"{key or 'config'}: unknown keys {unknown}")
-    return entry
+    return section
 
 
 def _override(config, key, value):
@@ -307,28 +307,28 @@ def cmd_noise(args, config, out_dir):
     return seeds, [path]
 
 
-# a MonthlyMetrics.to_dict() entry; undefined ratios are null
-_MONTH_TYPES = {"month": str, "tp": int, "fp": int, "tn": int, "fn": int,
-                **dict.fromkeys(("f1", "fnr", "fpr"), (int, float, type(None)))}
-
-
 def _check_result(payload, where):
-    """A ``StreamResult.to_dict()`` payload: one id list per monthly entry."""
-    dio.require_keys(payload, {"monthly": list, "selected_ids": list}, where)
-    monthly, selected = payload["monthly"], payload["selected_ids"]
+    """A ``StreamResult.to_dict()`` payload: one id list per monthly entry, whose
+    counts are ints >= 0 and whose ratios are those of its counts (null where
+    undefined). Returns its monthly metrics and id lists as checked."""
+    monthly = entry(payload, "monthly", where, list, dio.DataError)
+    selected = entry(payload, "selected_ids", where, list, dio.DataError)
     if len(monthly) != len(selected):
         raise dio.DataError(f"{where}: {len(monthly)} 'monthly' entries but "
                             f"{len(selected)} 'selected_ids' lists")
-    for i, (entry, ids) in enumerate(zip(monthly, selected)):
+    checked = []
+    for i, (row, ids) in enumerate(zip(monthly, selected)):
         at = f"{where}: monthly[{i}]"
-        dio.require_keys(entry, _MONTH_TYPES, at)
-        dio.check_month(entry["month"], f"{at}: 'month'")
+        month = entry(row, "month", at, str, dio.DataError)
+        dio.check_month(month, f"{at}: 'month'")
+        counts = [entry(row, key, at, int, dio.DataError, minimum=0)
+                  for key in ("tp", "fp", "tn", "fn")]
+        ratios = met.from_counts(month, *counts)
         for key in ("f1", "fnr", "fpr"):
-            if entry[key] is not None and not 0 <= entry[key] <= 1:  # NaN too
-                raise dio.DataError(f"{at}: {key!r} must be a number in [0, 1] or "
-                                    f"null, got {entry[key]!r}")
-        if not isinstance(ids, list):
-            raise dio.DataError(f"{where}: selected_ids[{i}] must be of type list")
+            entry(row, key, at, float, dio.DataError, choices=(getattr(ratios, key),))
+        typed(ids, f"{where}: selected_ids[{i}]", list, dio.DataError)
+        checked.append(ratios.to_dict())
+    return {"monthly": checked, "selected_ids": selected}
 
 
 def cmd_report(args, config, out_dir):
@@ -339,8 +339,8 @@ def cmd_report(args, config, out_dir):
         payload = json.loads(src.read_text())
     except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
         raise dio.DataError(f"result file {src} is not valid JSON: {e}") from None
-    _check_result(payload, f"result file {src}")
-    dest = met.write_report_csv(payload, out_dir / "result.csv")
+    checked = _check_result(payload, f"result file {src}")
+    dest = met.write_report_csv(checked, out_dir / "result.csv")
     print(f"wrote {dest}")
     return [], [dest]
 

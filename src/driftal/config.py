@@ -1,6 +1,8 @@
-"""Typed config values: ``checked`` declares a dataclass field's kind and range
-once, ``check_fields`` checks every such field, and the CLI checks its own keys
-with the same ``typed``. A bad value raises ``ConfigError("<key>: expected ...")``."""
+"""Typed values read from a file: ``checked`` declares a dataclass field's kind
+and range once, ``check_fields`` checks every such field, the CLI checks its
+own keys with the same ``typed``, and ``entry`` reads a key of a JSON object
+(a manifest, a ``result.json``, a checkpoint's ``meta``) the same way. A bad
+value raises ``error("<key>: expected ...")``, a ``ConfigError`` by default."""
 
 from __future__ import annotations
 
@@ -11,12 +13,16 @@ class ConfigError(ValueError):
     pass
 
 
-def typed(value, key, kind, minimum=None, maximum=None, above=None, choices=None):
-    """Config value ``key`` as ``kind`` (int, float or str) within its bounds.
+def typed(value, key, kind, error=ConfigError, minimum=None, maximum=None, above=None,
+          choices=None):
+    """Value ``key`` as ``kind`` (int, float, str or list) within its bounds.
 
-    ``minimum`` and ``maximum`` are inclusive, ``above`` is exclusive. A float
-    key also takes an integer, and booleans are never numbers here.
+    ``minimum`` and ``maximum`` are inclusive, ``above`` is exclusive, and
+    ``choices`` may hold None to admit a JSON null. A float key also takes an
+    integer, and booleans are never numbers here.
     """
+    if value is None and choices is not None and None in choices:
+        return None
     accepted = (int, float) if kind is float else kind
     if not (isinstance(value, bool) or not isinstance(value, accepted)
             or (minimum is not None and not value >= minimum)
@@ -32,14 +38,22 @@ def typed(value, key, kind, minimum=None, maximum=None, above=None, choices=None
              else f" in {low}, {maximum}]" if maximum is not None
              else f" >= {minimum}" if above is None else f" > {above}")
     wanted = f"one of {sorted(choices)}" if choices else f"{kind.__name__}{bound}"
-    raise ConfigError(f"{key}: expected {wanted}, got {value!r}")
+    raise error(f"{key}: expected {wanted}, got {value!r}")
 
 
-def typed_list(values, key, kind, **bounds):
+def typed_list(values, key, kind, error=ConfigError, **bounds):
     """A nonempty list of ``typed`` values."""
     if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"{key}: expected a nonempty list, got {values!r}")
-    return [typed(v, key, kind, **bounds) for v in values]
+        raise error(f"{key}: expected a nonempty list, got {values!r}")
+    return [typed(v, key, kind, error, **bounds) for v in values]
+
+
+def entry(obj, key, where, kind, error, **bounds):
+    """``obj[key]`` as ``typed`` checks it, where ``obj`` was read from ``where``
+    and must be a JSON object holding ``key``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise error(f"{where} has no {key!r}")
+    return typed(obj[key], f"{where}: {key!r}", kind, error, **bounds)
 
 
 def checked(default, kind, **bounds):

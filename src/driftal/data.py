@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, check_fields, checked
+from .config import ConfigError, check_fields, checked, entry
 
 MAGIC = b"BFVS"
 BINARY_VERSION = 1
@@ -317,22 +317,6 @@ def save_dataset(dataset, path, fmt="binary"):
     return path
 
 
-def require_keys(entry, types, where):
-    """``entry`` read from a file must be an object with a ``types[key]`` per key.
-
-    A ``types`` value is a type or a tuple of types, as for ``isinstance``,
-    except that a JSON ``true`` or ``false`` is not an ``int``.
-    """
-    for key, kind in types.items():
-        if not isinstance(entry, dict) or key not in entry:
-            raise DataError(f"{where} has no {key!r}")
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        if not isinstance(entry[key], kinds) or (isinstance(entry[key], bool)
-                                                 and bool not in kinds):
-            names = " or ".join(k.__name__ for k in kinds)
-            raise DataError(f"{where}: {key!r} must be of type {names}")
-
-
 def check_unique_ids(ids, error, where):
     """Raise ``error`` naming the first repeated ids, if ``ids`` has any."""
     if len(set(ids)) != len(ids):
@@ -350,35 +334,30 @@ def load_dataset(path):
         manifest = json.loads(mpath.read_text())
     except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
         raise DataError(f"{mpath} is not valid JSON: {e}") from None
-    require_keys(manifest, {"version": int, "name": str, "feature_dim": int,
-                            "shards": list}, mpath)
-    if manifest["version"] != MANIFEST_VERSION:
-        raise DataError(f"unsupported manifest version {manifest['version']}")
-    dim = manifest["feature_dim"]
-    if dim < 1:
-        raise DataError(f"{mpath}: 'feature_dim' must be an int >= 1, got {dim!r}")
-    dataset = Dataset(manifest["name"], dim)
+    entry(manifest, "version", mpath, int, DataError, choices=(MANIFEST_VERSION,))
+    dataset = Dataset(entry(manifest, "name", mpath, str, DataError),
+                      entry(manifest, "feature_dim", mpath, int, DataError, minimum=1))
     all_ids = []
-    for pos, shard in enumerate(manifest["shards"]):
-        require_keys(shard, {"month": str, "file": str, "format": str, "sha256": str,
-                             "benign": int, "malware": int}, f"{mpath} shard {pos}")
-        month, fname, fmt = shard["month"], shard["file"], shard["format"]
-        check_month(month, f"{mpath} shard {pos}: 'month'")
-        if fmt not in SHARD_FORMATS:
-            raise DataError(f"shard {fname} has unknown format {fmt!r}")
+    for pos, shard in enumerate(entry(manifest, "shards", mpath, list, DataError)):
+        at = f"{mpath} shard {pos}"
+        month = entry(shard, "month", at, str, DataError)
+        check_month(month, f"{at}: 'month'")
+        fname = entry(shard, "file", at, str, DataError)
+        fmt = entry(shard, "format", at, str, DataError, choices=SHARD_FORMATS)
+        sha256 = entry(shard, "sha256", at, str, DataError)
+        benign, malware = (entry(shard, key, at, int, DataError, minimum=0)
+                           for key in ("benign", "malware"))
         if Path(fname).name != fname or "\x00" in fname:
-            raise DataError(f"{mpath} shard {pos}: 'file' must name a file in {path}, "
-                            f"got {fname!r}")
+            raise DataError(f"{at}: 'file' must name a file in {path}, got {fname!r}")
         try:
             raw = (path / fname).read_bytes()
         except OSError as e:
             raise DataError(f"cannot read shard {path / fname}: {e.strerror}") from None
-        if hashlib.sha256(raw).hexdigest() != shard["sha256"]:
+        if hashlib.sha256(raw).hexdigest() != sha256:
             raise DataError(f"shard {fname} failed checksum validation")
         _, _, read = SHARD_FORMATS[fmt]
-        ids, labels, X = read(raw, dim, fname)
-        benign = int((labels == 0).sum())
-        if benign != shard["benign"] or len(labels) - benign != shard["malware"]:
+        ids, labels, X = read(raw, dataset.feature_dim, fname)
+        if (labels == 0).sum() != benign or (labels == 1).sum() != malware:
             raise DataError(f"shard {fname} counts disagree with manifest")
         dataset.records.extend(map(FeatureRecord, ids, repeat(month), labels.tolist(), X))
         all_ids += ids

@@ -62,9 +62,7 @@ class Experiment:
         cfg = StreamConfig(
             budget=budget,
             selector=selector,
-            retrain=replace(
-                self.setup.train_cfg, seed=seed, epochs=self.setup.retrain_epochs
-            ),
+            retrain=replace(self.setup.train_cfg, epochs=self.setup.retrain_epochs),
             seed=seed,
         )
         return run_stream(model, labeled, unlabeled, self.stream, cfg)

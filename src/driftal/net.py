@@ -13,7 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import check_fields, checked
+from .config import check_fields, checked, entry, typed_list
 
 
 class ShapeError(ValueError):
@@ -39,11 +39,9 @@ def _relu(x):
 
 def _widths(architecture):
     """``architecture`` as a tuple ``(input_dim, *hidden, 2)`` of ints >= 1."""
-    widths = tuple(architecture)
-    if (len(widths) < 2 or widths[-1] != 2
-            or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in widths)):
-        raise ShapeError("architecture must be (input_dim, *hidden, 2) with int "
-                         f"widths >= 1, got {widths}")
+    widths = tuple(typed_list(architecture, "architecture", int, ShapeError, minimum=1))
+    if len(widths) < 2 or widths[-1] != 2:
+        raise ShapeError(f"architecture: expected (input_dim, *hidden, 2), got {widths}")
     return widths
 
 
@@ -205,20 +203,19 @@ class Classifier:
     def load(cls, path):
         with np.load(path) as data:
             meta = json.loads(bytes(_array(data, "meta", path)).decode())
-            for key in ("version", "architecture", "seed"):
-                if not isinstance(meta, dict) or key not in meta:
-                    raise ValueError(f"checkpoint {path} meta has no {key!r}")
-            if meta["version"] != cls.CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta['version']}")
-            layers = meta["architecture"]
+            where = f"checkpoint {path} meta"
+            entry(meta, "version", where, int, ValueError, choices=(cls.CHECKPOINT_VERSION,))
+            layers = entry(meta, "architecture", where, list, ValueError)
+            seed = entry(meta, "seed", where, int, ValueError, minimum=0)
             try:
                 widths = _widths([layers[0][0]] + [layer[1] for layer in layers])
             except (TypeError, LookupError, ShapeError):
                 widths = None
-            if widths is None or layers != _layer_list(widths):
-                raise ValueError(f"checkpoint {path} meta 'architecture' is not the "
-                                 f"layer list of (input_dim, *hidden, 2): {layers!r}")
-            model = cls(widths, seed=meta["seed"], init=False)
+            # repr tells a width 4 from 4.0, and 1 from true
+            if widths is None or repr(layers) != repr(_layer_list(widths)):
+                raise ValueError(f"{where}: 'architecture': expected the layer list of "
+                                 f"(input_dim, *hidden, 2), got {layers!r}")
+            model = cls(widths, seed=seed, init=False)
             for name, view in model._named_views().items():
                 array = _array(data, name, path)
                 if array.shape != view.shape:

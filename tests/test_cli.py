@@ -363,7 +363,8 @@ class TestErrorPaths:
         ("{}", "has no 'monthly'"),
         ('{"monthly": []}', "has no 'selected_ids'"),
         ("[]", "has no 'monthly'"),
-        ('{"monthly": {}, "selected_ids": []}', "'monthly' must be of type list"),
+        pytest.param('{"monthly": {}, "selected_ids": []}', "'monthly': expected list, got {}",
+                     id="""{"monthly": {}, "selected_ids": []}-'monthly' must be of type list"""),
         ("\udcff", "not valid JSON"),
         pytest.param("[" + "1" * 5000 + "]", "not valid JSON", id="int-digit-limit"),
         ('{"monthly": [{}], "selected_ids": [[]]}', "monthly[0] has no 'month'"),
@@ -380,7 +381,7 @@ class TestErrorPaths:
     @staticmethod
     def _month(**edit):
         entry = {"month": "2020-03", "tp": 1, "fp": 0, "tn": 2, "fn": 0,
-                 "f1": 1.0, "fnr": 0.0, "fpr": None}
+                 "f1": 1.0, "fnr": 0.0, "fpr": 0.0}
         entry.update(edit)
         return entry
 
@@ -396,24 +397,48 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert f"monthly[1] has no '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("monthly,selected,problem", [
-        ([[]], [[]], "monthly[0] has no 'month'"),
-        ([None], [[]], "monthly[0] has no 'month'"),
-        (["x"], [[]], "monthly[0] has no 'month'"),
-        ([{"month": 3}], [[]], "monthly[0]: 'month' must be of type str"),
-        ([{"fpr": "x"}], [[]], "'fpr' must be of type int or float or NoneType"),
-        ([{"tp": 1.5}], [[]], "monthly[0]: 'tp' must be of type int"),
-        ([{}, {}], [[], 3], "selected_ids[1] must be of type list"),
+    # (monthly, selected, the rule that the entry breaks or None, the message);
+    # a test's id names the rule, or else the message
+    BAD_ENTRIES = [
+        ([[]], [[]], None, "monthly[0] has no 'month'"),
+        ([None], [[]], None, "monthly[0] has no 'month'"),
+        (["x"], [[]], None, "monthly[0] has no 'month'"),
+        ([{"month": 3}], [[]], "monthly[0]: 'month' must be of type str",
+         "monthly[0]: 'month': expected str, got 3"),
+        ([{"fpr": "x"}], [[]], "'fpr' must be of type int or float or NoneType",
+         "monthly[0]: 'fpr': expected one of [0.0], got 'x'"),
+        ([{"tp": 1.5}], [[]], "monthly[0]: 'tp' must be of type int",
+         "monthly[0]: 'tp': expected int >= 0, got 1.5"),
+        ([{}, {}], [[], 3], "selected_ids[1] must be of type list",
+         "selected_ids[1]: expected list, got 3"),
         # JSON true and false are not counts or ratios
-        ([{"tp": True}], [[]], "monthly[0]: 'tp' must be of type int"),
-        ([{"fpr": False}], [[]], "'fpr' must be of type int or float or NoneType"),
-        # a ratio is a finite number in [0, 1]
-        ([{"f1": float("nan")}], [[]], "'f1' must be a number in [0, 1] or null, got nan"),
-        ([{"fnr": float("inf")}], [[]], "'fnr' must be a number in [0, 1] or null"),
-        ([{"fpr": 1.5}], [[]], "'fpr' must be a number in [0, 1] or null"),
-        ([{"f1": -1}], [[]], "'f1' must be a number in [0, 1] or null"),
-        ([{}, {"month": "2020-13"}], [[], []], "monthly[1]: 'month': expected YYYY-MM"),
-    ])
+        ([{"tp": True}], [[]], "monthly[0]: 'tp' must be of type int",
+         "monthly[0]: 'tp': expected int >= 0, got True"),
+        ([{"fpr": False}], [[]], "'fpr' must be of type int or float or NoneType",
+         "'fpr': expected one of [0.0], got False"),
+        # a ratio is the ratio of its counts: finite, in [0, 1]
+        ([{"f1": float("nan")}], [[]], "'f1' must be a number in [0, 1] or null, got nan",
+         "'f1': expected one of [1.0], got nan"),
+        ([{"fnr": float("inf")}], [[]], "'fnr' must be a number in [0, 1] or null",
+         "'fnr': expected one of [0.0], got inf"),
+        ([{"fpr": 1.5}], [[]], "'fpr' must be a number in [0, 1] or null",
+         "'fpr': expected one of [0.0], got 1.5"),
+        ([{"f1": -1}], [[]], "'f1' must be a number in [0, 1] or null",
+         "'f1': expected one of [1.0], got -1"),
+        ([{}, {"month": "2020-13"}], [[], []], None, "monthly[1]: 'month': expected YYYY-MM"),
+        # a count is an int >= 0, and a ratio must agree with the counts
+        ([{"tp": -3}], [[]], None, "monthly[0]: 'tp': expected int >= 0, got -3"),
+        ([{"f1": 0.5}], [[]], None, "'f1': expected one of [1.0], got 0.5"),
+        ([{"fnr": None}], [[]], None, "'fnr': expected one of [0.0], got None"),
+        # with no positive row F1 and FNR are undefined, so they must be null
+        ([{"tp": 0}], [[]], None, "'f1': expected one of [None], got 1.0"),
+        ([{"tp": 0, "f1": None}], [[]], None, "'fnr': expected one of [None], got 0.0"),
+    ]
+
+    @pytest.mark.parametrize("monthly,selected,problem", [
+        pytest.param(monthly, selected, problem,
+                     id=f"monthly{i}-selected{i}-{rule or problem}")
+        for i, (monthly, selected, rule, problem) in enumerate(BAD_ENTRIES)])
     def test_report_bad_entry(self, tmp_path, capsys, monthly, selected, problem):
         monthly = [self._month(**m) if isinstance(m, dict) else m
                    for m in monthly]
@@ -425,14 +450,15 @@ class TestErrorPaths:
 
     def test_report_valid_entries(self, tmp_path):
         src = tmp_path / "result.json"
+        no_positive = dict(tp=0, f1=None, fnr=None)
         src.write_text(json.dumps({
-            "monthly": [self._month(), self._month(month="2020-04", f1=None)],
+            "monthly": [self._month(), self._month(month="2020-04", **no_positive)],
             "selected_ids": [["a", "b"], []],
         }))
         assert main(["report", "--result", str(src),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert (tmp_path / "out" / "result.csv").read_text().splitlines()[1:] == [
-            "2020-03,1,0,2,0,100.0,0.0,,2", "2020-04,1,0,2,0,,0.0,,0",
+            "2020-03,1,0,2,0,100.0,0.0,0.0,2", "2020-04,0,0,2,0,,,0.0,0",
         ]
 
     @pytest.mark.parametrize("command", ["train", "stream"])

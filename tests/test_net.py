@@ -303,6 +303,7 @@ class TestCheckpoint:
         [[16, "8", "relu"], ["8", 4, "relu"], [4, 2, "identity"]],  # non-int width
         [[16, 8, "relu"], [7, 4, "relu"], [4, 2, "identity"]],  # widths do not chain
         [[16, 8, "identity"], [8, 4, "relu"], [4, 2, "identity"]],  # identity hidden
+        [[16, 8, "relu"], [8.0, 4, "relu"], [4, 2, "identity"]],  # a float in-width
     ])
     def test_bad_architecture_named(self, tmp_path, layers):
         path = tmp_path / "model.npz"

@@ -1,8 +1,13 @@
+import functools
+import json
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftal import stream
 from driftal.data import DriftGeneratorConfig, synth_drift_generate
@@ -298,6 +303,86 @@ class TestReferenceStream:
         assert [(m.tp, m.fp, m.tn, m.fn) for m in result.monthly] == counts
         if budget == 23 and kind != "low_confidence_only":  # it skips confident rows
             assert [len(ids) for ids in selected] == [22, 12, 12]
+
+
+@functools.cache
+def cached_world(seed):
+    """A ``make_world`` stream shared by the property tests, which never mutate it."""
+    return make_world(seed=seed)
+
+
+class TestStreamProperties:
+    """Hypothesis properties of ``run_stream`` on small ``make_world`` streams."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(SELECTOR_KINDS), budget=st.integers(0, 60),
+           seed=st.integers(0, 2), data=st.data())
+    def test_renaming_ids_changes_nothing_else(self, kind, budget, seed, data):
+        model, labeled, unlabeled, months = cached_world(seed)
+        ids = [*labeled[2], *unlabeled[2], *(i for m in months for i in m.ids)]
+        names = data.draw(st.lists(st.text(max_size=4), min_size=len(ids),
+                                   max_size=len(ids), unique=True))
+        rename = dict(zip(ids, names))
+        renamed = [(*labeled[:2], [rename[i] for i in labeled[2]]),
+                   (*unlabeled[:2], [rename[i] for i in unlabeled[2]]),
+                   [MonthData(m.month, [rename[i] for i in m.ids], m.X, m.y)
+                    for m in months]]
+        cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind), seed=seed)
+        a = run_stream(model, labeled, unlabeled, months, cfg)
+        b = run_stream(model, *renamed, cfg)
+        assert [m.to_dict() for m in a.monthly] == [m.to_dict() for m in b.monthly]
+        position = {name: k for k, name in enumerate(names)}
+        assert ([[ids.index(i) for i in sel] for sel in a.selected_ids]
+                == [[position[i] for i in sel] for sel in b.selected_ids])
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(SELECTOR_KINDS), extra=st.integers(0, 20),
+           cutoff=st.floats(0.5, 1.0), seed=st.integers(0, 2))
+    def test_budget_at_pool_size_takes_whole_pool(self, kind, extra, cutoff, seed):
+        """Every month's pool is selected whole, or for ``low_confidence_only``
+        exactly its rows below the cutoff."""
+        model, labeled, unlabeled, months = cached_world(seed)
+        budget = len(unlabeled[2]) + sum(len(m.ids) for m in months) + extra
+        selector = SelectorConfig(kind=kind, low_confidence_cutoff=cutoff)
+        calls, real = [], stream.sel.select
+
+        def recording(pool_X, *args, **kw):
+            chosen, scores = real(pool_X, *args, **kw)
+            calls.append((len(pool_X), chosen, scores))
+            return chosen, scores
+
+        with mock.patch.object(stream.sel, "select", recording):
+            result = run_stream(model, labeled, unlabeled, months,
+                                small_cfg(budget=budget, selector=selector, seed=seed))
+        assert len(calls) == len(months)
+        pool = list(unlabeled[2])
+        for m, picked, (n, chosen, scores) in zip(months, result.selected_ids, calls):
+            pool += m.ids
+            assert n == len(pool)
+            want = (np.flatnonzero(scores.confidence < cutoff).tolist()
+                    if kind == "low_confidence_only" else list(range(n)))
+            assert sorted(chosen) == want
+            assert sorted(picked) == sorted(pool[j] for j in want)
+            pool = [i for i in pool if i not in set(picked)]
+
+    @settings(max_examples=12, deadline=None)
+    @given(classes=st.lists(st.sampled_from([0, 1, None]), min_size=3, max_size=3),
+           budget=st.integers(0, 10), seed=st.integers(0, 2))
+    def test_single_class_month_gives_none_not_nan(self, classes, budget, seed):
+        model, labeled, unlabeled, months = cached_world(seed)
+        stream_months = []
+        for m, label in zip(months, classes):  # None keeps both classes
+            keep = np.flatnonzero(m.y == label) if label is not None else np.arange(len(m.y))
+            stream_months.append(MonthData(m.month, [m.ids[k] for k in keep],
+                                           m.X[keep], m.y[keep]))
+        result = run_stream(model, labeled, unlabeled, stream_months,
+                            small_cfg(budget=budget, seed=seed))
+        for mm, label in zip(result.monthly, classes):
+            ratios = (mm.f1, mm.fnr, mm.fpr)
+            assert all(v is None or np.isfinite(v) for v in ratios)
+            if label is not None:  # no row of the other class: its rate is undefined
+                assert (mm.fnr if label == 0 else mm.fpr) is None
+        json.dumps(result.to_dict(), allow_nan=False)
 
 
 class TestExperimentLabels:
