@@ -29,7 +29,7 @@ gen = DriftGeneratorConfig(
 )
 dataset = synth_drift_generate(gen)
 months = months_from_dataset(dataset)
-print(f"generated {len(dataset.records)} samples over {len(months)} months")
+print(f"generated {len(dataset)} samples over {len(months)} months")
 
 # train on the first two months with full labels, no adaptation afterwards
 Xl = np.concatenate([months[0].X, months[1].X])

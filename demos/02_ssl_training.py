@@ -14,7 +14,6 @@ Run: python3 demos/02_ssl_training.py
 import numpy as np
 
 from driftal import (
-    Dataset,
     DriftGeneratorConfig,
     LossConfig,
     TrainConfig,
@@ -30,23 +29,19 @@ gen = DriftGeneratorConfig(
 )
 dataset = synth_drift_generate(gen)
 months = dataset.months()
-train_set = Dataset(dataset.name, dataset.feature_dim,
-                    [r for r in dataset.records if r.month in months[:2]])
-held = Dataset(dataset.name, dataset.feature_dim,
-               [r for r in dataset.records if r.month == months[2]])
-Xh, yh, _ = held.to_arrays()
+train_set = dataset.take(np.isin(dataset.row_months, months[:2]))
+held = dataset.take(np.isin(dataset.row_months, months[2]))
 
 
 def run(ratio, use_unlabeled, seeds=(0, 1, 2)):
     scores = []
     for seed in seeds:
         labeled, unlabeled = label_ratio_split(train_set, ratio, seed)
-        Xl, yl, _ = labeled.to_arrays()
-        Xu = unlabeled.to_arrays()[0] if use_unlabeled else np.zeros((0, gen.dim))
+        Xu = unlabeled.X if use_unlabeled else np.zeros((0, gen.dim))
         loss = LossConfig() if use_unlabeled else LossConfig(lambda_u=0, lambda_con=0)
         cfg = TrainConfig(epochs=10, hidden=(32, 16), loss=loss, seed=seed)
-        model, _ = train(build_model(gen.dim, cfg), (Xl, yl), Xu, cfg)
-        scores.append(compute_metrics(model.predict_batch(Xh).argmax(1), yh).f1)
+        model, _ = train(build_model(gen.dim, cfg), (labeled.X, labeled.y), Xu, cfg)
+        scores.append(compute_metrics(model.predict_batch(held.X).argmax(1), held.y).f1)
     return float(np.mean(scores))
 
 

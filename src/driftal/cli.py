@@ -19,6 +19,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import data as dio
 from . import metrics as met
 from .augment import AugmentConfig
@@ -43,9 +45,9 @@ def _load_config(path):
         return {}
     try:
         config = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path}: expected an object, got {config!r}")
@@ -126,6 +128,15 @@ def _seeds(args, config):
     return seeds
 
 
+def _make_dir(path):
+    """``path`` as a directory, made if missing; an error names it otherwise."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out: cannot make directory {path}: {e.strerror}") from None
+    return path
+
+
 def _fmt_f1(f1):
     return "n/a" if f1 is None else f"{f1:.3f}"
 
@@ -172,10 +183,9 @@ def _setup_from_config(config, streams=True):
         if streams and not stream_months:
             key = "train" if "train" in split else "train_months"
             raise ConfigError(f"split.{key}: no month of the dataset is left to stream")
-    in_train = set(train_months)
     label_ratio = typed(config.get("label_ratio", 0.4), "label_ratio", float,
                         minimum=0, maximum=1)
-    n_train = sum(r.month in in_train for r in dataset.records)
+    n_train = int(np.isin(dataset.row_months, train_months).sum())
     if round(label_ratio * n_train) == 0:  # as data.label_ratio_split counts
         raise ConfigError(f"label_ratio: expected a ratio that labels at least one of "
                           f"the {n_train} training rows, got {label_ratio!r}")
@@ -202,8 +212,8 @@ def cmd_synth(args, config, out_dir):
     gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"), "generator")
     fmt = typed(config.get("format", "binary"), "format", str, choices=dio.SHARD_FORMATS)
     dataset = dio.synth_drift_generate(gen)
-    dio.save_dataset(dataset, out_dir / "dataset", fmt=fmt)
-    print(f"wrote {len(dataset.records)} records over {len(dataset.months())} "
+    dio.save_dataset(dataset, _make_dir(out_dir / "dataset"), fmt=fmt)
+    print(f"wrote {len(dataset)} records over {len(dataset.months())} "
           f"months to {out_dir / 'dataset'}")
     return [gen.seed], sorted((out_dir / "dataset").glob("*"))
 
@@ -235,7 +245,7 @@ def cmd_stream(args, config, out_dir):
     ).hexdigest()
     for seed, result in zip(seeds, results):
         artifacts += met.emit_report(
-            result, out_dir / f"seed{seed}", config_hash=config_hash, seeds=[seed],
+            result, _make_dir(out_dir / f"seed{seed}"), config_hash=config_hash, seeds=[seed],
         )
         print(f"seed {seed}: mean F1 {_fmt_f1(result.f1_mean)}")
     agg = aggregate_runs(results)
@@ -333,10 +343,10 @@ def _check_result(payload, where):
 
 def cmd_report(args, config, out_dir):
     src = Path(typed(config.get("result"), "result", str))
-    if not src.exists():
-        raise dio.DataError(f"result file not found: {src}")
     try:
         payload = json.loads(src.read_text())
+    except OSError as e:
+        raise dio.DataError(f"cannot read result file {src}: {e.strerror}") from None
     except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
         raise dio.DataError(f"result file {src} is not valid JSON: {e}") from None
     checked = _check_result(payload, f"result file {src}")
@@ -407,8 +417,7 @@ def main(argv=None):
         if not out:
             raise ConfigError("no output directory: use --out, config 'out', "
                               f"or ${DEFAULT_OUT_ENV}")
-        out_dir = Path(typed(out, "out", str))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _make_dir(Path(typed(out, "out", str)))
         seeds, artifacts = fn(args, config, out_dir)
         hashes = {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in artifacts}

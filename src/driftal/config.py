@@ -6,6 +6,7 @@ value raises ``error("<key>: expected ...")``, a ``ConfigError`` by default."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import field, fields
 
 
@@ -19,7 +20,8 @@ def typed(value, key, kind, error=ConfigError, minimum=None, maximum=None, above
 
     ``minimum`` and ``maximum`` are inclusive, ``above`` is exclusive, and
     ``choices`` may hold None to admit a JSON null. A float key also takes an
-    integer, and booleans are never numbers here.
+    integer, and is finite unless ``maximum`` is ``math.inf``; booleans are
+    never numbers here.
     """
     if value is None and choices is not None and None in choices:
         return None
@@ -30,14 +32,17 @@ def typed(value, key, kind, error=ConfigError, minimum=None, maximum=None, above
             or (maximum is not None and not value <= maximum)
             or (choices is not None and value not in choices)):
         try:
-            return kind(value)
+            value = kind(value)
+            if kind is not float or maximum == math.inf or math.isfinite(value):
+                return value
         except OverflowError:  # an int beyond the float range
             pass
     low = f"[{minimum}" if above is None else f"({above}"
     bound = ("" if minimum is None and above is None
              else f" in {low}, {maximum}]" if maximum is not None
              else f" >= {minimum}" if above is None else f" > {above}")
-    wanted = f"one of {sorted(choices)}" if choices else f"{kind.__name__}{bound}"
+    finite = "finite " if kind is float and maximum is None else ""
+    wanted = f"one of {sorted(choices)}" if choices else f"{finite}{kind.__name__}{bound}"
     raise error(f"{key}: expected {wanted}, got {value!r}")
 
 

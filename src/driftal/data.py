@@ -11,8 +11,7 @@ import hashlib
 import json
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -31,33 +30,70 @@ class DataError(ValueError):
 
 @dataclass
 class FeatureRecord:
+    """One row as an object, for ``Dataset(name, dim, records)`` and ``.records``."""
+
     id: str
     month: str  # YYYY-MM
     label: int  # 0 benign, 1 malware
     features: np.ndarray  # uint8 {0,1} vector
 
 
-@dataclass
 class Dataset:
-    name: str
-    feature_dim: int
-    records: list = field(default_factory=list)
+    """Rows as columns: ``X`` (uint8 [n, feature_dim]) and ``y`` (int64 [n]),
+    whose values are 0 or 1, and the ``ids`` and ``row_months`` (YYYY-MM) of
+    the rows, as lists of str. ``from_arrays`` builds one from columns."""
+
+    def __init__(self, name, feature_dim, records=()):
+        """The Dataset of ``records``, in order, joined by ``record_arrays``."""
+        records = list(records)
+        X, y, ids = record_arrays(records, feature_dim)
+        self._set(name, feature_dim, X, y, ids, [r.month for r in records])
+
+    @classmethod
+    def from_arrays(cls, name, feature_dim, X, y, ids, row_months):
+        """The Dataset of these columns, which must describe the same rows."""
+        dataset = cls.__new__(cls)
+        dataset._set(name, feature_dim, X, y, ids, row_months)
+        return dataset
+
+    def _set(self, name, feature_dim, X, y, ids, row_months):
+        X, y, ids, row_months = np.asarray(X), np.asarray(y), list(ids), list(row_months)
+        n = len(ids)
+        if X.shape != (n, feature_dim) or y.shape != (n,) or len(row_months) != n:
+            raise DataError(f"dataset {name!r}: features {X.shape}, labels {y.shape} "
+                            f"and {len(row_months)} months do not fit {n} ids "
+                            f"of {feature_dim} features")
+        check_bits(X, y, ids)
+        self.name, self.feature_dim = name, feature_dim
+        self.ids, self.row_months = ids, row_months
+        self.X, self.y = X.astype(np.uint8, copy=False), y.astype(np.int64, copy=False)
+
+    def __len__(self):
+        return len(self.ids)
+
+    @property
+    def records(self):
+        """A new FeatureRecord list of the rows, whose features are copies."""
+        return list(map(FeatureRecord, self.ids, self.row_months, self.y.tolist(),
+                        self.X.copy()))
 
     def months(self):
-        return sorted({r.month for r in self.records})
+        return sorted(set(self.row_months))
 
-    def by_month(self):
-        out = {}
-        for r in self.records:
-            out.setdefault(r.month, []).append(r)
-        return {m: out[m] for m in sorted(out)}
+    def month_rows(self):
+        """{month: index array of its rows, in row order}, in month order."""
+        months = self.months()
+        code = dict(zip(months, range(len(months))))
+        codes = np.fromiter(map(code.__getitem__, self.row_months), np.intp, len(self))
+        ends = np.cumsum(np.bincount(codes, minlength=len(months)))[:-1]
+        return dict(zip(months, np.split(np.argsort(codes, kind="stable"), ends)))
 
-    def to_arrays(self):
-        """(X uint8 matrix, y int vector, ids list), record order preserved."""
-        return record_arrays(self.records, self.feature_dim)
-
-    def subset(self, indices):
-        return Dataset(self.name, self.feature_dim, [self.records[i] for i in indices])
+    def take(self, rows):
+        """The Dataset of the rows an index array or boolean mask selects."""
+        rows = np.arange(len(self))[rows]
+        at = rows.tolist()
+        return Dataset.from_arrays(self.name, self.feature_dim, self.X[rows], self.y[rows],
+                                   [self.ids[i] for i in at], [self.row_months[i] for i in at])
 
 
 def check_month(month, key="month", error=DataError):
@@ -120,15 +156,21 @@ def record_arrays(records, dim):
                         f"{rows[k].shape}, expected ({dim},)")
     X = (np.concatenate(rows).reshape(len(rows), dim) if rows
          else np.zeros((0, dim), dtype=np.uint8))
-    labels = list(map(attrgetter("label"), records))
-    # cheap screens (the set of labels, the max of a uint8 matrix), then exact
-    if not set(labels) <= {0, 1} or X.dtype != np.uint8 or X.max(initial=0) > 1:
-        bad = [v not in (0, 1) for v in labels] | ((X != 0) & (X != 1)).any(axis=1)
-        if bad.any():
-            raise DataError(f"record {records[int(np.argmax(bad))].id!r} has a label "
-                            "or feature value other than 0 and 1")
-    y = np.fromiter(labels, dtype=np.int64, count=len(rows))
-    return X, y, list(map(attrgetter("id"), records))
+    # labels stay Python objects until checked, so that "1" or 0.5 is no label
+    y = np.fromiter(map(attrgetter("label"), records), dtype=object, count=len(rows))
+    ids = list(map(attrgetter("id"), records))
+    check_bits(X, y, ids)
+    return X.astype(np.uint8, copy=False), y.astype(np.int64), ids
+
+
+def check_bits(X, y, ids):
+    """Raise ``DataError`` naming the first row with a label or feature not 0 or 1."""
+    bad = (y != 0) & (y != 1)
+    if X.dtype != np.uint8 or X.max(initial=0) > 1:
+        bad |= ((X != 0) & (X != 1)).any(axis=1)
+    if bad.any():
+        raise DataError(f"record {ids[int(np.argmax(bad))]!r} has a label "
+                        "or feature value other than 0 and 1")
 
 
 def _utf8_ids(ids):
@@ -287,9 +329,9 @@ def save_dataset(dataset, path, fmt="binary"):
         raise DataError(f"unknown shard format {fmt!r}")
     suffix, write, _ = SHARD_FORMATS[fmt]
     encoded = []
-    for month, records in dataset.by_month().items():
-        X, labels, ids = record_arrays(records, dataset.feature_dim)
-        encoded.append((month, labels, write(ids, labels, X)))
+    for month, rows in dataset.month_rows().items():
+        part = dataset.take(rows)
+        encoded.append((month, part.y, write(part.ids, part.y, part.X)))
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     shards = []
@@ -328,16 +370,16 @@ def load_dataset(path):
     """Read and validate a dataset directory; returns (manifest, Dataset)."""
     path = Path(path)
     mpath = path / "manifest.json"
-    if not mpath.exists():
-        raise DataError(f"no manifest.json under {path}")
     try:
         manifest = json.loads(mpath.read_text())
+    except OSError as e:
+        raise DataError(f"cannot read {mpath}: {e.strerror}") from None
     except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
         raise DataError(f"{mpath} is not valid JSON: {e}") from None
     entry(manifest, "version", mpath, int, DataError, choices=(MANIFEST_VERSION,))
-    dataset = Dataset(entry(manifest, "name", mpath, str, DataError),
-                      entry(manifest, "feature_dim", mpath, int, DataError, minimum=1))
-    all_ids = []
+    name = entry(manifest, "name", mpath, str, DataError)
+    dim = entry(manifest, "feature_dim", mpath, int, DataError, minimum=1)
+    ids, months, ys, Xs = [], [], [np.zeros(0, np.int64)], [np.zeros((0, dim), np.uint8)]
     for pos, shard in enumerate(entry(manifest, "shards", mpath, list, DataError)):
         at = f"{mpath} shard {pos}"
         month = entry(shard, "month", at, str, DataError)
@@ -356,13 +398,16 @@ def load_dataset(path):
         if hashlib.sha256(raw).hexdigest() != sha256:
             raise DataError(f"shard {fname} failed checksum validation")
         _, _, read = SHARD_FORMATS[fmt]
-        ids, labels, X = read(raw, dataset.feature_dim, fname)
+        shard_ids, labels, X = read(raw, dim, fname)
         if (labels == 0).sum() != benign or (labels == 1).sum() != malware:
             raise DataError(f"shard {fname} counts disagree with manifest")
-        dataset.records.extend(map(FeatureRecord, ids, repeat(month), labels.tolist(), X))
-        all_ids += ids
-    check_unique_ids(all_ids, DataError, f"dataset {path}")
-    return manifest, dataset
+        ids += shard_ids
+        months += [month] * len(shard_ids)
+        ys.append(labels)
+        Xs.append(X)
+    check_unique_ids(ids, DataError, f"dataset {path}")
+    return manifest, Dataset.from_arrays(name, dim, np.concatenate(Xs), np.concatenate(ys),
+                                         ids, months)
 
 
 # ---------------------------------------------------------------------------
@@ -374,48 +419,37 @@ def label_ratio_split(train, ratio, seed):
     """Stratified labeled/unlabeled split with |D_l| = round(ratio * N)."""
     if not 0.0 <= ratio <= 1.0:
         raise DataError(f"label ratio {ratio} outside [0, 1]")
-    n = len(train.records)
+    n = len(train)
     target = int(round(ratio * n))
     rng = np.random.default_rng(seed)
-    by_class = {0: [], 1: []}
-    for i, r in enumerate(train.records):
-        if r.label not in by_class:
-            raise DataError(f"record {r.id!r} has label {r.label!r}, expected 0 or 1")
-        by_class[r.label].append(i)
-    labeled = []
+    by_class = {c: np.flatnonzero(train.y == c) for c in (0, 1)}
     # largest-remainder apportionment keeps class proportions within one sample
-    quotas = {}
-    for c, idxs in by_class.items():
-        quotas[c] = target * len(idxs) / n if n else 0.0
-    take = {c: int(np.floor(q)) for c, q in quotas.items()}
-    rem = target - sum(take.values())
-    for c in sorted(quotas, key=lambda c: quotas[c] - take[c], reverse=True):
+    quotas = {c: target * len(idxs) / n if n else 0.0 for c, idxs in by_class.items()}
+    counts = {c: int(np.floor(q)) for c, q in quotas.items()}
+    rem = target - sum(counts.values())
+    for c in sorted(quotas, key=lambda c: quotas[c] - counts[c], reverse=True):
         if rem <= 0:
             break
-        if take[c] < len(by_class[c]):
-            take[c] += 1
+        if counts[c] < len(by_class[c]):
+            counts[c] += 1
             rem -= 1
+    labeled = np.zeros(n, dtype=bool)
     for c, idxs in by_class.items():
-        chosen = rng.permutation(len(idxs))[: take[c]]
-        labeled.extend(idxs[i] for i in chosen)
-    labeled = sorted(labeled)
-    unlabeled = sorted(set(range(n)) - set(labeled))
-    return train.subset(labeled), train.subset(unlabeled)
+        labeled[idxs[rng.permutation(len(idxs))[: counts[c]]]] = True
+    return train.take(labeled), train.take(~labeled)
 
 
 def inject_label_noise(labeled, noise_rate, seed):
     """Flip exactly round(rate * N) labels, chosen without replacement."""
     if not 0.0 <= noise_rate <= 1.0:
         raise DataError(f"noise rate {noise_rate} outside [0, 1]")
-    n = len(labeled.records)
+    n = len(labeled)
     flips = int(round(noise_rate * n))
     rng = np.random.default_rng(seed)
-    chosen = set(rng.choice(n, size=flips, replace=False)) if flips else set()
-    records = []
-    for i, r in enumerate(labeled.records):
-        label = 1 - r.label if i in chosen else r.label
-        records.append(FeatureRecord(r.id, r.month, label, r.features))
-    return Dataset(labeled.name, labeled.feature_dim, records)
+    y, chosen = labeled.y.copy(), rng.choice(n, size=flips, replace=False)
+    y[chosen] = 1 - y[chosen]
+    return Dataset.from_arrays(labeled.name, labeled.feature_dim, labeled.X, y,
+                               labeled.ids, labeled.row_months)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +505,9 @@ def synth_drift_generate(cfg):
     last = 12 * y + m - 1 + cfg.months - 1  # months since year 0, zero-based
     month_names = month_range(cfg.start_month, f"{last // 12:04d}-{last % 12 + 1:02d}")
 
-    dataset = Dataset(f"synth-drift-{cfg.seed}", d)
-    counter = 0
-    for t, month in enumerate(month_names):
+    n = cfg.samples_per_month_per_class
+    X = np.empty((2 * n * len(month_names), d), dtype=np.uint8)  # month-major, class 0 first
+    for t in range(len(month_names)):
         if t > 0:
             moved = rng.random(d) < cfg.drift_rate
             fresh0 = draw_rates(d)
@@ -482,10 +516,8 @@ def synth_drift_generate(cfg):
             theta[0, moved] = fresh0[moved]
             theta[1, moved] = fresh1[moved]
         for label in (0, 1):
-            draws = rng.random((cfg.samples_per_month_per_class, d)) < theta[label]
-            for row in draws.astype(np.uint8):
-                dataset.records.append(
-                    FeatureRecord(f"s{counter:07d}", month, label, row)
-                )
-                counter += 1
-    return dataset
+            X[(2 * t + label) * n:(2 * t + label + 1) * n] = rng.random((n, d)) < theta[label]
+    return Dataset.from_arrays(f"synth-drift-{cfg.seed}", d, X,
+                               np.tile(np.repeat([0, 1], n), len(month_names)),
+                               [f"s{k:07d}" for k in range(len(X))],
+                               np.repeat(np.array(month_names, object), 2 * n).tolist())

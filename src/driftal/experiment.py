@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import data as dio
 from .losses import LossConfig
 from .stream import StreamConfig, months_from_dataset, run_stream
@@ -35,10 +37,7 @@ class Experiment:
         self.setup = setup
         self._initial = {}  # seed -> (model, (Xl, yl, ids_l), (Xu, yu, ids_u), report)
         ds = setup.dataset
-        train_months = set(setup.train_months)
-        self.train_set = dio.Dataset(
-            ds.name, ds.feature_dim, [r for r in ds.records if r.month in train_months],
-        )
+        self.train_set = ds.take(np.isin(ds.row_months, setup.train_months))
         self.stream = months_from_dataset(ds, months=set(setup.stream_months))
 
     def initial_fit(self, seed):
@@ -49,7 +48,7 @@ class Experiment:
         labeled, unlabeled = dio.label_ratio_split(self.train_set, s.label_ratio, seed)
         if s.noise_rate > 0:
             labeled = dio.inject_label_noise(labeled, s.noise_rate, seed)
-        labeled, unlabeled = labeled.to_arrays(), unlabeled.to_arrays()
+        labeled, unlabeled = ((d.X, d.y, d.ids) for d in (labeled, unlabeled))
         cfg = replace(s.train_cfg, seed=seed)
         model = build_model(self.train_set.feature_dim, cfg)
         model, report = train(model, labeled[:2], unlabeled[0], cfg)

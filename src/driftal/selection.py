@@ -10,6 +10,7 @@ selectors that rank by the distance (``ranks_by_lp``) compute it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ class SelectorConfig:
     alpha: float = checked(1.0, float, minimum=0)
     beta: float = checked(1.0, float, minimum=0)
     gamma: float = checked(1.0, float, minimum=0)
-    p_norm: float = checked(2.0, float, minimum=1)
+    p_norm: float = checked(2.0, float, minimum=1, maximum=math.inf)  # inf: max-norm
     low_confidence_cutoff: float = checked(0.75, float, minimum=0, maximum=1)
 
     def __post_init__(self):

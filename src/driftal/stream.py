@@ -18,7 +18,7 @@ import numpy as np
 
 from . import selection as sel
 from .config import check_fields, checked
-from .data import check_unique_ids, record_arrays
+from .data import check_unique_ids
 from .metrics import aggregate, compute_metrics
 from .trainer import TrainConfig, train
 
@@ -49,13 +49,9 @@ class MonthData:
 
 def months_from_dataset(dataset, months=None):
     """Split a Dataset into chronologically ordered MonthData batches."""
-    out = []
-    for month, records in dataset.by_month().items():
-        if months is not None and month not in months:
-            continue
-        X, y, ids = record_arrays(records, dataset.feature_dim)
-        out.append(MonthData(month, ids, X, y))
-    return out
+    parts = {month: dataset.take(rows) for month, rows in dataset.month_rows().items()
+             if months is None or month in months}
+    return [MonthData(month, p.ids, p.X, p.y) for month, p in parts.items()]
 
 
 @dataclass

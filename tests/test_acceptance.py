@@ -310,25 +310,17 @@ class TestCriterion6:
             )
             dataset = synth_drift_generate(gen)
             months = dataset.months()
-            from driftal.data import Dataset, label_ratio_split
+            from driftal.data import label_ratio_split
 
-            train_set = Dataset(
-                dataset.name, dataset.feature_dim,
-                [r for r in dataset.records if r.month in months[:2]],
-            )
-
+            train_set = dataset.take(np.isin(dataset.row_months, months[:2]))
             labeled, unlabeled = label_ratio_split(train_set, ratio, seed)
-            Xl, yl, _ = labeled.to_arrays()
-            Xu = (unlabeled.to_arrays()[0] if ssl
-                  else np.zeros((0, 200), np.uint8))
+            Xl, yl = labeled.X, labeled.y
+            Xu = unlabeled.X if ssl else np.zeros((0, 200), np.uint8)
             loss = LossConfig() if ssl else LossConfig(lambda_u=0, lambda_con=0)
             cfg = TrainConfig(epochs=10, hidden=(32, 16), loss=loss, seed=seed)
             model, _ = train(build_model(200, cfg), (Xl, yl), Xu, cfg)
-            held = Dataset(
-                dataset.name, dataset.feature_dim,
-                [r for r in dataset.records if r.month == months[2]],
-            )
-            Xh, yh, _ = held.to_arrays()
+            held = dataset.take(np.isin(dataset.row_months, months[2]))
+            Xh, yh = held.X, held.y
             return compute_metrics(model.predict_batch(Xh).argmax(1), yh).f1
 
         ssl_40 = float(np.mean([heldout_f1(s, 0.4, True) for s in SEEDS]))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -233,6 +234,51 @@ class TestErrorPaths:
         assert main(["train", "--config", str(bad),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_config_directory_exits_config(self, tmp_path, capsys):
+        (tmp_path / "c.json").mkdir()
+        assert main(["train", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": "\xff"}')
+        assert main(["train", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_config(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("")
+        assert main(["train", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"out: cannot make directory {tmp_path / 'out'}" in capsys.readouterr().err
+
+    def test_synth_dataset_path_a_file_exits_config(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "dataset").write_text("")
+        assert main(["synth", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"out: cannot make directory {tmp_path / 'out' / 'dataset'}" in err
+
+    def test_stream_seed_path_a_file_exits_config(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "seed0").write_text("")
+        assert main(["stream", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "out"), "--seed", "0"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"out: cannot make directory {tmp_path / 'out' / 'seed0'}" in err
+
+    def test_manifest_directory_exits_data(self, tmp_path, capsys):
+        (tmp_path / "ds" / "manifest.json").mkdir(parents=True)
+        cfg = base_config(dataset=str(tmp_path / "ds"))
+        del cfg["generator"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "cannot read" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = base_config()
         cfg["train"]["episodes"] = 5
@@ -357,6 +403,12 @@ class TestErrorPaths:
     def test_report_missing_result(self, tmp_path, capsys):
         assert main(["report", "--result", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_DATA
+
+    def test_report_result_directory_exits_data(self, tmp_path, capsys):
+        (tmp_path / "result.json").mkdir()
+        assert main(["report", "--result", str(tmp_path / "result.json"),
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "cannot read result file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,problem", [
         ("{not json", "not valid JSON"),
@@ -565,6 +617,12 @@ class TestErrorPaths:
         # a repeated seed would run the same run twice
         *[(command, "seeds", [0, 1, 0])
           for command in ("train", "stream", "ablate", "bench", "noise")],
+        # a JSON Infinity or NaN is no finite float
+        ("stream", "train.learning_rate", math.inf),
+        ("stream", "train.loss.lambda_u", math.inf),
+        ("stream", "train.loss.contrastive_temperature", math.inf),
+        ("stream", "stream.selector.alpha", math.inf),
+        ("stream", "stream.selector.gamma", math.nan),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
                                            value):

@@ -30,13 +30,15 @@ def integer(low):
     return lambda v: type(v) is int and v >= low
 
 
-def number(low, high=math.inf, low_open=False):
+def number(low, high=None, low_open=False):
     """An int or float in [low, high] ((low, high] if ``low_open``) that a
-    float can hold."""
+    float can hold; finite unless ``high`` is inf."""
     def accepts(v):
         if type(v) not in (int, float) or (type(v) is int and abs(v) > sys.float_info.max):
             return False
-        return (v > low if low_open else v >= low) and v <= high
+        if high is None and not math.isfinite(v):
+            return False
+        return (v > low if low_open else v >= low) and v <= (high or math.inf)
     return accepts
 
 
@@ -80,7 +82,7 @@ TABLE = [
     (SelectorConfig, "alpha", number(0), {}),
     (SelectorConfig, "beta", number(0), {}),
     (SelectorConfig, "gamma", number(0), {}),
-    (SelectorConfig, "p_norm", number(1), {}),
+    (SelectorConfig, "p_norm", number(1, math.inf), {}),  # inf is the max-norm
     (SelectorConfig, "low_confidence_cutoff", number(0, 1), {}),
     (StreamConfig, "budget", integer(0), {}),
     (StreamConfig, "seed", integer(0), {}),
@@ -91,7 +93,8 @@ TABLE = [
 NESTED = {"loss", "augment", "selector", "retrain"}
 
 NEAR_BOUNDS = st.sampled_from([
-    -1, 0, 1, 2, 64, -0.5, -0.0, 0.0, 1e-3, 0.5, 1.0, 1.5, math.inf, 10**400,
+    -1, 0, 1, 2, 64, -0.5, -0.0, 0.0, 1e-3, 0.5, 1.0, 1.5, math.inf, -math.inf, math.nan,
+    10**400,
     "2020-01", "2020-12", "2020-13", "2020-1", "202001", *MODES, *SELECTOR_KINDS,
 ])
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -118,6 +121,24 @@ def test_field_accepts_exactly_its_range(row, value):
     else:
         assert accepts(value), f"{name}={value!r} accepted"
         assert getattr(obj, name) == (tuple(value) if name == "hidden" else value)
+
+
+@pytest.mark.parametrize("cls,name,value", [
+    (TrainConfig, "learning_rate", math.inf),
+    (LossConfig, "lambda_u", math.inf),
+    (LossConfig, "lambda_con", math.inf),
+    (LossConfig, "contrastive_temperature", math.inf),
+    (SelectorConfig, "alpha", math.inf),
+    (SelectorConfig, "beta", math.nan),
+    (Optimizer, "learning_rate", math.inf),
+])
+def test_float_without_a_finite_maximum_must_be_finite(cls, name, value):
+    with pytest.raises(ConfigError, match=f"^{name}: expected finite float .*, got {value!r}$"):
+        cls(**{name: value})
+
+
+def test_p_norm_takes_inf_as_the_max_norm():
+    assert SelectorConfig(p_norm=math.inf).p_norm == math.inf
 
 
 @pytest.mark.parametrize("cls,values,name", [

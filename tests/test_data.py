@@ -3,30 +3,43 @@ import json
 import re
 import struct
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftal import data as dio
 from driftal.config import ConfigError
+from driftal.experiment import Experiment, ExperimentSetup
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
+from driftal.selection import SelectorConfig
 from driftal.stream import months_from_dataset
 from driftal.trainer import TrainConfig, build_model, train
 
 
 def make_dataset(n=100, d=10, months=("2020-01", "2020-02"), seed=0):
     rng = np.random.default_rng(seed)
-    ds = dio.Dataset("test", d)
-    for i in range(n):
-        ds.records.append(
-            dio.FeatureRecord(
-                f"r{i:04d}",
-                months[i % len(months)],
-                int(rng.integers(0, 2)),
-                (rng.random(d) < 0.5).astype(np.uint8),
-            )
+    records = [
+        dio.FeatureRecord(
+            f"r{i:04d}",
+            months[i % len(months)],
+            int(rng.integers(0, 2)),
+            (rng.random(d) < 0.5).astype(np.uint8),
         )
-    return ds
+        for i in range(n)
+    ]
+    return dio.Dataset("test", d, records)
+
+
+def edited(ds, k, **fields):
+    """The records of ``ds`` with record ``k``'s ``fields`` replaced."""
+    records = ds.records
+    vars(records[k]).update(fields)
+    return records
 
 
 def rewrite_shard(ds_dir, suffix, edit, **fields):
@@ -89,11 +102,11 @@ class TestRoundTrip:
         ds = make_dataset()
         dio.save_dataset(ds, tmp_path / "ds")
         manifest, loaded = dio.load_dataset(tmp_path / "ds")
-        by_month = loaded.by_month()
+        rows = loaded.month_rows()
         for shard in manifest["shards"]:
-            records = by_month[shard["month"]]
-            assert shard["benign"] == sum(1 for r in records if r.label == 0)
-            assert shard["malware"] == sum(1 for r in records if r.label == 1)
+            labels = loaded.y[rows[shard["month"]]]
+            assert shard["benign"] == (labels == 0).sum()
+            assert shard["malware"] == (labels == 1).sum()
 
 
 class TestShardValidation:
@@ -191,9 +204,10 @@ class TestShardValidation:
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     def test_duplicate_ids_across_shards(self, tmp_path, fmt):
         ds = make_dataset()
-        ds.records[1].id = ds.records[0].id  # consecutive rows alternate months
+        # consecutive rows alternate months
+        ds = dio.Dataset("test", 10, edited(ds, 1, id=ds.ids[0]))
         ds_dir = self.saved(tmp_path, fmt=fmt, ds=ds)
-        with pytest.raises(dio.DataError, match=ds.records[0].id):
+        with pytest.raises(dio.DataError, match=ds.ids[0]):
             dio.load_dataset(ds_dir)
 
     @pytest.mark.parametrize("fmt,suffix", [("binary", ".bfv"), ("csv", ".csv")])
@@ -298,26 +312,25 @@ class TestManifestValidation:
         ("binary", "a\ud800"), ("csv", "a\ud800"),
     ])
     def test_save_rejects_an_id_the_format_cannot_carry(self, tmp_path, fmt, rid):
-        ds = make_dataset()
-        ds.records[-1].id = rid  # in the last month, so every other shard is valid
+        # in the last month, so every other shard is valid
+        ds = dio.Dataset("test", 10, edited(make_dataset(), -1, id=rid))
         with pytest.raises(dio.DataError, match=re.escape(repr(rid[:32]))):
             dio.save_dataset(ds, tmp_path / "ds", fmt=fmt)
         assert not (tmp_path / "ds").exists()
 
     def test_binary_id_of_65535_bytes_round_trips(self, tmp_path):
-        ds = make_dataset()
-        ds.records[0].id = "x" * 0xFFFF
+        ds = dio.Dataset("test", 10, edited(make_dataset(), 0, id="x" * 0xFFFF))
         dio.save_dataset(ds, tmp_path / "ds")
         _, loaded = dio.load_dataset(tmp_path / "ds")
-        assert loaded.records[0].id == ds.records[0].id
+        assert loaded.ids[0] == ds.ids[0]
 
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
     @pytest.mark.parametrize("features", [[2, 0, 255], [0.5, 0, 1], [-1, 0, 1]])
     def test_save_rejects_a_value_outside_bits(self, tmp_path, fmt, features):
-        ds = make_dataset(d=3)
-        ds.records[-1].features = np.array(features)  # a binary shard keeps nonzero-ness
-        with pytest.raises(dio.DataError, match=ds.records[-1].id):
-            dio.save_dataset(ds, tmp_path / "ds", fmt=fmt)
+        # a binary shard would keep only nonzero-ness; the Dataset is never built
+        records = edited(make_dataset(d=3), -1, features=np.array(features))
+        with pytest.raises(dio.DataError, match=records[-1].id):
+            dio.save_dataset(dio.Dataset("test", 3, records), tmp_path / "ds", fmt=fmt)
         assert not (tmp_path / "ds").exists()
 
     def test_save_rejects_unknown_format(self, tmp_path):
@@ -346,7 +359,9 @@ class TestCsvWriter:
 
     def test_generated_dataset_matches_per_cell_reference(self):
         gen = dio.DriftGeneratorConfig(dim=30, months=2, samples_per_month_per_class=20)
-        for records in dio.synth_drift_generate(gen).by_month().values():
+        ds = dio.synth_drift_generate(gen)
+        for rows in ds.month_rows().values():
+            records = ds.take(rows).records
             assert write_csv(records, 30) == per_cell_csv(records, 30)
 
 
@@ -358,20 +373,19 @@ class TestRecordValues:
         (1, [0.0, 1.0, 0.5]), (0.5, [0, 1, 1]), ("1", [0, 1, 1]),
     ])
     def test_arrays_reject_a_value_outside_bits(self, label, features):
-        ds = make_dataset(n=4, d=3)
-        bad = ds.records[2]
-        bad.label, bad.features = label, np.array(features)
-        with pytest.raises(dio.DataError, match=f"record '{bad.id}'"):
-            ds.to_arrays()
-        with pytest.raises(dio.DataError, match=f"record '{bad.id}'"):
-            months_from_dataset(ds)
+        records = edited(make_dataset(n=4, d=3), 2, label=label,
+                         features=np.array(features))
+        with pytest.raises(dio.DataError, match="record 'r0002' has a label or feature"):
+            dio.record_arrays(records, 3)
+        with pytest.raises(dio.DataError, match="record 'r0002' has a label or feature"):
+            dio.Dataset("test", 3, records)
 
     @pytest.mark.parametrize("label", [2, -1, "1", None])
     def test_label_ratio_split_rejects_a_label_outside_classes(self, label):
-        ds = make_dataset()
-        ds.records[7].label = label
-        with pytest.raises(dio.DataError, match=f"record 'r0007' has label {label!r}"):
-            dio.label_ratio_split(ds, 0.4, 0)
+        # the check fires when the split's input is built
+        records = edited(make_dataset(), 7, label=label)
+        with pytest.raises(dio.DataError, match="record 'r0007' has a label or feature"):
+            dio.label_ratio_split(dio.Dataset("test", 10, records), 0.4, 0)
 
 
 class TestLabelRatioSplit:
@@ -434,13 +448,11 @@ class TestDriftGenerator:
             drift_rate=0.0, seed=0,
         )
         ds = dio.synth_drift_generate(cfg)
-        by_month = ds.by_month()
-        months = list(by_month)
-        first = by_month[months[0]]
-        last = by_month[months[-1]]
+        rows = list(ds.month_rows().values())
+        first, last = ds.take(rows[0]), ds.take(rows[-1])
         for label in (0, 1):
-            a = np.stack([r.features for r in first if r.label == label]).mean(0)
-            b = np.stack([r.features for r in last if r.label == label]).mean(0)
+            a = first.X[first.y == label].mean(0)
+            b = last.X[last.y == label].mean(0)
             sigma = np.sqrt(np.maximum(a * (1 - a), 0.25) / 400)
             assert (np.abs(a - b) <= 3 * 2 * sigma + 1e-9).all()
 
@@ -449,9 +461,8 @@ class TestDriftGenerator:
                                        samples_per_month_per_class=50, seed=1)
         ds = dio.synth_drift_generate(cfg)
         assert len(ds.months()) == 3
-        for records in ds.by_month().values():
-            assert sum(1 for r in records if r.label == 0) == 50
-            assert sum(1 for r in records if r.label == 1) == 50
+        for rows in ds.month_rows().values():
+            assert np.bincount(ds.y[rows]).tolist() == [50, 50]
 
     def test_byte_identical_shards_per_seed(self, tmp_path):
         cfg = dio.DriftGeneratorConfig(dim=16, months=2,
@@ -468,14 +479,12 @@ class TestDriftGenerator:
             drift_rate=1.0, overlap=0.0, seed=3,
         )
         ds = dio.synth_drift_generate(cfg)
-        by_month = ds.by_month()
+        by_month = ds.month_rows()
         months = list(by_month)
 
         def arrays(month):
-            recs = by_month[month]
-            X = np.stack([r.features for r in recs])
-            y = np.array([r.label for r in recs])
-            return X, y
+            rows = by_month[month]
+            return ds.X[rows], ds.y[rows]
 
         tcfg = TrainConfig(epochs=20, hidden=(16, 8), loss=LossConfig(lambda_u=0,
                            lambda_con=0), seed=0)
@@ -519,3 +528,101 @@ class TestMonthParsing:
             dio.parse_period("2020-13")
         with pytest.raises(dio.DataError):
             dio.parse_period("202001")
+
+
+def columns(ds):
+    """Everything a Dataset holds, in a form ``==`` compares exactly."""
+    return (ds.name, ds.feature_dim, ds.ids, ds.row_months, ds.y.dtype, ds.y.tolist(),
+            ds.X.dtype, ds.X.shape, ds.X.tobytes())
+
+
+@st.composite
+def datasets(draw):
+    """0-5 rows over three months in any order, with multi-byte UTF-8 ids and
+    a feature_dim that need not be a multiple of 8."""
+    d = draw(st.integers(1, 19))
+    n = draw(st.integers(0, 5))
+    ids = draw(st.lists(st.text("a\u00e9\u20ac\U0001f600-", min_size=1, max_size=4),
+                        min_size=n, max_size=n, unique=True))
+    months = draw(st.lists(st.sampled_from(["2020-01", "2020-02", "2021-12"]),
+                           min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n * d, max_size=n * d))
+    return dio.Dataset.from_arrays("prop", d, np.array(bits, np.uint8).reshape(n, d),
+                                   np.array(y, np.int64), ids, months)
+
+
+class TestColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=datasets())
+    def test_records_and_shards_keep_the_columns(self, ds):
+        assert columns(dio.Dataset(ds.name, ds.feature_dim, ds.records)) == columns(ds)
+        # a saved dataset loads month by month, each month's rows in row order
+        by_month = ds.take(np.concatenate([[], *ds.month_rows().values()]).astype(int))
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("binary", "csv"):
+                dio.save_dataset(ds, Path(tmp) / fmt, fmt=fmt)
+                _, loaded = dio.load_dataset(Path(tmp) / fmt)
+                assert columns(loaded) == columns(by_month)
+
+    def test_records_are_a_copy(self):
+        ds = make_dataset(n=3, d=4)
+        records = ds.records
+        records[0].features[:] = 1 - records[0].features
+        records[0].label = 1 - records[0].label
+        assert columns(ds) == columns(make_dataset(n=3, d=4))
+        with pytest.raises(AttributeError):
+            ds.records = []
+
+    def test_from_arrays_stores_uint8_and_int64(self):
+        ds = dio.Dataset.from_arrays("t", 2, [[0.0, 1.0], [1.0, 1.0]], [True, False],
+                                     ("a", "b"), ["2020-01", "2020-02"])
+        assert ds.X.dtype == np.uint8 and ds.y.dtype == np.int64
+        assert ds.X.tolist() == [[0, 1], [1, 1]] and ds.y.tolist() == [1, 0]
+        assert ds.ids == ["a", "b"] and len(ds) == 2
+
+    @pytest.mark.parametrize("X,y,ids,months", [
+        (np.zeros((3, 2)), [0, 1], ["a", "b"], ["2020-01"] * 2),
+        (np.zeros((2, 3)), [0, 1], ["a", "b"], ["2020-01"] * 2),
+        (np.zeros((2, 2)), [[0, 1]], ["a", "b"], ["2020-01"] * 2),
+        (np.zeros((2, 2)), [0, 1], ["a", "b"], ["2020-01"]),
+        (np.zeros(4), [0, 1], ["a", "b"], ["2020-01"] * 2),
+    ])
+    def test_from_arrays_rejects_columns_of_other_lengths(self, X, y, ids, months):
+        with pytest.raises(dio.DataError, match="do not fit 2 ids of 2 features"):
+            dio.Dataset.from_arrays("t", 2, X, y, ids, months)
+
+    @pytest.mark.parametrize("X,y", [
+        ([[0, 1], [2, 0]], [0, 1]), ([[0, 1], [0, 255]], [0, 1]),
+        ([[0, 1], [0.5, 0]], [0, 1]), ([[0, 1], [-1, 0]], [0, 1]),
+        ([[0, 1], [0, 0]], [0, 2]), ([[0, 1], [0, 0]], [0, 0.5]),
+        ([[0, 1], [0, 0]], np.array([0, "1"], dtype=object)),
+    ])
+    def test_from_arrays_rejects_a_value_outside_bits(self, X, y):
+        with pytest.raises(dio.DataError, match="record 'b' has a label or feature"):
+            dio.Dataset.from_arrays("t", 2, np.array(X), np.array(y), ["a", "b"],
+                                    ["2020-01", "2020-01"])
+
+    def test_month_rows(self):
+        ds = make_dataset(n=7, months=("2020-03", "2020-01", "2020-03"))
+        rows = ds.month_rows()
+        assert list(rows) == ["2020-01", "2020-03"]
+        assert [r.tolist() for r in rows.values()] == [[1, 4], [0, 2, 3, 5, 6]]
+        assert ds.take(np.isin(ds.row_months, "2020-01")).ids == ["r0001", "r0004"]
+        assert dio.Dataset("empty", 3).month_rows() == {}
+
+    def test_no_record_between_generator_and_stream(self, tmp_path, monkeypatch):
+        def no_record(*args):
+            raise AssertionError("a FeatureRecord was built")
+
+        monkeypatch.setattr(dio, "FeatureRecord", no_record)
+        gen = dio.DriftGeneratorConfig(dim=12, months=3, samples_per_month_per_class=20)
+        dio.save_dataset(dio.synth_drift_generate(gen), tmp_path / "ds")
+        _, ds = dio.load_dataset(tmp_path / "ds")
+        months = ds.months()
+        assert [m.month for m in months_from_dataset(ds)] == months
+        setup = ExperimentSetup(ds, months[:2], months[2:], label_ratio=0.5,
+                                noise_rate=0.2, train_cfg=TrainConfig(epochs=1, hidden=(4,)),
+                                retrain_epochs=1)
+        result = Experiment(setup).run(SelectorConfig(kind="random"), 5, 0)
+        assert [m.month for m in result.monthly] == months[2:]

@@ -117,11 +117,10 @@ def saved_dataset(ds_dir):
     """A 2-month dataset whose shards exist in both formats; returns the manifest
     (month 1 binary, month 2 CSV) and the rows of each shard file."""
     rng = np.random.default_rng(0)
-    ds = dio.Dataset("fuzz", 6)
-    for i in range(8):
-        ds.records.append(dio.FeatureRecord(f"r{i}", f"2020-0{1 + i % 2}",
-                                            int(rng.integers(0, 2)),
-                                            (rng.random(6) < 0.5).astype(np.uint8)))
+    ds = dio.Dataset("fuzz", 6, [dio.FeatureRecord(f"r{i}", f"2020-0{1 + i % 2}",
+                                                   int(rng.integers(0, 2)),
+                                                   (rng.random(6) < 0.5).astype(np.uint8))
+                                 for i in range(8)])
     dio.save_dataset(ds, ds_dir, fmt="csv")
     csv_shards = json.loads((ds_dir / "manifest.json").read_text())["shards"]
     dio.save_dataset(ds, ds_dir, fmt="binary")
