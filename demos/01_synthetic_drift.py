@@ -28,20 +28,21 @@ gen = DriftGeneratorConfig(
     seed=0,
 )
 dataset = synth_drift_generate(gen)
-months = months_from_dataset(dataset)
+months = months_from_dataset(dataset, dataset.months())  # {month: Dataset}
 print(f"generated {len(dataset)} samples over {len(months)} months")
 
 # train on the first two months with full labels, no adaptation afterwards
-Xl = np.concatenate([months[0].X, months[1].X])
-yl = np.concatenate([months[0].y, months[1].y])
+first, second, *_ = months.values()
+Xl = np.concatenate([first.X, second.X])
+yl = np.concatenate([first.y, second.y])
 cfg = TrainConfig(epochs=15, hidden=(64, 32), seed=0)
 model, report = train(build_model(gen.dim, cfg), (Xl, yl), np.zeros((0, gen.dim)), cfg)
 print(f"initial fit: final loss {report.epoch_losses[-1].total:.4f}\n")
 
 print(f"{'month':<10} {'F1':>6} {'FNR':>6} {'FPR':>6}")
-for m in months[2:]:
-    preds = model.predict_batch(m.X).argmax(axis=1)
-    mm = compute_metrics(preds, m.y, month=m.month)
+for month, block in list(months.items())[2:]:
+    preds = model.predict_batch(block.X).argmax(axis=1)
+    mm = compute_metrics(preds, block.y, month=month)
     print(f"{mm.month:<10} {mm.f1:6.3f} {mm.fnr:6.3f} {mm.fpr:6.3f}")
 
 print("\nWithout adaptation the same weights score each successive month; "

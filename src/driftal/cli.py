@@ -159,7 +159,10 @@ def _setup_from_config(config, streams=True):
     if ("dataset" in config) == ("generator" in config):
         raise ConfigError("exactly one of 'dataset' or 'generator' is required")
     if "dataset" in config:
-        _, dataset = dio.load_dataset(typed(config["dataset"], "dataset", str))
+        path = typed(config["dataset"], "dataset", str)
+        _, dataset = dio.load_dataset(path)
+        if not len(dataset):
+            raise dio.DataError(f"dataset {path} has no rows")
     else:
         gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"),
                      "generator")

@@ -35,10 +35,10 @@ class Experiment:
 
     def __init__(self, setup):
         self.setup = setup
-        self._initial = {}  # seed -> (model, (Xl, yl, ids_l), (Xu, yu, ids_u), report)
+        self._initial = {}  # seed -> (model, labeled, unlabeled Datasets, report)
         ds = setup.dataset
         self.train_set = ds.take(np.isin(ds.row_months, setup.train_months))
-        self.stream = months_from_dataset(ds, months=set(setup.stream_months))
+        self.stream = months_from_dataset(ds, set(setup.stream_months))
 
     def initial_fit(self, seed):
         """Train (and cache) the warm-start model for one seed."""
@@ -48,10 +48,9 @@ class Experiment:
         labeled, unlabeled = dio.label_ratio_split(self.train_set, s.label_ratio, seed)
         if s.noise_rate > 0:
             labeled = dio.inject_label_noise(labeled, s.noise_rate, seed)
-        labeled, unlabeled = ((d.X, d.y, d.ids) for d in (labeled, unlabeled))
         cfg = replace(s.train_cfg, seed=seed)
         model = build_model(self.train_set.feature_dim, cfg)
-        model, report = train(model, labeled[:2], unlabeled[0], cfg)
+        model, report = train(model, (labeled.X, labeled.y), unlabeled.X, cfg)
         self._initial[seed] = (model, labeled, unlabeled, report)
         return self._initial[seed]
 

@@ -39,19 +39,11 @@ class StreamConfig:
         check_fields(self)
 
 
-@dataclass
-class MonthData:
-    month: str
-    ids: list
-    X: np.ndarray
-    y: np.ndarray
-
-
-def months_from_dataset(dataset, months=None):
-    """Split a Dataset into chronologically ordered MonthData batches."""
-    parts = {month: dataset.take(rows) for month, rows in dataset.month_rows().items()
-             if months is None or month in months}
-    return [MonthData(month, p.ids, p.X, p.y) for month, p in parts.items()]
+def months_from_dataset(dataset, months):
+    """{month: Dataset of its rows} for each of ``months`` the dataset holds,
+    in month order."""
+    return {month: dataset.take(rows) for month, rows in dataset.month_rows().items()
+            if month in months}
 
 
 @dataclass
@@ -93,8 +85,8 @@ def check_pools(lab, unl, revealed):
 def run_stream(model, labeled, unlabeled, months, cfg):
     """Replay the monthly stream with budget-k active labeling.
 
-    ``labeled`` and ``unlabeled`` are (X, y, ids) blocks and ``months`` a
-    chronological list of MonthData. Each month is (1) evaluated by the
+    ``labeled`` and ``unlabeled`` are Datasets and ``months`` an ordered
+    ``{month: Dataset}`` map. Each month is (1) evaluated by the
     current model, (2) appended to the unlabeled pool, (3) scored, and up
     to ``budget`` pool rows picked; (4) the picked rows, in picked order and
     with their true labels, move to the end of the labeled pool, and (5) if
@@ -102,25 +94,23 @@ def run_stream(model, labeled, unlabeled, months, cfg):
     seed ``cfg.seed`` + months evaluated. Budget 0 never retrains: it is
     the static no-adaptation baseline.
     """
-    blocks = [labeled, unlabeled] + [(m.X, m.y, m.ids) for m in months]
-    X = np.concatenate([np.asarray(b[0], dtype=np.uint8) for b in blocks])
-    y = np.concatenate([np.asarray(b[1], dtype=np.int64) for b in blocks])
-    ids = [i for b in blocks for i in b[2]]
-    if not len(X) == len(y) == len(ids):
-        raise PoolInvariantError(f"{len(X)} rows, {len(y)} labels, {len(ids)} ids")
+    blocks = [labeled, unlabeled, *months.values()]
+    X = np.concatenate([b.X for b in blocks])
+    y = np.concatenate([b.y for b in blocks])
+    ids = [i for b in blocks for i in b.ids]
     check_unique_ids(ids, PoolInvariantError, "rows of both pools and the months")
-    revealed = len(labeled[2]) + len(unlabeled[2])
-    lab, unl = np.arange(len(labeled[2])), np.arange(len(labeled[2]), revealed)
+    revealed = len(labeled) + len(unlabeled)
+    lab, unl = np.arange(len(labeled)), np.arange(len(labeled), revealed)
     model, rng = model.copy(), np.random.default_rng(cfg.seed)
     monthly, selected_per_month = [], []
-    for mdata in months:
+    for month, block in months.items():
         # (1) evaluate before the month's data can influence anything
-        preds = model.predict_batch(mdata.X).argmax(axis=1)
-        monthly.append(compute_metrics(preds, mdata.y, month=mdata.month))
+        preds = model.predict_batch(block.X).argmax(axis=1)
+        monthly.append(compute_metrics(preds, block.y, month=month))
 
         # (2) the month joins the unlabeled pool
-        unl = np.concatenate([unl, np.arange(revealed, revealed + len(mdata.ids))])
-        revealed += len(mdata.ids)
+        unl = np.concatenate([unl, np.arange(revealed, revealed + len(block))])
+        revealed += len(block)
 
         # (3) score and select under the budget; only the selectors that
         # rank by the Lp distance read the labeled embeddings

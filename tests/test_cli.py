@@ -537,6 +537,21 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert "has no 'feature_dim'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", [{"train_months": 2}, {"train": "2020-01"}])
+    @pytest.mark.parametrize("command", ["train", "stream"])
+    def test_dataset_without_rows_exits_data(self, tmp_path, capsys, command, split):
+        ds_dir = tmp_path / "ds"
+        ds_dir.mkdir()
+        (ds_dir / "manifest.json").write_text(json.dumps(
+            {"version": 1, "name": "empty", "feature_dim": 20, "shards": []}))
+        cfg = base_config(dataset=str(ds_dir), split=split)
+        del cfg["generator"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_DATA
+        assert f"dataset {ds_dir} has no rows" in capsys.readouterr().err
+
     def test_synth_unknown_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, format="parquet")
         assert main(["synth", "--config", cfg,

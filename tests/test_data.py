@@ -620,7 +620,12 @@ class TestColumns:
         dio.save_dataset(dio.synth_drift_generate(gen), tmp_path / "ds")
         _, ds = dio.load_dataset(tmp_path / "ds")
         months = ds.months()
-        assert [m.month for m in months_from_dataset(ds)] == months
+        stream = months_from_dataset(ds, {months[2], months[0]})
+        assert list(stream) == [months[0], months[2]]
+        for month, block in stream.items():
+            want = ds.take(ds.month_rows()[month])
+            assert (block.ids, block.row_months) == (want.ids, want.row_months)
+            assert np.array_equal(block.X, want.X) and np.array_equal(block.y, want.y)
         setup = ExperimentSetup(ds, months[:2], months[2:], label_ratio=0.5,
                                 noise_rate=0.2, train_cfg=TrainConfig(epochs=1, hidden=(4,)),
                                 retrain_epochs=1)

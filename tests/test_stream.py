@@ -2,6 +2,7 @@ import functools
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftal import stream
-from driftal.data import DriftGeneratorConfig, synth_drift_generate
+from driftal.data import Dataset, DriftGeneratorConfig, synth_drift_generate
 from driftal.experiment import Experiment, ExperimentSetup
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
-from driftal.selection import SELECTOR_KINDS, SelectorConfig, ranks_by_lp, select
+from driftal.selection import SELECTOR_KINDS, SelectorConfig
 from driftal.stream import (
-    MonthData,
     StreamConfig,
     PoolInvariantError,
     aggregate_runs,
@@ -25,6 +25,8 @@ from driftal.stream import (
     run_stream,
 )
 from driftal.trainer import TrainConfig, build_model, train
+
+from test_selection import nn_oracle, selection_oracle
 
 
 def small_cfg(**kw):
@@ -39,25 +41,30 @@ def small_cfg(**kw):
 
 
 def make_world(n_train=40, n_pool=30, d=6, n_months=3, per_month=20, seed=0):
-    """Tiny labeled/unlabeled split plus a monthly stream, all with true labels."""
+    """Tiny labeled and unlabeled Datasets plus a ``{month: Dataset}`` stream,
+    all with true labels."""
     rng = np.random.default_rng(seed)
 
-    def batch(prefix, n):
+    def batch(prefix, n, month):
         X = (rng.random((n, d)) < 0.5).astype(np.uint8)
         y = (X[:, :3].sum(axis=1) >= 2).astype(np.int64)
-        ids = [f"{prefix}{i}" for i in range(n)]
-        return X, y, ids
+        return Dataset.from_arrays("world", d, X, y, [f"{prefix}{i}" for i in range(n)],
+                                   [month] * n)
 
-    Xl, yl, ids_l = batch("l", n_train)
-    Xu, yu, ids_u = batch("u", n_pool)
-    months = []
-    for m in range(n_months):
-        X, y, ids = batch(f"m{m}_", per_month)
-        months.append(MonthData(f"2020-{m + 1:02d}", ids, X, y))
+    labeled = batch("l", n_train, "2019-12")
+    unlabeled = batch("u", n_pool, "2019-12")
+    months = {f"2020-{m + 1:02d}": batch(f"m{m}_", per_month, f"2020-{m + 1:02d}")
+              for m in range(n_months)}
     cfg = TrainConfig(epochs=5, hidden=(8,), seed=seed)
     model = build_model(d, cfg)
-    model, _ = train(model, (Xl, yl), Xu, cfg)
-    return model, (Xl, yl, ids_l), (Xu, yu, ids_u), months
+    model, _ = train(model, (labeled.X, labeled.y), unlabeled.X, cfg)
+    return model, labeled, unlabeled, months
+
+
+def with_ids(block, ids):
+    """``block`` with its ids replaced by ``ids``."""
+    return Dataset.from_arrays(block.name, block.feature_dim, block.X, block.y, ids,
+                               block.row_months)
 
 
 def record_train_calls(monkeypatch):
@@ -100,7 +107,7 @@ class TestCheckPools:
 
 
 class TestStreamBoundary:
-    """Stream ids and row counts are checked once, before any training."""
+    """Stream ids are checked once, before any training."""
 
     @staticmethod
     def _raises_untrained(monkeypatch, world, match):
@@ -111,28 +118,24 @@ class TestStreamBoundary:
 
     def test_id_repeated_within_a_month(self, monkeypatch):
         model, labeled, unlabeled, months = make_world()
-        months[2].ids[3] = months[2].ids[0]
+        ids = months["2020-03"].ids
+        months["2020-03"] = with_ids(months["2020-03"], [*ids[:3], ids[0], *ids[4:]])
         self._raises_untrained(monkeypatch, (model, labeled, unlabeled, months),
                                re.escape("repeated ids ['m2_0']"))
 
     def test_id_repeated_within_labeled_block(self, monkeypatch):
         model, labeled, unlabeled, months = make_world()
-        labeled[2][5] = labeled[2][1]
+        ids = labeled.ids
+        labeled = with_ids(labeled, [*ids[:5], ids[1], *ids[6:]])
         self._raises_untrained(monkeypatch, (model, labeled, unlabeled, months),
                                re.escape("repeated ids ['l1']"))
-
-    def test_month_with_fewer_ids_than_rows(self, monkeypatch):
-        model, labeled, unlabeled, months = make_world()
-        months[2].ids.pop()
-        self._raises_untrained(monkeypatch, (model, labeled, unlabeled, months),
-                               "130 rows, 130 labels, 129 ids")
 
 
 class TestRunStream:
     def test_budget_respected_and_ids_from_stream_or_pool(self):
         model, labeled, unlabeled, months = make_world()
         result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=5))
-        valid = set(unlabeled[2]) | {i for m in months for i in m.ids}
+        valid = set(unlabeled.ids) | {i for m in months.values() for i in m.ids}
         for ids in result.selected_ids:
             assert len(ids) <= 5
             assert set(ids) <= valid
@@ -144,9 +147,9 @@ class TestRunStream:
         result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=0))
         assert all(ids == [] for ids in result.selected_ids)
         # the model must be untouched: recompute month metrics directly
-        for mm, mdata in zip(result.monthly, months):
-            preds = model.predict_batch(mdata.X).argmax(axis=1)
-            tp = int(((preds == 1) & (mdata.y == 1)).sum())
+        for mm, block in zip(result.monthly, months.values()):
+            preds = model.predict_batch(block.X).argmax(axis=1)
+            tp = int(((preds == 1) & (block.y == 1)).sum())
             assert mm.tp == tp
 
     def test_input_model_not_mutated(self):
@@ -190,12 +193,12 @@ class TestRunStream:
 
     def test_promoted_labels_are_truth(self, monkeypatch):
         model, labeled, unlabeled, months = make_world()
-        blocks = [labeled[1:], unlabeled[1:]] + [(m.y, m.ids) for m in months]
-        truth = {i: int(c) for y, ids in blocks for i, c in zip(ids, y)}
+        blocks = [labeled, unlabeled, *months.values()]
+        truth = {i: int(c) for b in blocks for i, c in zip(b.ids, b.y)}
         retrains = record_train_calls(monkeypatch)
         result = run_stream(model, labeled, unlabeled, months, small_cfg())
         assert len(retrains) == len(months)
-        ids_l = list(labeled[2])
+        ids_l = list(labeled.ids)
         for ids, ((_, yl), _) in zip(result.selected_ids, retrains):
             ids_l += ids
             assert yl.tolist() == [truth[i] for i in ids_l]
@@ -208,18 +211,18 @@ class TestRunStream:
                             lambda *args, **kw: ([3, 1], None))
         retrains = record_train_calls(monkeypatch)
         run_stream(model, labeled, unlabeled, months, small_cfg())
-        pool_X = np.concatenate([unlabeled[0], months[0].X])
-        pool_y = np.concatenate([unlabeled[1], months[0].y])
+        [month] = months.values()
+        pool_X = np.concatenate([unlabeled.X, month.X])
+        pool_y = np.concatenate([unlabeled.y, month.y])
         (Xl, yl), Xu = retrains[0]
-        assert np.array_equal(Xl, np.concatenate([labeled[0], pool_X[[3, 1]]]))
-        assert np.array_equal(yl, np.concatenate([labeled[1], pool_y[[3, 1]]]))
+        assert np.array_equal(Xl, np.concatenate([labeled.X, pool_X[[3, 1]]]))
+        assert np.array_equal(yl, np.concatenate([labeled.y, pool_y[[3, 1]]]))
         assert np.array_equal(Xu, pool_X[[0, 2, 4]])
 
     def test_empty_month_handled(self):
         model, labeled, unlabeled, months = make_world()
-        d = months[0].X.shape[1]
-        months.insert(1, MonthData("2020-01b", [], np.zeros((0, d), np.uint8),
-                                   np.zeros(0, np.int64)))
+        items = list(months.items())
+        months = dict([items[0], ("2020-01b", labeled.take([])), *items[1:]])
         result = run_stream(model, labeled, unlabeled, months, small_cfg())
         empty = result.monthly[1]
         assert empty.tp == empty.fp == empty.tn == empty.fn == 0
@@ -230,14 +233,12 @@ class TestRunStream:
                                    samples_per_month_per_class=100,
                                    drift_rate=0.6, overlap=0.0, seed=1)
         ds = synth_drift_generate(gen)
-        months = months_from_dataset(ds)
-        train_m, stream_m = months[:1], months[1:]
-        Xl, yl, ids_l = train_m[0].X, train_m[0].y, train_m[0].ids
+        first, *rest = ds.months()
+        labeled = ds.take(np.isin(ds.row_months, first))
+        unlabeled, stream_m = labeled.take([]), months_from_dataset(ds, rest)
         cfg = TrainConfig(epochs=15, hidden=(16,), seed=0)
         model = build_model(60, cfg)
-        model, _ = train(model, (Xl, yl), np.zeros((0, 60)), cfg)
-        labeled = (Xl, yl, ids_l)
-        unlabeled = (np.zeros((0, 60), np.uint8), np.zeros(0, np.int64), [])
+        model, _ = train(model, (labeled.X, labeled.y), unlabeled.X, cfg)
         static = run_stream(model, labeled, unlabeled, stream_m,
                             StreamConfig(budget=0, retrain=cfg, seed=0))
         adaptive = run_stream(
@@ -251,30 +252,59 @@ class TestRunStream:
             StreamConfig(budget=-1)
 
 
+def reference_scores(model, pool_X, labeled_X, cfg):
+    """The scores ``select`` documents, without ``selection``'s code: the
+    model's probabilities and embeddings, hand-computed criteria and the
+    brute-force nearest distance. The distance and the hybrid are NaN for
+    the selectors that do not rank by them."""
+    probs = model.predict_batch(pool_X)
+    margin, confidence = np.abs(probs[:, 0] - probs[:, 1]), probs.max(axis=1)
+    lp = hybrid = np.full(len(probs), np.nan)
+    if cfg.kind in ("multi_criteria", "lp_only"):
+        lp = nn_oracle(model.embed_batch(pool_X), model.embed_batch(labeled_X), cfg.p_norm)
+
+        def scaled(v):
+            lo, hi = v.min(), v.max()
+            return np.full(len(v), 0.5) if hi == lo else (v - lo) / (hi - lo)
+
+        hybrid = (cfg.alpha * (1.0 - scaled(margin)) + cfg.beta * scaled(lp)
+                  + cfg.gamma * (1.0 - scaled(confidence)))
+    return SimpleNamespace(margin=margin, lp_distance=lp, confidence=confidence,
+                           hybrid=hybrid)
+
+
 def reference_stream(model, labeled, unlabeled, months, cfg):
-    """The protocol of ``run_stream``'s docstring, with pools as id -> row dicts.
+    """The protocol of ``run_stream``'s docstring, with pools as id -> row dicts
+    and each pool scored by ``reference_scores`` and ranked by
+    ``selection_oracle``.
 
     Returns the monthly (tp, fp, tn, fn) counts and the selected ids.
     """
-    def rows(X, y, ids):
-        return {i: (np.asarray(x, np.uint8), int(c)) for i, x, c in zip(ids, X, y)}
+    def rows(block):
+        return {i: (x, int(c)) for i, x, c in zip(block.ids, block.X, block.y)}
 
     def stack(pool):
-        d = len(months[0].X[0])
-        X = np.array([x for x, _ in pool.values()], np.uint8).reshape(-1, d)
-        return X, np.array([c for _, c in pool.values()], np.int64)
+        X = np.array([x for x, _ in pool.values()], np.uint8)
+        return (X.reshape(-1, labeled.feature_dim),
+                np.array([c for _, c in pool.values()], np.int64))
 
-    lab, unl = rows(*labeled), rows(*unlabeled)
+    lab, unl = rows(labeled), rows(unlabeled)
     model, rng = model.copy(), np.random.default_rng(cfg.seed)
+    k, selector = cfg.budget, cfg.selector
     counts, selected = [], []
-    for evaluated, m in enumerate(months, start=1):
-        preds = model.predict_batch(m.X).argmax(axis=1)
-        mm = compute_metrics(preds, m.y, month=m.month)
+    for evaluated, (month, block) in enumerate(months.items(), start=1):
+        preds = model.predict_batch(block.X).argmax(axis=1)
+        mm = compute_metrics(preds, block.y, month=month)
         counts.append((mm.tp, mm.fp, mm.tn, mm.fn))
-        unl.update(rows(m.X, m.y, m.ids))
-        embs = model.embed_batch(stack(lab)[0]) if ranks_by_lp(cfg.selector) else None
-        chosen, _ = select(stack(unl)[0], model, embs, cfg.selector, cfg.budget,
-                           rng=rng)
+        unl.update(rows(block))
+        n = len(unl)
+        if k <= 0 or n == 0:
+            chosen = []
+        elif selector.kind == "random":
+            chosen = rng.choice(n, size=min(k, n), replace=False).tolist()
+        else:
+            scores = reference_scores(model, stack(unl)[0], stack(lab)[0], selector)
+            chosen = selection_oracle(scores, selector, k)
         picked = [list(unl)[j] for j in chosen]
         selected.append(picked)
         for i in picked:
@@ -286,7 +316,8 @@ def reference_stream(model, labeled, unlabeled, months, cfg):
 
 
 class TestReferenceStream:
-    """``run_stream`` against an id-keyed reference of the same protocol."""
+    """``run_stream`` against an id-keyed reference of the same protocol that
+    shares no scoring, distance or ranking code with it."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -319,17 +350,19 @@ class TestStreamProperties:
            seed=st.integers(0, 2), data=st.data())
     def test_renaming_ids_changes_nothing_else(self, kind, budget, seed, data):
         model, labeled, unlabeled, months = cached_world(seed)
-        ids = [*labeled[2], *unlabeled[2], *(i for m in months for i in m.ids)]
+        ids = [*labeled.ids, *unlabeled.ids, *(i for m in months.values() for i in m.ids)]
         names = data.draw(st.lists(st.text(max_size=4), min_size=len(ids),
                                    max_size=len(ids), unique=True))
         rename = dict(zip(ids, names))
-        renamed = [(*labeled[:2], [rename[i] for i in labeled[2]]),
-                   (*unlabeled[:2], [rename[i] for i in unlabeled[2]]),
-                   [MonthData(m.month, [rename[i] for i in m.ids], m.X, m.y)
-                    for m in months]]
+
+        def renamed(block):
+            return with_ids(block, [rename[i] for i in block.ids])
+
+        renamed_world = [renamed(labeled), renamed(unlabeled),
+                         {m: renamed(b) for m, b in months.items()}]
         cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind), seed=seed)
         a = run_stream(model, labeled, unlabeled, months, cfg)
-        b = run_stream(model, *renamed, cfg)
+        b = run_stream(model, *renamed_world, cfg)
         assert [m.to_dict() for m in a.monthly] == [m.to_dict() for m in b.monthly]
         position = {name: k for k, name in enumerate(names)}
         assert ([[ids.index(i) for i in sel] for sel in a.selected_ids]
@@ -342,7 +375,7 @@ class TestStreamProperties:
         """Every month's pool is selected whole, or for ``low_confidence_only``
         exactly its rows below the cutoff."""
         model, labeled, unlabeled, months = cached_world(seed)
-        budget = len(unlabeled[2]) + sum(len(m.ids) for m in months) + extra
+        budget = len(unlabeled) + sum(map(len, months.values())) + extra
         selector = SelectorConfig(kind=kind, low_confidence_cutoff=cutoff)
         calls, real = [], stream.sel.select
 
@@ -355,8 +388,9 @@ class TestStreamProperties:
             result = run_stream(model, labeled, unlabeled, months,
                                 small_cfg(budget=budget, selector=selector, seed=seed))
         assert len(calls) == len(months)
-        pool = list(unlabeled[2])
-        for m, picked, (n, chosen, scores) in zip(months, result.selected_ids, calls):
+        pool = list(unlabeled.ids)
+        for m, picked, (n, chosen, scores) in zip(months.values(), result.selected_ids,
+                                                  calls):
             pool += m.ids
             assert n == len(pool)
             want = (np.flatnonzero(scores.confidence < cutoff).tolist()
@@ -370,11 +404,9 @@ class TestStreamProperties:
            budget=st.integers(0, 10), seed=st.integers(0, 2))
     def test_single_class_month_gives_none_not_nan(self, classes, budget, seed):
         model, labeled, unlabeled, months = cached_world(seed)
-        stream_months = []
-        for m, label in zip(months, classes):  # None keeps both classes
-            keep = np.flatnonzero(m.y == label) if label is not None else np.arange(len(m.y))
-            stream_months.append(MonthData(m.month, [m.ids[k] for k in keep],
-                                           m.X[keep], m.y[keep]))
+        # None keeps both classes
+        stream_months = {m: b if label is None else b.take(b.y == label)
+                         for (m, b), label in zip(months.items(), classes)}
         result = run_stream(model, labeled, unlabeled, stream_months,
                             small_cfg(budget=budget, seed=seed))
         for mm, label in zip(result.monthly, classes):
@@ -395,11 +427,11 @@ class TestExperimentLabels:
             ds, months[:2], months[2:], label_ratio=0.5, noise_rate=0.3,
             train_cfg=TrainConfig(epochs=1, hidden=(4,)),
         )
-        _, (_, yl, ids_l), (_, yu, ids_u), _ = Experiment(setup).initial_fit(0)
-        truth = {r.id: r.label for r in ds.records}
-        assert yu.tolist() == [truth[i] for i in ids_u]
-        flipped = int((yl != [truth[i] for i in ids_l]).sum())
-        assert len(ids_u) > 0 and flipped == round(0.3 * len(ids_l)) > 0
+        _, labeled, unlabeled, _ = Experiment(setup).initial_fit(0)
+        truth = dict(zip(ds.ids, ds.y.tolist()))
+        assert unlabeled.y.tolist() == [truth[i] for i in unlabeled.ids]
+        flipped = int((labeled.y != [truth[i] for i in labeled.ids]).sum())
+        assert len(unlabeled) > 0 and flipped == round(0.3 * len(labeled)) > 0
 
 
 class TestRepeatedIds:
@@ -412,20 +444,21 @@ class TestRepeatedIds:
 
     @staticmethod
     def _repeat(months, ids):
-        mdata = months[1]
-        mdata.ids[: len(ids)] = ids
+        """``months`` with the second month's first ids replaced by ``ids``."""
+        month, block = list(months.items())[1]
+        return {**months, month: with_ids(block, [*ids, *block.ids[len(ids):]])}
 
     @pytest.mark.parametrize("budget", [0, 5])
     def test_month_repeating_unlabeled_ids(self, budget):
         model, labeled, unlabeled, months = make_world()
-        self._repeat(months, unlabeled[2][:4])
+        months = self._repeat(months, unlabeled.ids[:4])
         with pytest.raises(PoolInvariantError):
             run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget))
 
     @pytest.mark.parametrize("budget", [0, 5])
     def test_month_repeating_labeled_ids(self, budget):
         model, labeled, unlabeled, months = make_world()
-        self._repeat(months, labeled[2][:4])
+        months = self._repeat(months, labeled.ids[:4])
         with pytest.raises(PoolInvariantError, match="both pools"):
             run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget))
 
