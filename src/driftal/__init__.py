@@ -36,6 +36,7 @@ from .metrics import (
     emit_report,
 )
 from .net import Classifier, Optimizer
+from .outputs import write_outputs
 from .selection import (
     SelectionScore,
     SelectorConfig,

@@ -2,9 +2,9 @@
 
 Subcommands: synth | train | stream | ablate | bench | noise | report.
 Configuration comes from a JSON file (--config); each flag overrides
-the config key that COMMANDS names. Every command writes a run.json with
-that config (the file with flag overrides applied), the run seeds, and
-output hashes.
+the config key that COMMANDS names. main writes each command's outputs,
+then a run.json with that config (the file with flag overrides applied),
+the run seeds, and the outputs' hashes.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -28,6 +28,7 @@ from .config import ConfigError, entry, typed, typed_list
 from .experiment import Experiment, ExperimentSetup
 from .losses import LossConfig
 from .net import NumericError
+from .outputs import write_outputs
 from .selection import SELECTOR_KINDS, SelectorConfig
 from .stream import aggregate_runs
 from .trainer import TrainConfig
@@ -40,15 +41,20 @@ EXIT_NUMERIC = 4
 DEFAULT_OUT_ENV = "DRIFTAL_OUT"
 
 
+def _read_json(path, what, error):
+    """The JSON value in file ``path``; ``error`` names the ``what`` file otherwise."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e.strerror}") from None
+    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
+
+
 def _load_config(path):
     if path is None:
         return {}
-    try:
-        config = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
-    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    config = _read_json(path, "config file", ConfigError)
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path}: expected an object, got {config!r}")
     return config
@@ -128,15 +134,6 @@ def _seeds(args, config):
     return seeds
 
 
-def _make_dir(path):
-    """``path`` as a directory, made if missing; an error names it otherwise."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"out: cannot make directory {path}: {e.strerror}") from None
-    return path
-
-
 def _fmt_f1(f1):
     return "n/a" if f1 is None else f"{f1:.3f}"
 
@@ -207,7 +204,8 @@ def _setup_from_config(config, streams=True):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns the (seeds, artifacts) that run.json records
+# subcommands: each returns its seeds and its outputs, an ordered
+# {path relative to out_dir: payload} map that main writes and hashes
 # ---------------------------------------------------------------------------
 
 
@@ -215,47 +213,38 @@ def cmd_synth(args, config, out_dir):
     gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"), "generator")
     fmt = typed(config.get("format", "binary"), "format", str, choices=dio.SHARD_FORMATS)
     dataset = dio.synth_drift_generate(gen)
-    dio.save_dataset(dataset, _make_dir(out_dir / "dataset"), fmt=fmt)
     print(f"wrote {len(dataset)} records over {len(dataset.months())} "
           f"months to {out_dir / 'dataset'}")
-    return [gen.seed], sorted((out_dir / "dataset").glob("*"))
+    return [gen.seed], {"dataset": lambda path: dio.save_dataset(dataset, path, fmt=fmt)}
 
 
 def cmd_train(args, config, out_dir):
     seeds = _seeds(args, config)
-    artifacts = []
+    outputs = {}
     exp = Experiment(_setup_from_config(config, streams=False))
     for seed in seeds:
         model, _, _, report = exp.initial_fit(seed)
-        ckpt = out_dir / f"checkpoint_seed{seed}.npz"
-        model.save(ckpt)
-        rpath = out_dir / f"train_report_seed{seed}.json"
-        rpath.write_text(json.dumps(report.to_dict(), indent=2))
-        artifacts += [ckpt, rpath]
+        ckpt = f"checkpoint_seed{seed}.npz"
+        outputs[ckpt] = model.save
+        outputs[f"train_report_seed{seed}.json"] = report.to_dict()
         print(f"seed {seed}: final total loss "
-              f"{report.epoch_losses[-1].total:.6f} -> {ckpt}")
-    return seeds, artifacts
+              f"{report.epoch_losses[-1].total:.6f} -> {out_dir / ckpt}")
+    return seeds, outputs
 
 
 def cmd_stream(args, config, out_dir):
     seeds = _seeds(args, config)
     selector, budget = _stream_cell(config)
-    artifacts = []
+    outputs = {}
     exp = Experiment(_setup_from_config(config))
     [(_, _, results)] = exp.sweep([selector], [budget], seeds)
-    config_hash = hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode()
-    ).hexdigest()
+    config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     for seed, result in zip(seeds, results):
-        artifacts += met.emit_report(
-            result, _make_dir(out_dir / f"seed{seed}"), config_hash=config_hash, seeds=[seed],
-        )
+        for name, payload in met.emit_report(result, config_hash, [seed]).items():
+            outputs[f"seed{seed}/{name}"] = payload
         print(f"seed {seed}: mean F1 {_fmt_f1(result.f1_mean)}")
-    agg = aggregate_runs(results)
-    apath = out_dir / "aggregate.json"
-    apath.write_text(json.dumps(agg, indent=2))
-    artifacts.append(apath)
-    return seeds, artifacts
+    outputs["aggregate.json"] = aggregate_runs(results)
+    return seeds, outputs
 
 
 def cmd_ablate(args, config, out_dir):
@@ -275,9 +264,7 @@ def cmd_ablate(args, config, out_dir):
             "runs": [r.to_dict() for r in runs],
         })
         print(f"{selector.kind:>20s} budget {budget:4d}: mean F1 {_fmt_f1(f1[0])}")
-    mpath = out_dir / "ablation.json"
-    mpath.write_text(json.dumps(rows, indent=2))
-    return seeds, [mpath]
+    return seeds, {"ablation.json": rows}
 
 
 def cmd_bench(args, config, out_dir):
@@ -295,10 +282,9 @@ def cmd_bench(args, config, out_dir):
         batch=typed(bench.get("batch", 10), "bench.batch", int, minimum=1),
         seed=seeds[0],
     )
-    path = met.write_bench_csv(records, out_dir / "bench.csv")
     for r in records:
         print(f"n={r.sample_count:>7d}  {r.seconds:8.3f}s  {r.operations:>15d} ops")
-    return seeds, [path]
+    return seeds, {"bench.csv": met.bench_rows(records)}
 
 
 def cmd_noise(args, config, out_dir):
@@ -315,9 +301,7 @@ def cmd_noise(args, config, out_dir):
         f1 = aggregate_runs(runs)["f1"]
         rows.append({"noise_rate": rate, "f1_mean": f1[0], "f1_std": f1[1]})
         print(f"noise {rate:4.0%}: mean F1 {_fmt_f1(f1[0])}")
-    path = out_dir / "noise_sweep.json"
-    path.write_text(json.dumps(rows, indent=2))
-    return seeds, [path]
+    return seeds, {"noise_sweep.json": rows}
 
 
 def _check_result(payload, where):
@@ -346,16 +330,10 @@ def _check_result(payload, where):
 
 def cmd_report(args, config, out_dir):
     src = Path(typed(config.get("result"), "result", str))
-    try:
-        payload = json.loads(src.read_text())
-    except OSError as e:
-        raise dio.DataError(f"cannot read result file {src}: {e.strerror}") from None
-    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
-        raise dio.DataError(f"result file {src} is not valid JSON: {e}") from None
+    payload = _read_json(src, "result file", dio.DataError)
     checked = _check_result(payload, f"result file {src}")
-    dest = met.write_report_csv(checked, out_dir / "result.csv")
-    print(f"wrote {dest}")
-    return [], [dest]
+    print(f"wrote {out_dir / 'result.csv'}")
+    return [], {"result.csv": met.report_rows(checked)}
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +398,12 @@ def main(argv=None):
         if not out:
             raise ConfigError("no output directory: use --out, config 'out', "
                               f"or ${DEFAULT_OUT_ENV}")
-        out_dir = _make_dir(Path(typed(out, "out", str)))
-        seeds, artifacts = fn(args, config, out_dir)
+        out_dir = Path(typed(out, "out", str))
+        seeds, outputs = fn(args, config, out_dir)
         hashes = {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
-                  for p in artifacts}
-        run = {"command": args.command, "config": config, "seeds": seeds,
-               "artifacts": hashes}
-        (out_dir / "run.json").write_text(json.dumps(run, indent=2, default=str))
+                  for p in write_outputs(out_dir, outputs)}
+        write_outputs(out_dir, {"run.json": {"command": args.command, "config": config,
+                                            "seeds": seeds, "artifacts": hashes}})
         return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics, multi-run aggregation, and report emission.
+"""Confusion-matrix metrics, multi-run aggregation, and report payloads.
 
 Undefined ratios (no positives or no negatives in a month) are explicit
 ``None`` markers, excluded from aggregates rather than propagated as NaN.
@@ -6,10 +6,7 @@ Undefined ratios (no positives or no negatives in a month) are explicit
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -68,32 +65,22 @@ def aggregate(values):
 REPORT_COLUMNS = ["month", "tp", "fp", "tn", "fn", "f1", "fnr", "fpr", "n_selected"]
 
 
-def _fmt_pct(v):
-    return "" if v is None else f"{100.0 * v:.1f}"
-
-
-def emit_report(result, out_dir, config_hash="", seeds=()):
-    """Write a StreamResult to disk as JSON and as per-month CSV."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def emit_report(result, config_hash="", seeds=()):
+    """A StreamResult's outputs as ``write_outputs`` takes them: its JSON
+    payload and its per-month CSV rows."""
     payload = result.to_dict()
     payload["config_hash"] = config_hash
     payload["seeds"] = list(seeds)
-    path = out_dir / "result.json"
-    path.write_text(json.dumps(payload, indent=2))
-    return [path, write_report_csv(payload, out_dir / "result.csv")]
+    return {"result.json": payload, "result.csv": report_rows(payload)}
 
 
-def write_report_csv(payload, path):
-    """Per-month CSV of a ``StreamResult.to_dict()`` payload; returns ``path``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for mm, sel in zip(payload["monthly"], payload["selected_ids"]):
-            w.writerow([mm[c] for c in REPORT_COLUMNS[:5]]
-                       + [_fmt_pct(mm[c]) for c in ("f1", "fnr", "fpr")]
-                       + [len(sel)])
-    return path
+def report_rows(payload):
+    """Per-month CSV rows, header first, of a ``StreamResult.to_dict()`` payload."""
+    return [REPORT_COLUMNS] + [
+        [mm[c] for c in REPORT_COLUMNS[:5]]
+        + ["" if mm[c] is None else f"{100.0 * mm[c]:.1f}" for c in ("f1", "fnr", "fpr")]
+        + [len(sel)]
+        for mm, sel in zip(payload["monthly"], payload["selected_ids"])]
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +201,7 @@ def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
     return records
 
 
-def write_bench_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_count", "seconds", "operations"])
-        for r in records:
-            w.writerow([r.sample_count, f"{r.seconds:.6f}", r.operations])
-    return path
+def bench_rows(records):
+    """CSV rows, header first, of ``bench`` records."""
+    return [["sample_count", "seconds", "operations"]] + [
+        [r.sample_count, f"{r.seconds:.6f}", r.operations] for r in records]

@@ -38,7 +38,11 @@ class SelectorConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind == "multi_criteria" and self.alpha + self.beta + self.gamma == 0:
+        # each criterion is normalized to [0, 1]: a finite sum bounds every hybrid
+        total = self.alpha + self.beta + self.gamma
+        if not math.isfinite(total):
+            raise ConfigError(f"alpha: expected a finite alpha + beta + gamma, got {total!r}")
+        if self.kind == "multi_criteria" and total == 0:
             raise ConfigError("alpha: expected alpha + beta + gamma > 0 for multi_criteria")
 
 

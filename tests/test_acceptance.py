@@ -20,8 +20,9 @@ from driftal.losses import (
     supervised_ce,
     supervised_contrastive,
 )
-from driftal.metrics import bench, compute_metrics, write_bench_csv
+from driftal.metrics import bench, bench_rows, compute_metrics
 from driftal.net import Classifier, softmax
+from driftal.outputs import write_outputs
 from driftal.selection import SelectorConfig, lp_distances, select
 from driftal.trainer import TrainConfig, build_model, step_loss_and_grads, train
 
@@ -374,7 +375,7 @@ class TestCriterion9:
         records = bench(sizes, budget=400)
         per_n = [r.operations / r.sample_count for r in records]
         deviation = max(per_n) / min(per_n) - 1
-        path = write_bench_csv(records, tmp_path / "bench.csv")
+        [path] = write_outputs(tmp_path, {"bench.csv": bench_rows(records)})
         header = path.read_text().splitlines()[0]
         ok = deviation <= 0.20 and header == "sample_count,seconds,operations"
         criterion(9, ok, f"bench scaling: ops/sample spread "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -36,19 +37,6 @@ def write_config(tmp_path, **extra):
 
 
 class TestSynth:
-    def test_writes_dataset_and_run_json(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        run = json.loads((out / "run.json").read_text())
-        assert run["command"] == "synth"
-        assert (out / "dataset" / "manifest.json").exists()
-        # every artifact hash must match the file on disk
-        import hashlib
-
-        for rel, digest in run["artifacts"].items():
-            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
-
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -193,7 +181,37 @@ class TestReport:
         assert converted == original
 
 
+# each command's flags for one run on the tiny config
+RUN_FLAGS = {
+    "synth": [],
+    "train": ["--seed", "0"],
+    "stream": ["--seed", "0"],
+    "ablate": ["--seed", "0"],
+    "bench": ["--seed", "0"],
+    "noise": ["--seed", "0"],
+    "report": ["--result", "result.json"],
+}
+
+
 class TestRunJson:
+    @pytest.mark.parametrize("command", list(RUN_FLAGS))
+    def test_artifacts_hash_every_output(self, tmp_path, monkeypatch, command):
+        """run.json hashes exactly the files the command wrote, as they are on disk."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "result.json").write_text('{"monthly": [], "selected_ids": []}')
+        cfg = write_config(tmp_path, noise_rates=[0.0],
+                           ablate={"selectors": ["random"], "budgets": [3]},
+                           bench={"sizes": [30], "budget": 3})
+        assert main([command, *RUN_FLAGS[command], "--config", cfg,
+                     "--out", "out"]) == EXIT_OK
+        out = tmp_path / "out"
+        run = json.loads((out / "run.json").read_text())
+        assert run["command"] == command and run["artifacts"]
+        written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert written == {"run.json", *run["artifacts"]}
+        for rel, digest in run["artifacts"].items():
+            assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv,recorded", [
         (["ablate", "--seed", "0", "--budgets", "2", "4"], {"ablate.budgets": [2, 4]}),
         (["bench", "--budget", "2", "--sizes", "20", "40"],
@@ -252,6 +270,12 @@ class TestErrorPaths:
         assert main(["train", "--config", write_config(tmp_path),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"out: cannot make directory {tmp_path / 'out'}" in capsys.readouterr().err
+
+    def test_failed_run_writes_nothing(self, tmp_path):
+        cfg = write_config(tmp_path, train={"epochs": 1.5})
+        assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_synth_dataset_path_a_file_exits_config(self, tmp_path, capsys):
         (tmp_path / "out").mkdir()

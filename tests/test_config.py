@@ -145,6 +145,7 @@ def test_p_norm_takes_inf_as_the_max_norm():
     (AugmentConfig, {"weak_prob": 0.2, "strong_prob": 0.1}, "weak_prob"),
     (DriftGeneratorConfig, {"prob_low": 0.9, "prob_high": 0.5}, "prob_low"),
     (SelectorConfig, {"alpha": 0, "beta": 0.0, "gamma": 0}, "alpha"),
+    (SelectorConfig, {"alpha": 1e308, "beta": 1e308, "gamma": 1e308}, "alpha"),
 ])
 def test_rule_between_fields_names_a_field(cls, values, name):
     with pytest.raises(ConfigError, match=f"^{name}: expected"):

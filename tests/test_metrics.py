@@ -1,5 +1,4 @@
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -13,13 +12,14 @@ from driftal.metrics import (
     MonthlyMetrics,
     aggregate,
     bench,
+    bench_rows,
     compute_metrics,
     distance_ops,
     emit_report,
     forward_ops,
     train_step_ops,
-    write_bench_csv,
 )
+from driftal.outputs import write_outputs
 from driftal.stream import StreamResult
 
 
@@ -86,17 +86,16 @@ def fake_result():
 
 
 class TestEmitReport:
-    def test_json_payload(self, tmp_path):
-        paths = emit_report(fake_result(), tmp_path, config_hash="abc", seeds=[3])
-        payload = json.loads(paths[0].read_text())
+    def test_json_payload(self):
+        payload = emit_report(fake_result(), config_hash="abc", seeds=[3])["result.json"]
         assert payload["config_hash"] == "abc"
         assert payload["seeds"] == [3]
         assert len(payload["monthly"]) == 2
         assert payload["monthly"][0]["month"] == "2020-01"
 
     def test_csv_columns_and_percentages(self, tmp_path):
-        paths = emit_report(fake_result(), tmp_path)
-        with open(paths[1]) as fh:
+        [_, path] = write_outputs(tmp_path, emit_report(fake_result()))
+        with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["month", "tp", "fp", "tn", "fn",
                                  "f1", "fnr", "fpr", "n_selected"]
@@ -105,8 +104,8 @@ class TestEmitReport:
         assert rows[1]["n_selected"] == "2"
 
     def test_both_writes_two_files(self, tmp_path):
-        paths = emit_report(fake_result(), tmp_path)
-        assert {p.name for p in paths} == {"result.json", "result.csv"}
+        paths = write_outputs(tmp_path, emit_report(fake_result()))
+        assert paths == [tmp_path / "result.json", tmp_path / "result.csv"]
 
 
 class TestOpCounts:
@@ -195,8 +194,8 @@ class TestBench:
 
     def test_csv_output(self, tmp_path):
         records = bench([30], budget=3, dim=8, hidden=(4,), batch=10)
-        path = write_bench_csv(records, tmp_path / "bench.csv")
-        with open(path) as fh:
+        [path] = write_outputs(tmp_path, {"bench.csv": bench_rows(records)})
+        with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["sample_count"] == "30"
         assert int(rows[0]["operations"]) == records[0].operations
