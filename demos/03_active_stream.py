@@ -10,14 +10,16 @@ static no-labeling baseline.
 Run: python3 demos/03_active_stream.py
 """
 
-from driftal import (
-    Experiment,
-    SelectorConfig,
-    default_synthetic_setup,
-)
+from driftal import Experiment, SelectorConfig
+from driftal.cli import setup_from_config
 
-setup = default_synthetic_setup(seed=0, stream_months=12, label_ratio=0.1,
-                                epochs=10, retrain_epochs=2, hidden=(32, 16))
+# 14 months: the first 2 train the model, the other 12 are streamed
+setup = setup_from_config({
+    "generator": {"months": 14},
+    "label_ratio": 0.1,
+    "train": {"epochs": 10, "hidden": [32, 16]},
+    "stream": {"retrain_epochs": 2},
+})
 exp = Experiment(setup)
 
 runs = {

@@ -11,11 +11,16 @@ Run: python3 demos/04_noise_and_scaling.py
 
 from dataclasses import replace
 
-from driftal import Experiment, SelectorConfig, bench, default_synthetic_setup
+from driftal import Experiment, SelectorConfig, bench
+from driftal.cli import setup_from_config
 
 print("label-noise sweep (mean stream F1, 1 seed):")
-base = default_synthetic_setup(seed=0, stream_months=8, label_ratio=0.4,
-                               epochs=10, retrain_epochs=4, hidden=(32, 16))
+base = setup_from_config({
+    "generator": {"months": 10},
+    "label_ratio": 0.4,
+    "train": {"epochs": 10, "hidden": [32, 16]},
+    "stream": {"retrain_epochs": 4},
+})
 for rate in (0.0, 0.2, 0.4):
     setup = replace(base, noise_rate=rate)
     result = Experiment(setup).run(SelectorConfig(), 50, seed=0)

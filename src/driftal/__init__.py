@@ -26,7 +26,7 @@ from .losses import (
     supervised_contrastive,
     total_loss,
 )
-from .experiment import Experiment, ExperimentSetup, default_synthetic_setup
+from .experiment import Experiment, ExperimentSetup
 from .metrics import (
     BenchRecord,
     MonthlyMetrics,

@@ -4,7 +4,8 @@ Subcommands: synth | train | stream | ablate | bench | noise | report.
 Configuration comes from a JSON file (--config); each flag overrides
 the config key that COMMANDS names. main writes each command's outputs,
 then a run.json with that config (the file with flag overrides applied),
-the run seeds, and the outputs' hashes.
+the run seeds, and the outputs' hashes, and only then prints the command's
+line that says what it wrote, if it has one.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -150,9 +151,10 @@ def _period(split, key, months):
     return period
 
 
-def _setup_from_config(config, streams=True):
-    """Build an ExperimentSetup from the dataset/generator + split sections. The
-    split of a command that ``streams`` must leave a month to stream."""
+def setup_from_config(config, streams=True):
+    """Build an ExperimentSetup from a config as a ``--config`` file holds it
+    (the dataset/generator, split, label ratio, noise, train and stream keys).
+    The split of a command that ``streams`` must leave a month to stream."""
     if ("dataset" in config) == ("generator" in config):
         raise ConfigError("exactly one of 'dataset' or 'generator' is required")
     if "dataset" in config:
@@ -204,8 +206,9 @@ def _setup_from_config(config, streams=True):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its seeds and its outputs, an ordered
-# {path relative to out_dir: payload} map that main writes and hashes
+# subcommands: each returns its seeds; its outputs, an ordered
+# {path relative to out_dir: payload} map that main writes and hashes; and
+# the line main prints once they are written, or None
 # ---------------------------------------------------------------------------
 
 
@@ -213,15 +216,15 @@ def cmd_synth(args, config, out_dir):
     gen = _build(dio.DriftGeneratorConfig, _section(config, "generator"), "generator")
     fmt = typed(config.get("format", "binary"), "format", str, choices=dio.SHARD_FORMATS)
     dataset = dio.synth_drift_generate(gen)
-    print(f"wrote {len(dataset)} records over {len(dataset.months())} "
-          f"months to {out_dir / 'dataset'}")
-    return [gen.seed], {"dataset": lambda path: dio.save_dataset(dataset, path, fmt=fmt)}
+    wrote = (f"wrote {len(dataset)} records over {len(dataset.months())} "
+             f"months to {out_dir / 'dataset'}")
+    return [gen.seed], {"dataset": lambda p: dio.save_dataset(dataset, p, fmt=fmt)}, wrote
 
 
 def cmd_train(args, config, out_dir):
     seeds = _seeds(args, config)
     outputs = {}
-    exp = Experiment(_setup_from_config(config, streams=False))
+    exp = Experiment(setup_from_config(config, streams=False))
     for seed in seeds:
         model, _, _, report = exp.initial_fit(seed)
         ckpt = f"checkpoint_seed{seed}.npz"
@@ -229,14 +232,14 @@ def cmd_train(args, config, out_dir):
         outputs[f"train_report_seed{seed}.json"] = report.to_dict()
         print(f"seed {seed}: final total loss "
               f"{report.epoch_losses[-1].total:.6f} -> {out_dir / ckpt}")
-    return seeds, outputs
+    return seeds, outputs, None
 
 
 def cmd_stream(args, config, out_dir):
     seeds = _seeds(args, config)
     selector, budget = _stream_cell(config)
     outputs = {}
-    exp = Experiment(_setup_from_config(config))
+    exp = Experiment(setup_from_config(config))
     [(_, _, results)] = exp.sweep([selector], [budget], seeds)
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     for seed, result in zip(seeds, results):
@@ -244,7 +247,7 @@ def cmd_stream(args, config, out_dir):
             outputs[f"seed{seed}/{name}"] = payload
         print(f"seed {seed}: mean F1 {_fmt_f1(result.f1_mean)}")
     outputs["aggregate.json"] = aggregate_runs(results)
-    return seeds, outputs
+    return seeds, outputs, None
 
 
 def cmd_ablate(args, config, out_dir):
@@ -255,7 +258,7 @@ def cmd_ablate(args, config, out_dir):
     budgets = typed_list(ablate.get("budgets", [50]), "ablate.budgets", int, minimum=0)
     selectors = [SelectorConfig(kind=kind) for kind in kinds]
     rows = []
-    exp = Experiment(_setup_from_config(config))
+    exp = Experiment(setup_from_config(config))
     for selector, budget, runs in exp.sweep(selectors, budgets, seeds):
         f1 = aggregate_runs(runs)["f1"]
         rows.append({
@@ -264,7 +267,7 @@ def cmd_ablate(args, config, out_dir):
             "runs": [r.to_dict() for r in runs],
         })
         print(f"{selector.kind:>20s} budget {budget:4d}: mean F1 {_fmt_f1(f1[0])}")
-    return seeds, {"ablation.json": rows}
+    return seeds, {"ablation.json": rows}, None
 
 
 def cmd_bench(args, config, out_dir):
@@ -284,7 +287,7 @@ def cmd_bench(args, config, out_dir):
     )
     for r in records:
         print(f"n={r.sample_count:>7d}  {r.seconds:8.3f}s  {r.operations:>15d} ops")
-    return seeds, {"bench.csv": met.bench_rows(records)}
+    return seeds, {"bench.csv": met.bench_rows(records)}, None
 
 
 def cmd_noise(args, config, out_dir):
@@ -294,14 +297,14 @@ def cmd_noise(args, config, out_dir):
     ), "noise_rates", float, minimum=0, maximum=1)
     selector, budget = _stream_cell(config)
     rows = []
-    setup = _setup_from_config(config)
+    setup = setup_from_config(config)
     for rate in rates:
         exp = Experiment(replace(setup, noise_rate=rate))
         [(_, _, runs)] = exp.sweep([selector], [budget], seeds)
         f1 = aggregate_runs(runs)["f1"]
         rows.append({"noise_rate": rate, "f1_mean": f1[0], "f1_std": f1[1]})
         print(f"noise {rate:4.0%}: mean F1 {_fmt_f1(f1[0])}")
-    return seeds, {"noise_sweep.json": rows}
+    return seeds, {"noise_sweep.json": rows}, None
 
 
 def _check_result(payload, where):
@@ -332,8 +335,7 @@ def cmd_report(args, config, out_dir):
     src = Path(typed(config.get("result"), "result", str))
     payload = _read_json(src, "result file", dio.DataError)
     checked = _check_result(payload, f"result file {src}")
-    print(f"wrote {out_dir / 'result.csv'}")
-    return [], {"result.csv": met.report_rows(checked)}
+    return [], {"result.csv": met.report_rows(checked)}, f"wrote {out_dir / 'result.csv'}"
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +401,13 @@ def main(argv=None):
             raise ConfigError("no output directory: use --out, config 'out', "
                               f"or ${DEFAULT_OUT_ENV}")
         out_dir = Path(typed(out, "out", str))
-        seeds, outputs = fn(args, config, out_dir)
+        seeds, outputs, wrote = fn(args, config, out_dir)
         hashes = {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in write_outputs(out_dir, outputs)}
         write_outputs(out_dir, {"run.json": {"command": args.command, "config": config,
                                             "seeds": seeds, "artifacts": hashes}})
+        if wrote:
+            print(wrote)
         return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

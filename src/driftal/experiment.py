@@ -7,27 +7,27 @@ cached per seed so ablation sweeps share their starting point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import data as dio
-from .losses import LossConfig
 from .stream import StreamConfig, months_from_dataset, run_stream
 from .trainer import TrainConfig, build_model, train
 
 
 @dataclass
 class ExperimentSetup:
-    """A concrete dataset split plus the knobs shared by all runs."""
+    """A concrete dataset split plus the knobs shared by all runs, as
+    ``driftal.cli.setup_from_config`` builds it from a run's config."""
 
     dataset: dio.Dataset
     train_months: list
     stream_months: list
-    label_ratio: float = 0.4
-    noise_rate: float = 0.0
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    retrain_epochs: int = 10
+    label_ratio: float
+    noise_rate: float
+    train_cfg: TrainConfig
+    retrain_epochs: int
 
 
 class Experiment:
@@ -76,34 +76,3 @@ class Experiment:
             for selector in selectors
             for budget in budgets
         ]
-
-
-def default_synthetic_setup(
-    seed=0,
-    dim=200,
-    stream_months=12,
-    samples=500,
-    label_ratio=0.4,
-    epochs=20,
-    retrain_epochs=8,
-    hidden=(64, 32),
-):
-    """Desk-scale synthetic drift experiment used by the demos and tests: two
-    training months, then ``stream_months`` to stream, without label noise."""
-    gen = dio.DriftGeneratorConfig(
-        dim=dim,
-        months=2 + stream_months,
-        samples_per_month_per_class=samples,
-        seed=seed,
-    )
-    dataset = dio.synth_drift_generate(gen)
-    months = dataset.months()
-    cfg = TrainConfig(epochs=epochs, hidden=hidden, loss=LossConfig())
-    return ExperimentSetup(
-        dataset=dataset,
-        train_months=months[:2],
-        stream_months=months[2:],
-        label_ratio=label_ratio,
-        train_cfg=cfg,
-        retrain_epochs=retrain_epochs,
-    )

@@ -1,13 +1,25 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftal import data as dio
-from driftal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from driftal.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    build_parser,
+    main,
+    setup_from_config,
+)
+from driftal.config import ConfigError
+from driftal.experiment import Experiment
 from driftal.net import Classifier
+from driftal.selection import SelectorConfig
 
 from test_data import edit_manifest, rewrite_shard, set_csv_cell
 
@@ -193,6 +205,26 @@ RUN_FLAGS = {
 }
 
 
+class TestLibrary:
+    def test_setup_from_config_runs_what_stream_writes(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["stream", "--config", write_config(tmp_path), "--out", str(out),
+                     "--seed", "0"]) == EXIT_OK
+        written = json.loads((out / "seed0" / "result.json").read_text())
+        del written["config_hash"], written["seeds"]
+        result = Experiment(setup_from_config(base_config())).run(SelectorConfig(), 5, 0)
+        assert json.loads(json.dumps(result.to_dict())) == written
+
+    def test_setup_from_config_rejects_unknown_key_as_cli_does(self, tmp_path, capsys):
+        typo = {"stream": {"retrain_epoch": 1}}
+        with pytest.raises(ConfigError) as e:
+            setup_from_config(base_config(**typo))
+        assert main(["stream", "--config", write_config(tmp_path, **typo),
+                     "--out", str(tmp_path / "out"), "--seed", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {e.value}\n"
+        assert str(e.value) == "stream: unknown keys ['retrain_epoch']"
+
+
 class TestRunJson:
     @pytest.mark.parametrize("command", list(RUN_FLAGS))
     def test_artifacts_hash_every_output(self, tmp_path, monkeypatch, command):
@@ -282,8 +314,9 @@ class TestErrorPaths:
         (tmp_path / "out" / "dataset").write_text("")
         assert main(["synth", "--config", write_config(tmp_path),
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"out: cannot make directory {tmp_path / 'out' / 'dataset'}" in err
+        captured = capsys.readouterr()
+        assert f"out: cannot make directory {tmp_path / 'out' / 'dataset'}" in captured.err
+        assert "wrote" not in captured.out
 
     def test_stream_seed_path_a_file_exits_config(self, tmp_path, capsys):
         (tmp_path / "out").mkdir()
@@ -292,6 +325,23 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out"), "--seed", "0"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"out: cannot make directory {tmp_path / 'out' / 'seed0'}" in err
+
+    @pytest.mark.parametrize("command,output", [
+        ("stream", "seed0/result.json"),
+        ("report", "result.csv"),
+        ("train", "checkpoint_seed0.npz"),
+        ("synth", "run.json"),
+    ])
+    def test_output_file_a_directory_exits_config(self, tmp_path, monkeypatch, capsys,
+                                                  command, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "result.json").write_text('{"monthly": [], "selected_ids": []}')
+        (tmp_path / "out" / output).mkdir(parents=True)
+        assert main([command, *RUN_FLAGS[command], "--config", write_config(tmp_path),
+                     "--out", "out"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"out: cannot write {Path('out', output)}: " in captured.err
+        assert "wrote" not in captured.out
 
     def test_manifest_directory_exits_data(self, tmp_path, capsys):
         (tmp_path / "ds" / "manifest.json").mkdir(parents=True)

@@ -425,7 +425,7 @@ class TestExperimentLabels:
         months = ds.months()
         setup = ExperimentSetup(
             ds, months[:2], months[2:], label_ratio=0.5, noise_rate=0.3,
-            train_cfg=TrainConfig(epochs=1, hidden=(4,)),
+            train_cfg=TrainConfig(epochs=1, hidden=(4,)), retrain_epochs=1,
         )
         _, labeled, unlabeled, _ = Experiment(setup).initial_fit(0)
         truth = dict(zip(ds.ids, ds.y.tolist()))
