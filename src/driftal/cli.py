@@ -5,7 +5,7 @@ Configuration comes from a JSON file (--config); each flag overrides
 the config key that COMMANDS names. main writes each command's outputs,
 then a run.json with that config (the file with flag overrides applied),
 the run seeds, and the outputs' hashes, and only then prints the command's
-line that says what it wrote, if it has one.
+lines that say what it wrote, if it has them.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -70,7 +70,7 @@ SECTION_KEYS = {
     "split": {"train", "stream", "train_months"},
     "stream": {"budget", "selector", "retrain_epochs"},
     "ablate": {"selectors", "budgets"},
-    "bench": {"sizes", "budget", "dim", "hidden", "batch"},
+    "bench": {"sizes", "budget"},
     **{key: {f.name for f in fields(cls)} for key, cls in (
         ("generator", dio.DriftGeneratorConfig), ("train", TrainConfig),
         ("train.loss", LossConfig), ("train.augment", AugmentConfig),
@@ -208,7 +208,7 @@ def setup_from_config(config, streams=True):
 # ---------------------------------------------------------------------------
 # subcommands: each returns its seeds; its outputs, an ordered
 # {path relative to out_dir: payload} map that main writes and hashes; and
-# the line main prints once they are written, or None
+# the text main prints once they are written, or None
 # ---------------------------------------------------------------------------
 
 
@@ -223,16 +223,16 @@ def cmd_synth(args, config, out_dir):
 
 def cmd_train(args, config, out_dir):
     seeds = _seeds(args, config)
-    outputs = {}
+    outputs, lines = {}, []
     exp = Experiment(setup_from_config(config, streams=False))
     for seed in seeds:
         model, _, _, report = exp.initial_fit(seed)
         ckpt = f"checkpoint_seed{seed}.npz"
         outputs[ckpt] = model.save
         outputs[f"train_report_seed{seed}.json"] = report.to_dict()
-        print(f"seed {seed}: final total loss "
-              f"{report.epoch_losses[-1].total:.6f} -> {out_dir / ckpt}")
-    return seeds, outputs, None
+        lines.append(f"seed {seed}: final total loss "
+                     f"{report.epoch_losses[-1].total:.6f} -> {out_dir / ckpt}")
+    return seeds, outputs, "\n".join(lines)
 
 
 def cmd_stream(args, config, out_dir):
@@ -279,10 +279,6 @@ def cmd_bench(args, config, out_dir):
         typed_list(bench.get("sizes", [100, 1000, 5000, 10000, 50000, 100000, 500000]),
                     "bench.sizes", int, minimum=1),
         budget=typed(bench.get("budget", 400), "bench.budget", int, minimum=0),
-        dim=typed(bench.get("dim", 100), "bench.dim", int, minimum=1),
-        hidden=tuple(typed_list(bench.get("hidden", [32, 16]), "bench.hidden", int,
-                                 minimum=1)),
-        batch=typed(bench.get("batch", 10), "bench.batch", int, minimum=1),
         seed=seeds[0],
     )
     for r in records:

@@ -179,10 +179,10 @@ def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
         opt = Optimizer(learning_rate=cfg.learning_rate)
         # untimed one-sample select: whatever the select path imports at its
         # first call is loaded before the timing starts
-        sel.select(Xu[:1], model, model.embed_batch(Xl), sel_cfg, 1)
+        sel.select(Xu[:1], model, Xl, sel_cfg, 1)
         t0 = time.perf_counter()
         run_epoch(model, opt, _pool_batches(n_lab, len(Xu), batch), Xl, yl, Xu, cfg, rng)
-        chosen, _ = sel.select(Xu, model, model.embed_batch(Xl), sel_cfg, budget_eff)
+        chosen, _ = sel.select(Xu, model, Xl, sel_cfg, budget_eff)
         keep = np.ones(len(Xu), dtype=bool)
         keep[chosen] = False
         Xl2 = np.concatenate([Xl, Xu[~keep]])

@@ -5,7 +5,8 @@ Three per-sample criteria over the unlabeled pool: softmax margin
 (novelty), and raw confidence (uncertainty). Criteria are min-max
 normalized across the pool and combined into a weighted hybrid score;
 single-criterion and random selectors exist for ablations. Only the
-selectors that rank by the distance (``ranks_by_lp``) compute it.
+selectors that rank by the distance (``multi_criteria`` and ``lp_only``)
+embed the labeled rows and compute it.
 """
 
 from __future__ import annotations
@@ -46,15 +47,6 @@ class SelectorConfig:
             raise ConfigError("alpha: expected alpha + beta + gamma > 0 for multi_criteria")
 
 
-def ranks_by_lp(cfg):
-    """True when the selector reads the Lp distance (and so the hybrid).
-
-    Only these selectors need the labeled-set embeddings; for the others
-    the distance and the hybrid score are never computed.
-    """
-    return cfg.kind in ("multi_criteria", "lp_only")
-
-
 @dataclass
 class SelectionScore:
     margin: np.ndarray
@@ -72,7 +64,7 @@ def margin_scores(probs):
     return top[:, 0] - top[:, 1]
 
 
-def lp_distances(unlabeled_embs, labeled_embs, p_norm=2.0):
+def lp_distances(pool_embs, labeled_set, p_norm=2.0):
     """Exact minimum Lp distance from each pool embedding to the labeled set.
 
     One KD-tree nearest-neighbour query over the labeled embeddings; it is
@@ -83,8 +75,8 @@ def lp_distances(unlabeled_embs, labeled_embs, p_norm=2.0):
     """
     from scipy.spatial import cKDTree
 
-    U = np.asarray(unlabeled_embs, dtype=np.float64)
-    L = np.asarray(labeled_embs, dtype=np.float64)
+    U = np.asarray(pool_embs, dtype=np.float64)
+    L = np.asarray(labeled_set, dtype=np.float64)
     if len(L) == 0:
         raise ValueError("labeled embedding set must be nonempty")
     for name, E in (("pool", U), ("labeled", L)):
@@ -123,17 +115,18 @@ def hybrid_scores(margin, lp, confidence, alpha, beta, gamma):
     )
 
 
-def score_pool(pool_X, model, labeled_embs, cfg):
+def score_pool(pool_X, model, labeled_X, cfg):
     """Compute the SelectionScore bundle for an unlabeled pool.
 
-    When ``ranks_by_lp(cfg)`` is False, ``labeled_embs`` is not read and
+    Only ``multi_criteria`` and ``lp_only`` embed ``labeled_X`` and compute
+    the Lp distance; for the other kinds ``labeled_X`` is not read and
     ``lp_distance`` and ``hybrid`` are NaN.
     """
     _, probs, embs, _ = model.forward_batch(pool_X)
     m = margin_scores(probs)
     c = confidence_scores(probs)
-    if ranks_by_lp(cfg):
-        d = lp_distances(embs, labeled_embs, cfg.p_norm)
+    if cfg.kind in ("multi_criteria", "lp_only"):
+        d = lp_distances(embs, model.embed_batch(labeled_X), cfg.p_norm)
         h = hybrid_scores(minmax_normalize(m), minmax_normalize(d),
                           minmax_normalize(c), cfg.alpha, cfg.beta, cfg.gamma)
     else:
@@ -151,7 +144,7 @@ def _top_k(keys, k, eligible=None):
     return list(order[:k])
 
 
-def select(pool_X, model, labeled_embs, cfg, budget, rng=None):
+def select(pool_X, model, labeled_X, cfg, budget, rng=None):
     """Pick up to ``budget`` pool indices with the configured strategy.
 
     Returns (indices, SelectionScore or None). Scores are None only for
@@ -166,7 +159,7 @@ def select(pool_X, model, labeled_embs, cfg, budget, rng=None):
             raise ValueError("random selection requires an rng")
         chosen = rng.choice(n, size=min(k, n), replace=False)
         return list(np.asarray(chosen, dtype=int)), None
-    scores = score_pool(pool_X, model, labeled_embs, cfg)
+    scores = score_pool(pool_X, model, labeled_X, cfg)
     if cfg.kind == "margin_only":
         return _top_k(-scores.margin, k), scores
     if cfg.kind == "lp_only":

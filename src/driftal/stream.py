@@ -112,12 +112,8 @@ def run_stream(model, labeled, unlabeled, months, cfg):
         unl = np.concatenate([unl, np.arange(revealed, revealed + len(block))])
         revealed += len(block)
 
-        # (3) score and select under the budget; only the selectors that
-        # rank by the Lp distance read the labeled embeddings
-        lp = sel.ranks_by_lp(cfg.selector)
-        labeled_embs = model.embed_batch(X[lab]) if lp else None
-        chosen, _ = sel.select(X[unl], model, labeled_embs, cfg.selector,
-                               cfg.budget, rng=rng)
+        # (3) score and select under the budget
+        chosen, _ = sel.select(X[unl], model, X[lab], cfg.selector, cfg.budget, rng=rng)
 
         # (4) the selection is labeled: its rows move with their labels
         picked = unl[chosen]

@@ -228,19 +228,18 @@ class TestCriterion3:
             n = int(rng.integers(5, 501))
             # low dimension forces duplicate rows, exercising the tie rule
             pool = (rng.random((n, 6)) < 0.5).astype(np.uint8)
-            labeled = (rng.random((int(rng.integers(2, 40)), 6)) < 0.5)
-            labeled_embs = model.embed_batch(labeled.astype(np.uint8))
+            labeled = (rng.random((int(rng.integers(2, 40)), 6)) < 0.5).astype(np.uint8)
             k = int(rng.integers(1, n + 1))
             for kind in kinds:
                 cfg = SelectorConfig(kind=kind)
-                chosen, scores = select(pool, model, labeled_embs, cfg, k)
+                chosen, scores = select(pool, model, labeled, cfg, k)
                 if chosen != selection_oracle(scores, cfg, k):
                     mismatches += 1
             # random selector: deterministic given the rng, valid indices
-            ra, _ = select(pool, model, labeled_embs,
+            ra, _ = select(pool, model, labeled,
                            SelectorConfig(kind="random"), k,
                            rng=np.random.default_rng(trial))
-            rb, _ = select(pool, model, labeled_embs,
+            rb, _ = select(pool, model, labeled,
                            SelectorConfig(kind="random"), k,
                            rng=np.random.default_rng(trial))
             if ra != rb or len(set(ra)) != min(k, n):

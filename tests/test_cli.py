@@ -343,6 +343,17 @@ class TestErrorPaths:
         assert f"out: cannot write {Path('out', output)}: " in captured.err
         assert "wrote" not in captured.out
 
+    def test_train_names_checkpoints_only_once_all_are_written(self, tmp_path, capsys):
+        (tmp_path / "out" / "checkpoint_seed1.npz").mkdir(parents=True)
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "ok")]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" -> ")[1] for line in lines] == [
+            str(tmp_path / "ok" / f"checkpoint_seed{seed}.npz") for seed in (0, 1)]
+
     def test_manifest_directory_exits_data(self, tmp_path, capsys):
         (tmp_path / "ds" / "manifest.json").mkdir(parents=True)
         cfg = base_config(dataset=str(tmp_path / "ds"))
@@ -648,7 +659,7 @@ class TestErrorPaths:
         ("train", "seed", -1),
         ("noise", "noise_rates", ["x"]),
         ("bench", "bench.sizes", [0]),
-        ("bench", "bench.dim", "x"),
+        ("bench", "bench.budget", "x"),
         # a section that is not an object, or a list entry of the wrong type
         ("train", "split", 5),
         ("stream", "stream", 5),
@@ -660,7 +671,7 @@ class TestErrorPaths:
         ("train", "train.hidden", [0]),
         ("stream", "stream.selector", 5),
         ("ablate", "ablate.selectors", 5),
-        ("bench", "bench.hidden", 5),
+        ("bench", "bench.sizes", 5),
         ("report", "result", 5),
         ("synth", "format", []),
         # [0, 1] values are range-checked before any training starts
@@ -781,6 +792,7 @@ class TestErrorPaths:
         ("", "label_ration", 0.9),  # the top level
         # a key that driftal no longer reads fails loudly instead of being ignored
         ("stream.selector", "intersection_quantile", 0.5),
+        ("bench", "dim", 8),
     ])
     def test_unread_config_key_rejected(self, tmp_path, capsys, section, key, value):
         cfg = base_config()

@@ -147,10 +147,9 @@ def reference_bench(n, budget, dim, hidden, batch, seed):
     Xl, yl, Xu = X[:n_lab], y[:n_lab], X[n_lab:]
     model = trainer.build_model(dim, trainer.TrainConfig(hidden=hidden, seed=seed))
     opt = Optimizer()
-    sel.select(Xu[:1], model, model.embed_batch(Xl), sel_cfg, 1)
+    sel.select(Xu[:1], model, Xl, sel_cfg, 1)
     steps = bench_epoch(model, opt, Xl, yl, Xu, aug_cfg, loss_cfg, rng)
-    chosen, _ = sel.select(Xu, model, model.embed_batch(Xl), sel_cfg,
-                           min(budget, n // 10))
+    chosen, _ = sel.select(Xu, model, Xl, sel_cfg, min(budget, n // 10))
     keep = np.ones(len(Xu), dtype=bool)
     keep[chosen] = False
     Xl2 = np.concatenate([Xl, Xu[~keep]])

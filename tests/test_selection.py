@@ -170,18 +170,16 @@ class TestSelect:
         self.model = tiny_model()
         rng = np.random.default_rng(3)
         self.pool = (rng.random((50, 6)) < 0.5).astype(np.uint8)
-        self.labeled_embs = self.model.embed_batch(
-            (rng.random((20, 6)) < 0.5).astype(np.uint8)
-        )
+        self.labeled_X = (rng.random((20, 6)) < 0.5).astype(np.uint8)
 
     def test_zero_budget(self):
-        chosen, _ = select(self.pool, self.model, self.labeled_embs,
+        chosen, _ = select(self.pool, self.model, self.labeled_X,
                            SelectorConfig(), 0)
         assert chosen == []
 
     def test_budget_covers_pool(self):
         cfg = SelectorConfig()
-        chosen, scores = select(self.pool, self.model, self.labeled_embs, cfg, 999)
+        chosen, scores = select(self.pool, self.model, self.labeled_X, cfg, 999)
         assert sorted(chosen) == list(range(50))
         # returned in descending score order
         assert all(scores.hybrid[a] >= scores.hybrid[b]
@@ -192,14 +190,14 @@ class TestSelect:
     ])
     def test_matches_sort_oracle(self, kind):
         cfg = SelectorConfig(kind=kind)
-        chosen, scores = select(self.pool, self.model, self.labeled_embs, cfg, 10)
+        chosen, scores = select(self.pool, self.model, self.labeled_X, cfg, 10)
         assert chosen == selection_oracle(scores, cfg, 10)
 
     def test_single_weight_equivalences(self):
         mc_margin = SelectorConfig(alpha=1, beta=0, gamma=0)
         mc_lp = SelectorConfig(alpha=0, beta=1, gamma=0)
         mc_conf = SelectorConfig(alpha=0, beta=0, gamma=1)
-        args = (self.pool, self.model, self.labeled_embs)
+        args = (self.pool, self.model, self.labeled_X)
         assert (set(select(*args, mc_margin, 10)[0])
                 == set(select(*args, SelectorConfig(kind="margin_only"), 10)[0]))
         assert (set(select(*args, mc_lp, 10)[0])
@@ -210,26 +208,26 @@ class TestSelect:
 
     def test_random_selection(self):
         cfg = SelectorConfig(kind="random")
-        a, _ = select(self.pool, self.model, self.labeled_embs, cfg, 10,
+        a, _ = select(self.pool, self.model, self.labeled_X, cfg, 10,
                       rng=np.random.default_rng(0))
-        b, _ = select(self.pool, self.model, self.labeled_embs, cfg, 10,
+        b, _ = select(self.pool, self.model, self.labeled_X, cfg, 10,
                       rng=np.random.default_rng(0))
         assert a == b
         assert len(set(a)) == 10
         with pytest.raises(ValueError):
-            select(self.pool, self.model, self.labeled_embs, cfg, 10)
+            select(self.pool, self.model, self.labeled_X, cfg, 10)
 
     def test_indices_unique_and_bounded(self):
         for kind in ("multi_criteria", "margin_only", "lp_only",
                      "low_confidence_only"):
-            chosen, _ = select(self.pool, self.model, self.labeled_embs,
+            chosen, _ = select(self.pool, self.model, self.labeled_X,
                                SelectorConfig(kind=kind), 25)
             assert len(chosen) == len(set(chosen))
             assert all(0 <= i < 50 for i in chosen)
 
     def test_monotone_transform_invariance_single_criterion(self):
         # ranking selectors depend only on the order of their criterion
-        scores = score_pool(self.pool, self.model, self.labeled_embs,
+        scores = score_pool(self.pool, self.model, self.labeled_X,
                             SelectorConfig())
         base = selection_oracle(scores, SelectorConfig(kind="lp_only"), 10)
         import copy
@@ -243,11 +241,13 @@ class TestSelect:
         forward = Classifier.forward_batch
 
         def counting_forward(model, X):
-            outputs.append(forward(model, X))
-            return outputs[-1]
+            out = forward(model, X)
+            if np.array_equal(X, self.pool):  # the labeled forward is not counted
+                outputs.append(out)
+            return out
 
         monkeypatch.setattr(Classifier, "forward_batch", counting_forward)
-        scores = score_pool(self.pool, self.model, self.labeled_embs,
+        scores = score_pool(self.pool, self.model, self.labeled_X,
                             SelectorConfig())
         monkeypatch.undo()
         assert len(outputs) == 1
@@ -258,11 +258,12 @@ class TestSelect:
         assert np.array_equal(scores.margin, margin_scores(probs))
         assert np.array_equal(scores.confidence, confidence_scores(probs))
         assert np.array_equal(scores.lp_distance,
-                              lp_distances(embs, self.labeled_embs, 2.0))
+                              lp_distances(embs, self.model.embed_batch(self.labeled_X),
+                                           2.0))
 
     @pytest.mark.parametrize("kind", ["margin_only", "low_confidence_only"])
     def test_unread_distance_skipped(self, monkeypatch, kind):
-        full = score_pool(self.pool, self.model, self.labeled_embs,
+        full = score_pool(self.pool, self.model, self.labeled_X,
                           SelectorConfig())
         calls = []
         monkeypatch.setattr(selection, "lp_distances",
@@ -284,17 +285,36 @@ class TestSelect:
         ("multi_criteria", True), ("lp_only", True), ("margin_only", False),
         ("low_confidence_only", False), ("random", False),
     ])
-    def test_ranks_by_lp(self, kind, reads):
-        assert selection.ranks_by_lp(SelectorConfig(kind=kind)) is reads
+    def test_labeled_rows_read_only_by_distance_kinds(self, monkeypatch, kind, reads):
+        embedded, queries = [], []
+        embed = Classifier.embed_batch
+
+        def spy_embed(model, X):
+            embedded.append(X)
+            return embed(model, X)
+
+        monkeypatch.setattr(Classifier, "embed_batch", spy_embed)
+        monkeypatch.setattr(selection, "lp_distances",
+                            lambda *a: queries.append(a) or lp_distances(*a))
+        # the other kinds never read the labeled rows: None stands in for them
+        labeled_X = self.labeled_X if reads else None
+        chosen, _ = select(self.pool, self.model, labeled_X, SelectorConfig(kind=kind), 10,
+                           rng=np.random.default_rng(0))
+        assert len(chosen) == 10
+        if reads:
+            assert len(embedded) == 1 and embedded[0] is self.labeled_X
+            assert len(queries) == 1
+        else:
+            assert embedded == [] and queries == []
 
     def test_lp_only_scores_distance(self, monkeypatch):
-        full = score_pool(self.pool, self.model, self.labeled_embs,
+        full = score_pool(self.pool, self.model, self.labeled_X,
                           SelectorConfig())
         calls = []
         monkeypatch.setattr(selection, "lp_distances",
                             lambda *a: calls.append(a) or lp_distances(*a))
         cfg = SelectorConfig(kind="lp_only")
-        chosen, scores = select(self.pool, self.model, self.labeled_embs, cfg, 10)
+        chosen, scores = select(self.pool, self.model, self.labeled_X, cfg, 10)
         assert len(calls) == 1
         assert np.array_equal(scores.lp_distance, full.lp_distance)
         assert chosen == selection_oracle(full, cfg, 10)
