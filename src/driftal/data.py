@@ -416,11 +416,14 @@ def load_dataset(path):
 
 
 def label_ratio_split(train, ratio, seed):
-    """Stratified labeled/unlabeled split with |D_l| = round(ratio * N)."""
+    """Stratified labeled/unlabeled split with |D_l| = round(ratio * N) >= 1."""
     if not 0.0 <= ratio <= 1.0:
         raise DataError(f"label ratio {ratio} outside [0, 1]")
     n = len(train)
     target = int(round(ratio * n))
+    if target == 0:
+        raise ConfigError(f"label_ratio: expected a ratio that labels at least one of "
+                          f"the {n} training rows, got {ratio!r}")
     rng = np.random.default_rng(seed)
     by_class = {c: np.flatnonzero(train.y == c) for c in (0, 1)}
     # largest-remainder apportionment keeps class proportions within one sample

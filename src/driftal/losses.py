@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields, checked
+from .net import NumericError
 
 _CLAMP = 1e-12
 
@@ -156,11 +157,12 @@ def supervised_contrastive(embeddings, labels, temperature):
 
 
 def total_loss(sup, unsup, con, cfg, confident_count=0):
-    """Combine the three terms with the configured weights."""
-    for name, v in (("sup", sup), ("unsup", unsup), ("con", con)):
-        if not math.isfinite(v):
-            raise FloatingPointError(f"non-finite {name} loss component: {v}")
+    """Combine the three terms with the configured weights. A total that is
+    not finite (a non-finite term, even one weighted by 0, makes it so)
+    raises NumericError naming the three terms."""
     total = sup + cfg.lambda_u * unsup + cfg.lambda_con * con
+    if not math.isfinite(total):
+        raise NumericError(f"non-finite total loss: sup {sup}, unsup {unsup}, con {con}")
     return LossBreakdown(
         sup=float(sup),
         unsup=float(unsup),

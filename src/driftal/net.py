@@ -24,6 +24,9 @@ class NumericError(FloatingPointError):
     """Non-finite value encountered in parameters or gradients."""
 
 
+_MAX_GRAD = float(np.sqrt(np.finfo(np.float64).max))  # Adam squares each entry
+
+
 def softmax(logits):
     """Row-wise stable softmax."""
     z = np.asarray(logits, dtype=np.float64)
@@ -248,15 +251,16 @@ class Optimizer:
         check_fields(self)
 
     def step(self, model, grad):
-        """Update ``model.theta`` in place; a bad gradient raises and changes
-        no state. The update is, in this order of operations,
+        """Update ``model.theta`` in place; a gradient entry Adam cannot
+        square raises NumericError and changes no state. The update is,
+        in this order of operations,
         ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
         ``theta -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, with bias corrections
         ``c = 1 - b**t``."""
         if np.shape(grad) != model.theta.shape:
             raise ShapeError(f"gradient {np.shape(grad)} != theta {model.theta.shape}")
-        if not np.isfinite(grad).all():
-            raise NumericError("non-finite gradient")
+        if not np.abs(grad).max() <= _MAX_GRAD:
+            raise NumericError("gradient entry not finite or too large for Adam to square")
         if self.m is None:
             self.m, self.v = np.zeros_like(model.theta), np.zeros_like(model.theta)
         a, b = np.empty_like(self.m), np.empty_like(self.m)  # scratch

@@ -20,6 +20,7 @@ from . import selection as sel
 from .config import check_fields, checked
 from .data import check_unique_ids
 from .metrics import aggregate, compute_metrics
+from .net import NumericError
 from .trainer import TrainConfig, train
 
 
@@ -86,13 +87,14 @@ def run_stream(model, labeled, unlabeled, months, cfg):
     """Replay the monthly stream with budget-k active labeling.
 
     ``labeled`` and ``unlabeled`` are Datasets and ``months`` an ordered
-    ``{month: Dataset}`` map. Each month is (1) evaluated by the
-    current model, (2) appended to the unlabeled pool, (3) scored, and up
-    to ``budget`` pool rows picked; (4) the picked rows, in picked order and
-    with their true labels, move to the end of the labeled pool, and (5) if
-    any were picked the model is warm-start retrained on both pools with
-    seed ``cfg.seed`` + months evaluated. Budget 0 never retrains: it is
-    the static no-adaptation baseline.
+    ``{month: Dataset}`` map. Each month is (1) evaluated by the current
+    model, whose non-finite output raises NumericError, (2) appended to the
+    unlabeled pool, (3) scored, and up to ``budget`` pool rows picked; (4)
+    the picked rows, in picked order and with their true labels, move to the
+    end of the labeled pool, and (5) if any were picked the model is
+    warm-start retrained on both pools with seed ``cfg.seed`` + months
+    evaluated. Budget 0 never retrains: it is the static no-adaptation
+    baseline.
     """
     blocks = [labeled, unlabeled, *months.values()]
     X = np.concatenate([b.X for b in blocks])
@@ -105,8 +107,10 @@ def run_stream(model, labeled, unlabeled, months, cfg):
     monthly, selected_per_month = [], []
     for month, block in months.items():
         # (1) evaluate before the month's data can influence anything
-        preds = model.predict_batch(block.X).argmax(axis=1)
-        monthly.append(compute_metrics(preds, block.y, month=month))
+        probs = model.predict_batch(block.X)
+        if not np.isfinite(probs).all():
+            raise NumericError(f"month {month}: non-finite model output")
+        monthly.append(compute_metrics(probs.argmax(axis=1), block.y, month=month))
 
         # (2) the month joins the unlabeled pool
         unl = np.concatenate([unl, np.arange(revealed, revealed + len(block))])

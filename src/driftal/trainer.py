@@ -25,8 +25,6 @@ from .losses import (
 )
 from .net import Classifier, NumericError, Optimizer
 
-_MAX_GRAD = float(np.sqrt(np.finfo(np.float64).max))  # Adam squares each entry
-
 
 @dataclass
 class TrainConfig:
@@ -131,8 +129,8 @@ def run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng):
     """One ``opt`` step per (labeled_idx, unlabeled_idx) pair of ``batches``, on
     the labeled rows and weak/strong views of the (possibly no) unlabeled rows.
 
-    A non-finite loss, or a gradient entry Adam cannot square, raises
-    NumericError naming the step. Returns the step-mean LossBreakdown (its
+    A step's NumericError (from ``total_loss`` or ``opt.step``) is raised
+    again naming the step. Returns the step-mean LossBreakdown (its
     ``confident_count`` the epoch's) and the epoch's confident fraction.
     """
     sums = np.zeros(4)
@@ -141,11 +139,12 @@ def run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng):
         Bu = Xu[u_idx]
         Xw = aug.weak_view(Bu, cfg.augment, rng)
         Xs = aug.strong_view(Bu, cfg.augment, rng)
-        breakdown, grad = step_loss_and_grads(model, Xl[lab_idx], yl[lab_idx], Xw, Xs,
-                                              cfg.loss)
-        if not (np.isfinite(breakdown.total) and np.abs(grad).max() <= _MAX_GRAD):
-            raise NumericError(f"non-finite loss or gradient overflow, step {n_steps}")
-        opt.step(model, grad)
+        try:
+            breakdown, grad = step_loss_and_grads(model, Xl[lab_idx], yl[lab_idx], Xw, Xs,
+                                                  cfg.loss)
+            opt.step(model, grad)
+        except NumericError as e:
+            raise NumericError(f"step {n_steps}: {e}") from None
         sums += (breakdown.sup, breakdown.unsup, breakdown.con, breakdown.total)
         n_conf += breakdown.confident_count
         n_unlab += len(Bu)
@@ -165,12 +164,6 @@ def train(model, labeled, unlabeled, cfg):
     Xl = np.asarray(Xl, dtype=np.float64)
     yl = np.asarray(yl, dtype=np.int64)
     Xu = np.asarray(unlabeled, dtype=np.uint8)
-    if len(Xl) == 0:
-        raise ValueError("labeled set must be nonempty")
-    if Xl.shape[1] != model.input_dim:
-        raise ValueError(
-            f"feature dim {Xl.shape[1]} does not match model input {model.input_dim}"
-        )
     rng = np.random.default_rng(cfg.seed)
     opt = Optimizer(learning_rate=cfg.learning_rate)
     t0 = time.perf_counter()

@@ -454,7 +454,7 @@ class TestErrorPaths:
         assert main(["stream", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "epoch 0: non-finite loss or gradient overflow, step" in err
+        assert "epoch 0: step 0: gradient entry not finite or too large" in err
 
     @pytest.mark.parametrize("split,key", [
         ({"train_months": 9}, "split.train_months"),
@@ -471,6 +471,27 @@ class TestErrorPaths:
         # training reads no stream month, so it takes the split
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "train"),
                      "--seed", "0"]) == EXIT_OK
+
+    # one epoch at learning rate 1e308 leaves weights of about 1e308, whose forward
+    # pass overflows, with RuntimeWarnings, to NaN on every row
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,dim", [
+        (["stream"], 20),
+        (["noise"], 20),
+        # NaN confidences are never below the cutoff: no row would be selected
+        (["stream", "--budget", "2", "--selector", "low_confidence_only"], 8),
+    ], ids=["stream", "noise", "low_confidence_only"])
+    def test_nan_model_exits_numeric(self, tmp_path, capsys, argv, dim):
+        cfg = base_config(train={"epochs": 1, "hidden": [8], "learning_rate": 1e308},
+                          stream={"budget": 0, "retrain_epochs": 1})
+        cfg["generator"]["dim"] = dim
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out", str(out),
+                     "--seed", "0"]) == EXIT_NUMERIC
+        assert "month 2020-03: non-finite model output" in capsys.readouterr().err
+        assert not (out / "seed0" / "result.json").exists()
 
     @pytest.mark.parametrize("command", ["stream", "ablate"])
     def test_non_finite_embeddings_exit_numeric(self, tmp_path, capsys,

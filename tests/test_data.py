@@ -408,6 +408,13 @@ class TestLabelRatioSplit:
         expected = 80 * total_mal / 200
         assert abs(got_mal - expected) <= 1
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.001])
+    def test_ratio_that_labels_no_row_rejected(self, ratio):
+        problem = (f"^label_ratio: expected a ratio that labels at least one of the "
+                   f"100 training rows, got {ratio}$")
+        with pytest.raises(ConfigError, match=problem):
+            dio.label_ratio_split(make_dataset(), ratio, 0)
+
     def test_disjoint_and_exhaustive(self):
         ds = make_dataset()
         labeled, unlabeled = dio.label_ratio_split(ds, 0.3, 2)

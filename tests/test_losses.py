@@ -10,7 +10,7 @@ from driftal.losses import (
     supervised_contrastive,
     total_loss,
 )
-from driftal.net import softmax
+from driftal.net import NumericError, softmax
 
 
 def contrastive_oracle(embeddings, labels, temperature):
@@ -199,6 +199,15 @@ class TestTotalLoss:
     def test_nonfinite_rejected(self):
         with pytest.raises(FloatingPointError):
             total_loss(np.nan, 0.0, 0.0, LossConfig())
+
+    @pytest.mark.parametrize("terms,cfg", [
+        ((1.0, np.inf, 0.0), LossConfig(lambda_u=0.0)),  # inf * 0 is nan
+        ((0.5, 0.0, 10.0), LossConfig(lambda_con=1e308)),  # finite terms, inf total
+    ])
+    def test_non_finite_total_names_terms(self, terms, cfg):
+        problem = "^non-finite total loss: sup {}, unsup {}, con {}$".format(*terms)
+        with pytest.raises(NumericError, match=problem):
+            total_loss(*terms, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 
 from driftal.net import (
     Classifier,
+    NumericError,
     Optimizer,
     ShapeError,
     softmax,
@@ -183,24 +184,25 @@ class TestOptimizer:
             assert np.isclose(m.weights[0][0, 0], theta, rtol=0, atol=1e-12)
 
     def test_nonfinite_gradient_rejected(self):
+        # 1e200 is finite, but Adam's v would take its square, inf, and freeze theta
         m = Classifier((1, 2), init=False)
         opt = Optimizer(learning_rate=0.1)
-        for value in (np.nan, np.inf, -np.inf):
+        for value in (np.nan, np.inf, -np.inf, 1e200):
             bad = np.zeros_like(m.theta)
             (bw,), _ = m.layer_views(bad)
             bw[...] = 1.0
             bw[0, 0] = value
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(NumericError, match="too large for Adam to square"):
                 opt.step(m, bad)
             # the rejected step changed no state: no moments, no count
             assert opt.m is None and opt.v is None and opt.step_count == 0
             assert not m.theta.any()
         opt.step(m, np.full_like(m.theta, 0.5))
         state = [a.copy() for a in (m.theta, opt.m, opt.v)]
-        for value in (np.nan, np.inf, -np.inf):
+        for value in (np.nan, np.inf, -np.inf, 1e200):
             bad[...] = 1.0
             bad[-1] = value
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(NumericError, match="too large for Adam to square"):
                 opt.step(m, bad)
             assert opt.step_count == 1
             for now, then in zip((m.theta, opt.m, opt.v), state):

@@ -15,6 +15,7 @@ from driftal.data import Dataset, DriftGeneratorConfig, synth_drift_generate
 from driftal.experiment import Experiment, ExperimentSetup
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
+from driftal.net import NumericError
 from driftal.selection import SELECTOR_KINDS, SelectorConfig
 from driftal.stream import (
     StreamConfig,
@@ -151,6 +152,12 @@ class TestRunStream:
             preds = model.predict_batch(block.X).argmax(axis=1)
             tp = int(((preds == 1) & (block.y == 1)).sum())
             assert mm.tp == tp
+
+    def test_non_finite_model_output_raises(self):
+        model, labeled, unlabeled, months = make_world()
+        model.theta[:] = np.nan
+        with pytest.raises(NumericError, match="^month 2020-01: non-finite model output$"):
+            run_stream(model, labeled, unlabeled, months, small_cfg(budget=0))
 
     def test_input_model_not_mutated(self):
         model, labeled, unlabeled, months = make_world()
