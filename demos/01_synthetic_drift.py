@@ -35,8 +35,9 @@ print(f"generated {len(dataset)} samples over {len(months)} months")
 first, second, *_ = months.values()
 Xl = np.concatenate([first.X, second.X])
 yl = np.concatenate([first.y, second.y])
-cfg = TrainConfig(epochs=15, hidden=(64, 32), seed=0)
-model, report = train(build_model(gen.dim, cfg), (Xl, yl), np.zeros((0, gen.dim)), cfg)
+cfg = TrainConfig(epochs=15, hidden=(64, 32))
+model, report = train(build_model(gen.dim, cfg, 0), (Xl, yl), np.zeros((0, gen.dim)),
+                      cfg, 0)
 print(f"initial fit: final loss {report.epoch_losses[-1].total:.4f}\n")
 
 print(f"{'month':<10} {'F1':>6} {'FNR':>6} {'FPR':>6}")

@@ -39,8 +39,9 @@ def run(ratio, use_unlabeled, seeds=(0, 1, 2)):
         labeled, unlabeled = label_ratio_split(train_set, ratio, seed)
         Xu = unlabeled.X if use_unlabeled else np.zeros((0, gen.dim))
         loss = LossConfig() if use_unlabeled else LossConfig(lambda_u=0, lambda_con=0)
-        cfg = TrainConfig(epochs=10, hidden=(32, 16), loss=loss, seed=seed)
-        model, _ = train(build_model(gen.dim, cfg), (labeled.X, labeled.y), Xu, cfg)
+        cfg = TrainConfig(epochs=10, hidden=(32, 16), loss=loss)
+        model, _ = train(build_model(gen.dim, cfg, seed), (labeled.X, labeled.y), Xu, cfg,
+                         seed)
         scores.append(compute_metrics(model.predict_batch(held.X).argmax(1), held.y).f1)
     return float(np.mean(scores))
 

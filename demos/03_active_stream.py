@@ -10,17 +10,16 @@ static no-labeling baseline.
 Run: python3 demos/03_active_stream.py
 """
 
-from driftal import Experiment, SelectorConfig
+from driftal import SelectorConfig
 from driftal.cli import setup_from_config
 
 # 14 months: the first 2 train the model, the other 12 are streamed
-setup = setup_from_config({
+exp = setup_from_config({
     "generator": {"months": 14},
     "label_ratio": 0.1,
     "train": {"epochs": 10, "hidden": [32, 16]},
     "stream": {"retrain_epochs": 2},
 })
-exp = Experiment(setup)
 
 runs = {
     "static (budget 0)": exp.run(SelectorConfig(), 0, seed=0),

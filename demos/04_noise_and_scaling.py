@@ -11,19 +11,18 @@ Run: python3 demos/04_noise_and_scaling.py
 
 from dataclasses import replace
 
-from driftal import Experiment, SelectorConfig, bench
+from driftal import SelectorConfig, bench
 from driftal.cli import setup_from_config
 
 print("label-noise sweep (mean stream F1, 1 seed):")
-base = setup_from_config({
+exp = setup_from_config({
     "generator": {"months": 10},
     "label_ratio": 0.4,
     "train": {"epochs": 10, "hidden": [32, 16]},
     "stream": {"retrain_epochs": 4},
 })
 for rate in (0.0, 0.2, 0.4):
-    setup = replace(base, noise_rate=rate)
-    result = Experiment(setup).run(SelectorConfig(), 50, seed=0)
+    result = replace(exp, noise_rate=rate).run(SelectorConfig(), 50, seed=0)
     print(f"  {rate:4.0%} labels flipped -> F1 {result.f1_mean:.3f}")
 
 print("\nscaling benchmark (one train epoch + one select/retrain epoch):")

@@ -26,7 +26,7 @@ from .losses import (
     supervised_contrastive,
     total_loss,
 )
-from .experiment import Experiment, ExperimentSetup
+from .experiment import Experiment
 from .metrics import (
     BenchRecord,
     MonthlyMetrics,

@@ -24,7 +24,7 @@ from . import data as dio
 from . import metrics as met
 from .augment import AugmentConfig
 from .config import ConfigError, entry, typed, typed_list
-from .experiment import Experiment, ExperimentSetup
+from .experiment import Experiment
 from .losses import LossConfig
 from .outputs import write_outputs
 from .selection import SELECTOR_KINDS, SelectorConfig
@@ -105,9 +105,6 @@ def _build(cls, cfg, key):
 
 def _train_config(config):
     train = dict(_section(config, "train"))
-    if "seed" in train:
-        raise ConfigError("train: 'seed' is not a config key; the run seed "
-                          "comes from --seed or 'seeds'")
     for name, cls in (("loss", LossConfig), ("augment", AugmentConfig)):
         train[name] = _build(cls, _section(config, f"train.{name}"), f"train.{name}")
     return _build(TrainConfig, train, "train")
@@ -149,7 +146,7 @@ def _period(split, key, months):
 
 
 def setup_from_config(config, streams=True):
-    """Build an ExperimentSetup from a config as a ``--config`` file holds it
+    """Build an Experiment from a config as a ``--config`` file holds it
     (the dataset/generator, split, label ratio, noise, train and stream keys).
     The split of a command that ``streams`` must leave a month to stream."""
     if ("dataset" in config) == ("generator" in config):
@@ -183,7 +180,7 @@ def setup_from_config(config, streams=True):
             key = "train" if "train" in split else "train_months"
             raise ConfigError(f"split.{key}: no month of the dataset is left to stream")
     stream = _section(config, "stream")
-    return ExperimentSetup(
+    return Experiment(
         dataset=dataset,
         train_months=train_months,
         stream_months=stream_months,
@@ -216,7 +213,7 @@ def cmd_synth(args, config, out_dir):
 def cmd_train(args, config, out_dir):
     seeds = _seeds(args, config)
     outputs, lines = {}, []
-    exp = Experiment(setup_from_config(config, streams=False))
+    exp = setup_from_config(config, streams=False)
     for seed in seeds:
         model, _, _, report = exp.initial_fit(seed)
         ckpt = f"checkpoint_seed{seed}.npz"
@@ -231,7 +228,7 @@ def cmd_stream(args, config, out_dir):
     seeds = _seeds(args, config)
     selector, budget = _stream_cell(config)
     outputs = {}
-    exp = Experiment(setup_from_config(config))
+    exp = setup_from_config(config)
     [(_, _, results)] = exp.sweep([selector], [budget], seeds)
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     for seed, result in zip(seeds, results):
@@ -250,7 +247,7 @@ def cmd_ablate(args, config, out_dir):
     budgets = typed_list(ablate.get("budgets", [50]), "ablate.budgets", int, minimum=0)
     selectors = [SelectorConfig(kind=kind) for kind in kinds]
     rows = []
-    exp = Experiment(setup_from_config(config))
+    exp = setup_from_config(config)
     for selector, budget, runs in exp.sweep(selectors, budgets, seeds):
         f1 = aggregate_runs(runs)["f1"]
         rows.append({
@@ -285,10 +282,9 @@ def cmd_noise(args, config, out_dir):
     ), "noise_rates", float, minimum=0, maximum=1)
     selector, budget = _stream_cell(config)
     rows = []
-    setup = setup_from_config(config)
+    exp = setup_from_config(config)
     for rate in rates:
-        exp = Experiment(replace(setup, noise_rate=rate))
-        [(_, _, runs)] = exp.sweep([selector], [budget], seeds)
+        [(_, _, runs)] = replace(exp, noise_rate=rate).sweep([selector], [budget], seeds)
         f1 = aggregate_runs(runs)["f1"]
         rows.append({"noise_rate": rate, "f1_mean": f1[0], "f1_std": f1[1]})
         print(f"noise {rate:4.0%}: mean F1 {_fmt_f1(f1[0])}")

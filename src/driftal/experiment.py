@@ -16,10 +16,11 @@ from .stream import StreamConfig, months_from_dataset, run_stream
 from .trainer import TrainConfig, build_model, train
 
 
-@dataclass
-class ExperimentSetup:
-    """A concrete dataset split plus the knobs shared by all runs, as
-    ``driftal.cli.setup_from_config`` builds it from a run's config."""
+@dataclass(eq=False)
+class Experiment:
+    """A concrete dataset split plus the knobs shared by all of its runs, as
+    ``driftal.cli.setup_from_config`` builds it from a run's config. Runs
+    stream experiments against it, caching initial fits per seed."""
 
     dataset: dio.Dataset
     train_months: list
@@ -29,28 +30,22 @@ class ExperimentSetup:
     train_cfg: TrainConfig
     retrain_epochs: int
 
-
-class Experiment:
-    """Runs stream experiments against one dataset, caching initial fits."""
-
-    def __init__(self, setup):
-        self.setup = setup
+    def __post_init__(self):
         self._initial = {}  # seed -> (model, labeled, unlabeled Datasets, report)
-        ds = setup.dataset
-        self.train_set = ds.take(np.isin(ds.row_months, setup.train_months))
-        self.stream = months_from_dataset(ds, set(setup.stream_months))
+        ds = self.dataset
+        self.train_set = ds.take(np.isin(ds.row_months, self.train_months))
+        self.stream = months_from_dataset(ds, set(self.stream_months))
 
     def initial_fit(self, seed):
         """Train (and cache) the warm-start model for one seed."""
         if seed in self._initial:
             return self._initial[seed]
-        s = self.setup
-        labeled, unlabeled = dio.label_ratio_split(self.train_set, s.label_ratio, seed)
-        if s.noise_rate > 0:
-            labeled = dio.inject_label_noise(labeled, s.noise_rate, seed)
-        cfg = replace(s.train_cfg, seed=seed)
-        model = build_model(self.train_set.feature_dim, cfg)
-        model, report = train(model, (labeled.X, labeled.y), unlabeled.X, cfg)
+        labeled, unlabeled = dio.label_ratio_split(self.train_set, self.label_ratio, seed)
+        if self.noise_rate > 0:
+            labeled = dio.inject_label_noise(labeled, self.noise_rate, seed)
+        model = build_model(self.train_set.feature_dim, self.train_cfg, seed)
+        model, report = train(model, (labeled.X, labeled.y), unlabeled.X, self.train_cfg,
+                              seed)
         self._initial[seed] = (model, labeled, unlabeled, report)
         return self._initial[seed]
 
@@ -60,10 +55,9 @@ class Experiment:
         cfg = StreamConfig(
             budget=budget,
             selector=selector,
-            retrain=replace(self.setup.train_cfg, epochs=self.setup.retrain_epochs),
-            seed=seed,
+            retrain=replace(self.train_cfg, epochs=self.retrain_epochs),
         )
-        return run_stream(model, labeled, unlabeled, self.stream, cfg)
+        return run_stream(model, labeled, unlabeled, self.stream, cfg, seed)
 
     def sweep(self, selectors, budgets, seeds):
         """Selector x budget x seed grid with shared seeds per cell.

@@ -173,9 +173,8 @@ def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
         # still covers nearly the whole pool
         budget_eff = min(budget, n // 10)
         Xl, yl, Xu = X[:n_lab], y[:n_lab], X[n_lab:]
-        cfg = TrainConfig(hidden=hidden, seed=seed, labeled_batch=batch,
-                          unlabeled_batch=batch)
-        model = build_model(dim, cfg)
+        cfg = TrainConfig(hidden=hidden, labeled_batch=batch, unlabeled_batch=batch)
+        model = build_model(dim, cfg, seed)
         opt = Optimizer(learning_rate=cfg.learning_rate)
         # untimed one-sample select: whatever the select path imports at its
         # first call is loaded before the timing starts

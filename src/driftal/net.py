@@ -8,6 +8,7 @@ the contrastive loss and the distance-based selection criterion.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -72,7 +73,7 @@ class Classifier:
 
     def __init__(self, architecture, seed=0, init=True):
         self.architecture = _widths(architecture)
-        self.seed = int(seed)
+        self.seed = operator.index(seed)  # an integer, as default_rng takes it
         # per layer: the weights' slice and shape, then the biases' slice
         self._layout, start = [], 0
         for n_in, n_out in zip(self.architecture, self.architecture[1:]):

@@ -12,7 +12,7 @@ any training, and the two pools are arrays of row indices into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +32,8 @@ class PoolInvariantError(RuntimeError):
 class StreamConfig:
     budget: int = checked(50, int, minimum=0)
     selector: sel.SelectorConfig = field(default_factory=sel.SelectorConfig)
-    # warm-start retrain per month; run_stream sets its seed per month
+    # warm-start retrain per month; run_stream seeds it per month
     retrain: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=10))
-    seed: int = checked(0, int, minimum=0)
 
     def __post_init__(self):
         check_fields(self)
@@ -83,7 +82,7 @@ def check_pools(lab, unl, revealed):
                                  f"{counts[bad].tolist()} times, not once")
 
 
-def run_stream(model, labeled, unlabeled, months, cfg):
+def run_stream(model, labeled, unlabeled, months, cfg, seed):
     """Replay the monthly stream with budget-k active labeling.
 
     ``labeled`` and ``unlabeled`` are Datasets and ``months`` an ordered
@@ -92,7 +91,7 @@ def run_stream(model, labeled, unlabeled, months, cfg):
     unlabeled pool, (3) scored, and up to ``budget`` pool rows picked; (4)
     the picked rows, in picked order and with their true labels, move to the
     end of the labeled pool, and (5) if any were picked the model is
-    warm-start retrained on both pools with seed ``cfg.seed`` + months
+    warm-start retrained on both pools with seed ``seed`` + months
     evaluated. Budget 0 never retrains: it is the static no-adaptation
     baseline.
     """
@@ -103,7 +102,7 @@ def run_stream(model, labeled, unlabeled, months, cfg):
     check_unique_ids(ids, PoolInvariantError, "rows of both pools and the months")
     revealed = len(labeled) + len(unlabeled)
     lab, unl = np.arange(len(labeled)), np.arange(len(labeled), revealed)
-    model, rng = model.copy(), np.random.default_rng(cfg.seed)
+    model, rng = model.copy(), np.random.default_rng(seed)
     monthly, selected_per_month = [], []
     for month, block in months.items():
         # (1) evaluate before the month's data can influence anything
@@ -127,11 +126,11 @@ def run_stream(model, labeled, unlabeled, months, cfg):
 
         # (5) retrain on the updated pools
         if chosen:
-            rcfg = replace(cfg.retrain, seed=cfg.seed + len(monthly))
-            model, _ = train(model, (X[lab], y[lab]), X[unl], rcfg)
+            model, _ = train(model, (X[lab], y[lab]), X[unl], cfg.retrain,
+                             seed + len(monthly))
     stats = [s for k in ("f1", "fnr", "fpr")
              for s in aggregate([getattr(m, k) for m in monthly])]
-    return StreamResult(monthly, selected_per_month, *stats, cfg.seed)
+    return StreamResult(monthly, selected_per_month, *stats, seed)
 
 
 def aggregate_runs(results):

@@ -35,7 +35,6 @@ class TrainConfig:
     augment: aug.AugmentConfig = field(default_factory=aug.AugmentConfig)
     learning_rate: float = checked(1e-3, float, above=0)
     hidden: tuple = checked((512, 128), int, minimum=1)
-    seed: int = checked(0, int, minimum=0)
 
     def __post_init__(self):
         check_fields(self)
@@ -57,9 +56,9 @@ class TrainReport:
         }
 
 
-def build_model(input_dim, cfg):
-    """Fresh classifier with the configured hidden sizes and seed."""
-    return Classifier((input_dim, *cfg.hidden, 2), seed=cfg.seed)
+def build_model(input_dim, cfg, seed):
+    """Fresh classifier with the configured hidden sizes, initialised from ``seed``."""
+    return Classifier((input_dim, *cfg.hidden, 2), seed=seed)
 
 
 def sample_minibatches(n_labeled, n_unlabeled, cfg, rng):
@@ -153,18 +152,20 @@ def run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng):
     return mean, n_conf / n_unlab if n_unlab else 0.0
 
 
-def train(model, labeled, unlabeled, cfg):
-    """Run the full semi-supervised loop for ``cfg.epochs`` epochs.
+def train(model, labeled, unlabeled, cfg, seed):
+    """Run the full semi-supervised loop for ``cfg.epochs`` epochs, drawing
+    batches and views from ``seed``.
 
     ``labeled`` is an (X, y) pair of arrays; ``unlabeled`` is an array of
     feature rows (may be empty, which degrades to supervised training).
-    Returns the trained model and a TrainReport.
+    A trained model whose output on the labeled rows is not finite raises
+    NumericError. Returns the trained model and a TrainReport.
     """
     Xl, yl = labeled
     Xl = np.asarray(Xl, dtype=np.float64)
     yl = np.asarray(yl, dtype=np.int64)
     Xu = np.asarray(unlabeled, dtype=np.uint8)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     opt = Optimizer(learning_rate=cfg.learning_rate)
     t0 = time.perf_counter()
     epochs = []  # (mean LossBreakdown, confident fraction) per epoch
@@ -174,5 +175,9 @@ def train(model, labeled, unlabeled, cfg):
             epochs.append(run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng))
         except NumericError as e:
             raise NumericError(f"epoch {epoch}: {e}") from None
+    # finite weights can still overflow in the next forward pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(model.predict_batch(Xl)).all():
+            raise NumericError(f"epoch {epoch}: non-finite model output")
     losses, fracs = map(list, zip(*epochs))
-    return model, TrainReport(losses, fracs, time.perf_counter() - t0, cfg.seed)
+    return model, TrainReport(losses, fracs, time.perf_counter() - t0, seed)

@@ -13,7 +13,7 @@ import pytest
 
 from driftal.augment import AugmentConfig, bernoulli_bit_flip, bernoulli_mask, weak_view
 from driftal.data import DriftGeneratorConfig, synth_drift_generate
-from driftal.experiment import Experiment, ExperimentSetup
+from driftal.experiment import Experiment
 from driftal.losses import (
     LossConfig,
     consistency_loss,
@@ -39,7 +39,7 @@ def drift_experiment(seed, months=14, label_ratio=0.1, retrain_epochs=1,
     )
     dataset = synth_drift_generate(gen)
     month_names = dataset.months()
-    setup = ExperimentSetup(
+    return Experiment(
         dataset=dataset,
         train_months=month_names[:2],
         stream_months=month_names[2:],
@@ -49,7 +49,6 @@ def drift_experiment(seed, months=14, label_ratio=0.1, retrain_epochs=1,
                               loss=loss or LossConfig()),
         retrain_epochs=retrain_epochs,
     )
-    return Experiment(setup)
 
 
 def mean_f1(runs):
@@ -317,8 +316,8 @@ class TestCriterion6:
             Xl, yl = labeled.X, labeled.y
             Xu = unlabeled.X if ssl else np.zeros((0, 200), np.uint8)
             loss = LossConfig() if ssl else LossConfig(lambda_u=0, lambda_con=0)
-            cfg = TrainConfig(epochs=10, hidden=(32, 16), loss=loss, seed=seed)
-            model, _ = train(build_model(200, cfg), (Xl, yl), Xu, cfg)
+            cfg = TrainConfig(epochs=10, hidden=(32, 16), loss=loss)
+            model, _ = train(build_model(200, cfg, seed), (Xl, yl), Xu, cfg, seed)
             held = dataset.take(np.isin(dataset.row_months, months[2]))
             Xh, yh = held.X, held.y
             return compute_metrics(model.predict_batch(Xh).argmax(1), yh).f1

@@ -17,7 +17,6 @@ from driftal.cli import (
     setup_from_config,
 )
 from driftal.config import ConfigError
-from driftal.experiment import Experiment
 from driftal.net import Classifier
 from driftal.selection import SelectorConfig
 
@@ -212,7 +211,7 @@ class TestLibrary:
                      "--seed", "0"]) == EXIT_OK
         written = json.loads((out / "seed0" / "result.json").read_text())
         del written["config_hash"], written["seeds"]
-        result = Experiment(setup_from_config(base_config())).run(SelectorConfig(), 5, 0)
+        result = setup_from_config(base_config()).run(SelectorConfig(), 5, 0)
         assert json.loads(json.dumps(result.to_dict())) == written
 
     def test_setup_from_config_rejects_unknown_key_as_cli_does(self, tmp_path, capsys):
@@ -473,14 +472,15 @@ class TestErrorPaths:
                      "--seed", "0"]) == EXIT_OK
 
     # one epoch at learning rate 1e308 leaves weights of about 1e308, whose forward
-    # pass overflows, with RuntimeWarnings, to NaN on every row
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # pass overflows to NaN on every row: the initial fit fails, with no
+    # RuntimeWarning, before any month is evaluated or any file is written
     @pytest.mark.parametrize("argv,dim", [
         (["stream"], 20),
         (["noise"], 20),
         # NaN confidences are never below the cutoff: no row would be selected
         (["stream", "--budget", "2", "--selector", "low_confidence_only"], 8),
-    ], ids=["stream", "noise", "low_confidence_only"])
+        (["train"], 20),
+    ], ids=["stream", "noise", "low_confidence_only", "train"])
     def test_nan_model_exits_numeric(self, tmp_path, capsys, argv, dim):
         cfg = base_config(train={"epochs": 1, "hidden": [8], "learning_rate": 1e308},
                           stream={"budget": 0, "retrain_epochs": 1})
@@ -490,8 +490,9 @@ class TestErrorPaths:
         out = tmp_path / "out"
         assert main([*argv, "--config", str(path), "--out", str(out),
                      "--seed", "0"]) == EXIT_NUMERIC
-        assert "month 2020-03: non-finite model output" in capsys.readouterr().err
-        assert not (out / "seed0" / "result.json").exists()
+        err = capsys.readouterr().err
+        assert err == "numeric failure: epoch 0: non-finite model output\n"
+        assert not out.exists()  # no checkpoint, no result.json
 
     @pytest.mark.parametrize("command", ["stream", "ablate"])
     def test_non_finite_embeddings_exit_numeric(self, tmp_path, capsys,
@@ -627,7 +628,7 @@ class TestErrorPaths:
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == EXIT_CONFIG
-        assert "--seed" in capsys.readouterr().err
+        assert "train: unknown keys ['seed']" in capsys.readouterr().err
 
     def test_manifest_missing_key_exits_data(self, tmp_path, capsys):
         gen = dio.DriftGeneratorConfig(dim=20, months=4,

@@ -70,7 +70,6 @@ TABLE = [
     (TrainConfig, "unlabeled_batch", integer(1), {}),
     (TrainConfig, "learning_rate", number(0, low_open=True), {}),
     (TrainConfig, "hidden", widths, {}),
-    (TrainConfig, "seed", integer(0), {}),
     (LossConfig, "confidence_threshold", number(0, 1, low_open=True), {}),
     (LossConfig, "lambda_u", number(0), {}),
     (LossConfig, "lambda_con", number(0), {}),
@@ -85,7 +84,6 @@ TABLE = [
     (SelectorConfig, "p_norm", number(1, math.inf), {}),  # inf is the max-norm
     (SelectorConfig, "low_confidence_cutoff", number(0, 1), {}),
     (StreamConfig, "budget", integer(0), {}),
-    (StreamConfig, "seed", integer(0), {}),
     (Optimizer, "learning_rate", number(0, low_open=True), {}),
 ]
 

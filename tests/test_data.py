@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from driftal import data as dio
 from driftal.config import ConfigError
-from driftal.experiment import Experiment, ExperimentSetup
+from driftal.experiment import Experiment
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
 from driftal.selection import SelectorConfig
@@ -494,16 +494,16 @@ class TestDriftGenerator:
             return ds.X[rows], ds.y[rows]
 
         tcfg = TrainConfig(epochs=20, hidden=(16, 8), loss=LossConfig(lambda_u=0,
-                           lambda_con=0), seed=0)
+                           lambda_con=0))
         X0, y0 = arrays(months[0])
-        static = build_model(60, tcfg)
-        static, _ = train(static, (X0, y0), np.zeros((0, 60)), tcfg)
+        static = build_model(60, tcfg, 0)
+        static, _ = train(static, (X0, y0), np.zeros((0, 60)), tcfg, 0)
         Xn, yn = arrays(months[-1])
         f1_first = compute_metrics(static.predict_batch(X0).argmax(1), y0).f1
         f1_static = compute_metrics(static.predict_batch(Xn).argmax(1), yn).f1
 
-        fresh = build_model(60, tcfg)
-        fresh, _ = train(fresh, arrays(months[-1]), np.zeros((0, 60)), tcfg)
+        fresh = build_model(60, tcfg, 0)
+        fresh, _ = train(fresh, arrays(months[-1]), np.zeros((0, 60)), tcfg, 0)
         f1_fresh = compute_metrics(fresh.predict_batch(Xn).argmax(1), yn).f1
         assert f1_first - f1_static >= 0.20
         assert f1_fresh >= f1_first - 0.05
@@ -633,8 +633,7 @@ class TestColumns:
             want = ds.take(ds.month_rows()[month])
             assert (block.ids, block.row_months) == (want.ids, want.row_months)
             assert np.array_equal(block.X, want.X) and np.array_equal(block.y, want.y)
-        setup = ExperimentSetup(ds, months[:2], months[2:], label_ratio=0.5,
-                                noise_rate=0.2, train_cfg=TrainConfig(epochs=1, hidden=(4,)),
-                                retrain_epochs=1)
-        result = Experiment(setup).run(SelectorConfig(kind="random"), 5, 0)
+        exp = Experiment(ds, months[:2], months[2:], label_ratio=0.5, noise_rate=0.2,
+                         train_cfg=TrainConfig(epochs=1, hidden=(4,)), retrain_epochs=1)
+        result = exp.run(SelectorConfig(kind="random"), 5, 0)
         assert [m.month for m in result.monthly] == months[2:]

@@ -17,18 +17,17 @@ from pathlib import Path
 
 from driftal import metrics as met
 from driftal.cli import setup_from_config
-from driftal.experiment import Experiment
 from driftal.selection import SELECTOR_KINDS, SelectorConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "stream_small.json"
 
 
 def compute():
-    exp = Experiment(setup_from_config({
+    exp = setup_from_config({
         "generator": {"seed": 3, "dim": 40, "months": 6, "samples_per_month_per_class": 60},
         "train": {"epochs": 3, "hidden": [16, 8]},
         "stream": {"retrain_epochs": 2},
-    }))
+    })
     model, *_ = exp.initial_fit(0)
     theta_sha256 = hashlib.sha256(model.theta.tobytes()).hexdigest()
     selectors = [SelectorConfig(kind=kind) for kind in SELECTOR_KINDS]

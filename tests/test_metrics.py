@@ -145,7 +145,7 @@ def reference_bench(n, budget, dim, hidden, batch, seed):
     X = (rng.random((n + n_lab, dim)) < 0.3).astype(np.uint8)
     y = rng.integers(0, 2, size=n + n_lab)
     Xl, yl, Xu = X[:n_lab], y[:n_lab], X[n_lab:]
-    model = trainer.build_model(dim, trainer.TrainConfig(hidden=hidden, seed=seed))
+    model = trainer.build_model(dim, trainer.TrainConfig(hidden=hidden), seed)
     opt = Optimizer()
     sel.select(Xu[:1], model, Xl, sel_cfg, 1)
     steps = bench_epoch(model, opt, Xl, yl, Xu, aug_cfg, loss_cfg, rng)

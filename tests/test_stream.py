@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from driftal import stream
 from driftal.data import Dataset, DriftGeneratorConfig, synth_drift_generate
-from driftal.experiment import Experiment, ExperimentSetup
+from driftal.experiment import Experiment
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
 from driftal.net import NumericError
@@ -35,7 +35,6 @@ def small_cfg(**kw):
         budget=5,
         retrain=TrainConfig(epochs=2, hidden=(8,), labeled_batch=16,
                             unlabeled_batch=16),
-        seed=0,
     )
     defaults.update(kw)
     return StreamConfig(**defaults)
@@ -56,9 +55,9 @@ def make_world(n_train=40, n_pool=30, d=6, n_months=3, per_month=20, seed=0):
     unlabeled = batch("u", n_pool, "2019-12")
     months = {f"2020-{m + 1:02d}": batch(f"m{m}_", per_month, f"2020-{m + 1:02d}")
               for m in range(n_months)}
-    cfg = TrainConfig(epochs=5, hidden=(8,), seed=seed)
-    model = build_model(d, cfg)
-    model, _ = train(model, (labeled.X, labeled.y), unlabeled.X, cfg)
+    cfg = TrainConfig(epochs=5, hidden=(8,))
+    model = build_model(d, cfg, seed)
+    model, _ = train(model, (labeled.X, labeled.y), unlabeled.X, cfg, seed)
     return model, labeled, unlabeled, months
 
 
@@ -72,9 +71,9 @@ def record_train_calls(monkeypatch):
     """Replace the stream's ``train`` with one that records each call's inputs."""
     calls = []
 
-    def recording_train(model, labeled_xy, unlabeled_x, cfg):
+    def recording_train(model, labeled_xy, unlabeled_x, cfg, seed):
         calls.append((labeled_xy, unlabeled_x))
-        return train(model, labeled_xy, unlabeled_x, cfg)
+        return train(model, labeled_xy, unlabeled_x, cfg, seed)
 
     monkeypatch.setattr(stream, "train", recording_train)
     return calls
@@ -114,7 +113,7 @@ class TestStreamBoundary:
     def _raises_untrained(monkeypatch, world, match):
         calls = record_train_calls(monkeypatch)
         with pytest.raises(PoolInvariantError, match=match):
-            run_stream(*world, small_cfg(budget=5))
+            run_stream(*world, small_cfg(budget=5), 0)
         assert calls == []
 
     def test_id_repeated_within_a_month(self, monkeypatch):
@@ -135,7 +134,7 @@ class TestStreamBoundary:
 class TestRunStream:
     def test_budget_respected_and_ids_from_stream_or_pool(self):
         model, labeled, unlabeled, months = make_world()
-        result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=5))
+        result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=5), 0)
         valid = set(unlabeled.ids) | {i for m in months.values() for i in m.ids}
         for ids in result.selected_ids:
             assert len(ids) <= 5
@@ -145,7 +144,7 @@ class TestRunStream:
 
     def test_zero_budget_is_static(self):
         model, labeled, unlabeled, months = make_world()
-        result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=0))
+        result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=0), 0)
         assert all(ids == [] for ids in result.selected_ids)
         # the model must be untouched: recompute month metrics directly
         for mm, block in zip(result.monthly, months.values()):
@@ -157,26 +156,26 @@ class TestRunStream:
         model, labeled, unlabeled, months = make_world()
         model.theta[:] = np.nan
         with pytest.raises(NumericError, match="^month 2020-01: non-finite model output$"):
-            run_stream(model, labeled, unlabeled, months, small_cfg(budget=0))
+            run_stream(model, labeled, unlabeled, months, small_cfg(budget=0), 0)
 
     def test_input_model_not_mutated(self):
         model, labeled, unlabeled, months = make_world()
         before = model.theta.copy()
-        run_stream(model, labeled, unlabeled, months, small_cfg())
+        run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
         assert (before == model.theta).all()
 
     def test_first_month_static_equals_adaptive(self):
         """Test-then-train: month 1 is scored before any labeling."""
         model, labeled, unlabeled, months = make_world()
-        r0 = run_stream(model, labeled, unlabeled, months, small_cfg(budget=0))
-        r5 = run_stream(model, labeled, unlabeled, months, small_cfg(budget=5))
+        r0 = run_stream(model, labeled, unlabeled, months, small_cfg(budget=0), 0)
+        r5 = run_stream(model, labeled, unlabeled, months, small_cfg(budget=5), 0)
         assert r0.monthly[0].to_dict() == r5.monthly[0].to_dict()
 
     def test_deterministic_given_seed(self):
         model, labeled, unlabeled, months = make_world()
         cfg = small_cfg(selector=SelectorConfig(kind="random"))
-        a = run_stream(model, labeled, unlabeled, months, cfg)
-        b = run_stream(model, labeled, unlabeled, months, cfg)
+        a = run_stream(model, labeled, unlabeled, months, cfg, 0)
+        b = run_stream(model, labeled, unlabeled, months, cfg, 0)
         assert a.selected_ids == b.selected_ids
         assert a.to_dict() == b.to_dict()
 
@@ -195,7 +194,7 @@ class TestRunStream:
 
         monkeypatch.setattr(type(model), "embed_batch", counting_embed)
         run_stream(model, labeled, unlabeled, months,
-                   small_cfg(selector=SelectorConfig(kind=kind)))
+                   small_cfg(selector=SelectorConfig(kind=kind)), 0)
         assert len(calls) == embeds
 
     def test_promoted_labels_are_truth(self, monkeypatch):
@@ -203,7 +202,7 @@ class TestRunStream:
         blocks = [labeled, unlabeled, *months.values()]
         truth = {i: int(c) for b in blocks for i, c in zip(b.ids, b.y)}
         retrains = record_train_calls(monkeypatch)
-        result = run_stream(model, labeled, unlabeled, months, small_cfg())
+        result = run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
         assert len(retrains) == len(months)
         ids_l = list(labeled.ids)
         for ids, ((_, yl), _) in zip(result.selected_ids, retrains):
@@ -217,7 +216,7 @@ class TestRunStream:
         monkeypatch.setattr(stream.sel, "select",
                             lambda *args, **kw: ([3, 1], None))
         retrains = record_train_calls(monkeypatch)
-        run_stream(model, labeled, unlabeled, months, small_cfg())
+        run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
         [month] = months.values()
         pool_X = np.concatenate([unlabeled.X, month.X])
         pool_y = np.concatenate([unlabeled.y, month.y])
@@ -230,7 +229,7 @@ class TestRunStream:
         model, labeled, unlabeled, months = make_world()
         items = list(months.items())
         months = dict([items[0], ("2020-01b", labeled.take([])), *items[1:]])
-        result = run_stream(model, labeled, unlabeled, months, small_cfg())
+        result = run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
         empty = result.monthly[1]
         assert empty.tp == empty.fp == empty.tn == empty.fn == 0
         assert empty.f1 is None
@@ -243,16 +242,29 @@ class TestRunStream:
         first, *rest = ds.months()
         labeled = ds.take(np.isin(ds.row_months, first))
         unlabeled, stream_m = labeled.take([]), months_from_dataset(ds, rest)
-        cfg = TrainConfig(epochs=15, hidden=(16,), seed=0)
-        model = build_model(60, cfg)
-        model, _ = train(model, (labeled.X, labeled.y), unlabeled.X, cfg)
+        cfg = TrainConfig(epochs=15, hidden=(16,))
+        model = build_model(60, cfg, 0)
+        model, _ = train(model, (labeled.X, labeled.y), unlabeled.X, cfg, 0)
         static = run_stream(model, labeled, unlabeled, stream_m,
-                            StreamConfig(budget=0, retrain=cfg, seed=0))
+                            StreamConfig(budget=0, retrain=cfg), 0)
         adaptive = run_stream(
             model, labeled, unlabeled, stream_m,
-            StreamConfig(budget=60, retrain=replace(cfg, epochs=5), seed=0),
+            StreamConfig(budget=60, retrain=replace(cfg, epochs=5)), 0,
         )
         assert adaptive.f1_mean > static.f1_mean + 0.05
+
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
+    def test_run_seed_follows_default_rng(self, seed, error):
+        # no config object holds the run seed; each function that takes it
+        # rejects what np.random.default_rng rejects
+        model, labeled, unlabeled, months = make_world()
+        cfg = small_cfg()
+        with pytest.raises(error):
+            build_model(6, cfg.retrain, seed)
+        with pytest.raises(error):
+            train(model, (labeled.X, labeled.y), unlabeled.X, cfg.retrain, seed)
+        with pytest.raises(error):
+            run_stream(model, labeled, unlabeled, months, cfg, seed)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -280,7 +292,7 @@ def reference_scores(model, pool_X, labeled_X, cfg):
                            hybrid=hybrid)
 
 
-def reference_stream(model, labeled, unlabeled, months, cfg):
+def reference_stream(model, labeled, unlabeled, months, cfg, seed):
     """The protocol of ``run_stream``'s docstring, with pools as id -> row dicts
     and each pool scored by ``reference_scores`` and ranked by
     ``selection_oracle``.
@@ -296,7 +308,7 @@ def reference_stream(model, labeled, unlabeled, months, cfg):
                 np.array([c for _, c in pool.values()], np.int64))
 
     lab, unl = rows(labeled), rows(unlabeled)
-    model, rng = model.copy(), np.random.default_rng(cfg.seed)
+    model, rng = model.copy(), np.random.default_rng(seed)
     k, selector = cfg.budget, cfg.selector
     counts, selected = [], []
     for evaluated, (month, block) in enumerate(months.items(), start=1):
@@ -317,8 +329,8 @@ def reference_stream(model, labeled, unlabeled, months, cfg):
         for i in picked:
             lab[i] = unl.pop(i)
         if picked:
-            rcfg = replace(cfg.retrain, seed=cfg.seed + evaluated)
-            model, _ = train(model, stack(lab), stack(unl)[0], rcfg)
+            model, _ = train(model, stack(lab), stack(unl)[0], cfg.retrain,
+                             seed + evaluated)
     return counts, selected
 
 
@@ -335,8 +347,8 @@ class TestReferenceStream:
     @pytest.mark.parametrize("budget", [0, 1, 23])  # 23 = first month's pool + 1
     def test_matches_reference(self, world, kind, budget):
         cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind))
-        result = run_stream(*world, cfg)
-        counts, selected = reference_stream(*world, cfg)
+        result = run_stream(*world, cfg, 0)
+        counts, selected = reference_stream(*world, cfg, 0)
         assert result.selected_ids == selected
         assert [(m.tp, m.fp, m.tn, m.fn) for m in result.monthly] == counts
         if budget == 23 and kind != "low_confidence_only":  # it skips confident rows
@@ -367,9 +379,9 @@ class TestStreamProperties:
 
         renamed_world = [renamed(labeled), renamed(unlabeled),
                          {m: renamed(b) for m, b in months.items()}]
-        cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind), seed=seed)
-        a = run_stream(model, labeled, unlabeled, months, cfg)
-        b = run_stream(model, *renamed_world, cfg)
+        cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind))
+        a = run_stream(model, labeled, unlabeled, months, cfg, seed)
+        b = run_stream(model, *renamed_world, cfg, seed)
         assert [m.to_dict() for m in a.monthly] == [m.to_dict() for m in b.monthly]
         position = {name: k for k, name in enumerate(names)}
         assert ([[ids.index(i) for i in sel] for sel in a.selected_ids]
@@ -393,7 +405,7 @@ class TestStreamProperties:
 
         with mock.patch.object(stream.sel, "select", recording):
             result = run_stream(model, labeled, unlabeled, months,
-                                small_cfg(budget=budget, selector=selector, seed=seed))
+                                small_cfg(budget=budget, selector=selector), seed)
         assert len(calls) == len(months)
         pool = list(unlabeled.ids)
         for m, picked, (n, chosen, scores) in zip(months.values(), result.selected_ids,
@@ -415,7 +427,7 @@ class TestStreamProperties:
         stream_months = {m: b if label is None else b.take(b.y == label)
                          for (m, b), label in zip(months.items(), classes)}
         result = run_stream(model, labeled, unlabeled, stream_months,
-                            small_cfg(budget=budget, seed=seed))
+                            small_cfg(budget=budget), seed)
         for mm, label in zip(result.monthly, classes):
             ratios = (mm.f1, mm.fnr, mm.fpr)
             assert all(v is None or np.isfinite(v) for v in ratios)
@@ -430,15 +442,31 @@ class TestExperimentLabels:
                                    seed=0)
         ds = synth_drift_generate(gen)
         months = ds.months()
-        setup = ExperimentSetup(
+        exp = Experiment(
             ds, months[:2], months[2:], label_ratio=0.5, noise_rate=0.3,
             train_cfg=TrainConfig(epochs=1, hidden=(4,)), retrain_epochs=1,
         )
-        _, labeled, unlabeled, _ = Experiment(setup).initial_fit(0)
+        _, labeled, unlabeled, _ = exp.initial_fit(0)
         truth = dict(zip(ds.ids, ds.y.tolist()))
         assert unlabeled.y.tolist() == [truth[i] for i in unlabeled.ids]
         flipped = int((labeled.y != [truth[i] for i in labeled.ids]).sum())
         assert len(unlabeled) > 0 and flipped == round(0.3 * len(labeled)) > 0
+
+    def test_replaced_noise_rate_refits(self):
+        # noise runs each rate as dataclasses.replace(exp, noise_rate=rate): the
+        # copy fits anew on its own labels and keeps its own cache
+        gen = DriftGeneratorConfig(dim=12, months=3, samples_per_month_per_class=20,
+                                   seed=0)
+        ds = synth_drift_generate(gen)
+        months = ds.months()
+        exp = Experiment(ds, months[:2], months[2:], label_ratio=0.5, noise_rate=0.0,
+                         train_cfg=TrainConfig(epochs=1, hidden=(4,)), retrain_epochs=1)
+        clean = exp.initial_fit(0)
+        noisy_exp = replace(exp, noise_rate=0.3)
+        noisy = noisy_exp.initial_fit(0)
+        assert noisy[1].ids == clean[1].ids
+        assert noisy[1].y.tolist() != clean[1].y.tolist()
+        assert noisy_exp.initial_fit(0) is noisy and exp.initial_fit(0) is clean
 
 
 class TestRepeatedIds:
@@ -460,28 +488,28 @@ class TestRepeatedIds:
         model, labeled, unlabeled, months = make_world()
         months = self._repeat(months, unlabeled.ids[:4])
         with pytest.raises(PoolInvariantError):
-            run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget))
+            run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget), 0)
 
     @pytest.mark.parametrize("budget", [0, 5])
     def test_month_repeating_labeled_ids(self, budget):
         model, labeled, unlabeled, months = make_world()
         months = self._repeat(months, labeled.ids[:4])
         with pytest.raises(PoolInvariantError, match="both pools"):
-            run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget))
+            run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget), 0)
 
 
 class TestAggregation:
     def test_aggregate_runs(self):
         model, labeled, unlabeled, months = make_world()
-        runs = [run_stream(model, labeled, unlabeled, months,
-                           small_cfg(seed=s)) for s in (0, 1)]
+        runs = [run_stream(model, labeled, unlabeled, months, small_cfg(), s)
+                for s in (0, 1)]
         agg = aggregate_runs(runs)
         assert np.isclose(agg["f1"][0],
                           np.mean([r.f1_mean for r in runs]))
 
     def test_result_round_trips_through_dict(self):
         model, labeled, unlabeled, months = make_world()
-        result = run_stream(model, labeled, unlabeled, months, small_cfg())
+        result = run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
         d = result.to_dict()
         assert len(d["monthly"]) == len(months)
         assert d["aggregate"]["f1"][0] == result.f1_mean

@@ -3,7 +3,6 @@ import pytest
 
 from driftal.augment import MODES, AugmentConfig
 from driftal.cli import setup_from_config
-from driftal.experiment import Experiment
 from driftal.losses import LossConfig, supervised_ce
 from driftal.net import NumericError, Optimizer
 from driftal.trainer import (
@@ -55,7 +54,7 @@ class TestMinibatches:
 class TestTrain:
     def small_cfg(self, **kw):
         defaults = dict(epochs=5, labeled_batch=16, unlabeled_batch=16,
-                        hidden=(16, 8), seed=0)
+                        hidden=(16, 8))
         defaults.update(kw)
         return TrainConfig(**defaults)
 
@@ -63,10 +62,10 @@ class TestTrain:
         """No unlabeled data + lambda_con=0 is plain supervised CE training."""
         X, y = toy_separable()
         cfg = self.small_cfg(loss=LossConfig(lambda_con=0.0), epochs=3)
-        model, _ = train(build_model(8, cfg), (X, y), np.zeros((0, 8)), cfg)
+        model, _ = train(build_model(8, cfg, 0), (X, y), np.zeros((0, 8)), cfg, 0)
 
-        ref = build_model(8, cfg)
-        rng = np.random.default_rng(cfg.seed)
+        ref = build_model(8, cfg, 0)
+        rng = np.random.default_rng(0)
         opt = Optimizer(learning_rate=cfg.learning_rate)
         for _ in range(cfg.epochs):
             for lab, _u in sample_minibatches(len(X), 0, cfg, rng):
@@ -78,7 +77,7 @@ class TestTrain:
     def test_separable_set_fits(self):
         X, y = toy_separable()
         cfg = self.small_cfg(epochs=50)
-        model, report = train(build_model(8, cfg), (X, y), np.zeros((0, 8)), cfg)
+        model, report = train(build_model(8, cfg, 0), (X, y), np.zeros((0, 8)), cfg, 0)
         acc = (model.predict_batch(X).argmax(axis=1) == y).mean()
         assert acc >= 0.99
         assert len(report.epoch_losses) == 50
@@ -87,8 +86,8 @@ class TestTrain:
         X, y = toy_separable()
         Xu = toy_separable(seed=9)[0]
         cfg = self.small_cfg()
-        m1, _ = train(build_model(8, cfg), (X, y), Xu, cfg)
-        m2, _ = train(build_model(8, cfg), (X, y), Xu, cfg)
+        m1, _ = train(build_model(8, cfg, 0), (X, y), Xu, cfg, 0)
+        m2, _ = train(build_model(8, cfg, 0), (X, y), Xu, cfg, 0)
         assert (m1.theta == m2.theta).all()
 
     def test_unreachable_threshold_equals_no_unsup_term(self):
@@ -96,8 +95,8 @@ class TestTrain:
         Xu = toy_separable(seed=9)[0]
         strict = self.small_cfg(loss=LossConfig(confidence_threshold=1.0))
         off = self.small_cfg(loss=LossConfig(lambda_u=0.0))
-        m1, r1 = train(build_model(8, strict), (X, y), Xu, strict)
-        m2, _ = train(build_model(8, off), (X, y), Xu, off)
+        m1, r1 = train(build_model(8, strict, 0), (X, y), Xu, strict, 0)
+        m2, _ = train(build_model(8, off, 0), (X, y), Xu, off, 0)
         # probabilities never hit 1.0 exactly on this short run
         assert all(b.confident_count == 0 for b in r1.epoch_losses)
         assert (m1.theta == m2.theta).all()
@@ -106,24 +105,25 @@ class TestTrain:
         X, y = toy_separable(400)
         Xu, _ = toy_separable(400, seed=7)
         cfg = self.small_cfg(epochs=30)
-        _, report = train(build_model(8, cfg), (X, y), Xu, cfg)
+        _, report = train(build_model(8, cfg, 0), (X, y), Xu, cfg, 0)
         assert report.confident_fraction[-1] > report.confident_fraction[0]
 
     def test_dimension_mismatch(self):
         cfg = self.small_cfg()
         X, y = toy_separable(d=8)
         with pytest.raises(ValueError):
-            train(build_model(12, cfg), (X, y), np.zeros((0, 8)), cfg)
+            train(build_model(12, cfg, 0), (X, y), np.zeros((0, 8)), cfg, 0)
 
     def test_empty_labeled_rejected(self):
         cfg = self.small_cfg()
         with pytest.raises(ValueError):
-            train(build_model(8, cfg), (np.zeros((0, 8)), []), np.zeros((0, 8)), cfg)
+            train(build_model(8, cfg, 0), (np.zeros((0, 8)), []), np.zeros((0, 8)),
+                  cfg, 0)
 
     def test_report_serializes(self):
         X, y = toy_separable(50)
         cfg = self.small_cfg(epochs=2)
-        _, report = train(build_model(8, cfg), (X, y), np.zeros((0, 8)), cfg)
+        _, report = train(build_model(8, cfg, 0), (X, y), np.zeros((0, 8)), cfg, 0)
         d = report.to_dict()
         assert len(d["epoch_losses"]) == 2
         assert d["seed"] == 0
@@ -141,8 +141,8 @@ class TestTrain:
         Xu, _ = toy_separable(seed=9)
         cfg = self.small_cfg(augment=AugmentConfig(weak_prob=0.01, strong_prob=0.1),
                              loss=LossConfig(confidence_threshold=0.6))
-        m1, r1 = train(build_model(8, cfg), (X, y), Xu, cfg)
-        m2, _ = train(build_model(8, cfg), (X, y), np.zeros((0, 8)), cfg)
+        m1, r1 = train(build_model(8, cfg, 0), (X, y), Xu, cfg, 0)
+        m2, _ = train(build_model(8, cfg, 0), (X, y), np.zeros((0, 8)), cfg, 0)
         assert sum(b.confident_count for b in r1.epoch_losses) > 0
         assert not np.allclose(m1.theta, m2.theta)
 
@@ -153,10 +153,10 @@ class TestTrain:
         # bit for bit, the loop that skips the views
         X, y = toy_separable()
         cfg = self.small_cfg(epochs=3, augment=AugmentConfig(mode=mode))
-        model, report = train(build_model(8, cfg), (X, y), empty, cfg)
+        model, report = train(build_model(8, cfg, 0), (X, y), empty, cfg, 0)
 
-        ref = build_model(8, cfg)
-        rng = np.random.default_rng(cfg.seed)
+        ref = build_model(8, cfg, 0)
+        rng = np.random.default_rng(0)
         opt = Optimizer(learning_rate=cfg.learning_rate)
         no_rows = np.zeros((0, 8), dtype=np.uint8)
         for _ in range(cfg.epochs):
@@ -174,7 +174,7 @@ class TestTrain:
         config = {"generator": {"dim": 20, "months": 4, "samples_per_month_per_class": 25},
                   "split": {"train_months": 2},
                   "train": {"epochs": 2, "hidden": [8], "learning_rate": 1e308}}
-        exp = Experiment(setup_from_config(config, streams=False))  # 1 step per epoch
+        exp = setup_from_config(config, streams=False)  # 1 step per epoch
         problem = "^epoch 1: step 0: non-finite total loss: sup nan, unsup nan, con nan$"
         with pytest.raises(NumericError, match=problem):
             exp.initial_fit(0)
@@ -186,4 +186,4 @@ class TestTrain:
         cfg = self.small_cfg(loss=LossConfig(lambda_u=1e308, confidence_threshold=0.5))
         problem = "^epoch 0: step 0: gradient entry not finite or too large for Adam"
         with pytest.raises(NumericError, match=problem):
-            train(build_model(8, cfg), (X, y), Xu, cfg)
+            train(build_model(8, cfg, 0), (X, y), Xu, cfg, 0)
