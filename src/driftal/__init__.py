@@ -47,7 +47,7 @@ from .selection import (
     minmax_normalize,
     select,
 )
-from .stream import StreamConfig, StreamResult, months_from_dataset, run_stream
+from .stream import StreamResult, months_from_dataset, run_stream
 from .trainer import TrainConfig, TrainReport, build_model, train
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data as dio
-from .stream import StreamConfig, months_from_dataset, run_stream
+from .stream import months_from_dataset, run_stream
 from .trainer import TrainConfig, build_model, train
 
 
@@ -52,12 +52,9 @@ class Experiment:
     def run(self, selector, budget, seed):
         """One full stream run; returns a StreamResult."""
         model, labeled, unlabeled, _ = self.initial_fit(seed)
-        cfg = StreamConfig(
-            budget=budget,
-            selector=selector,
-            retrain=replace(self.train_cfg, epochs=self.retrain_epochs),
-        )
-        return run_stream(model, labeled, unlabeled, self.stream, cfg, seed)
+        retrain = replace(self.train_cfg, epochs=self.retrain_epochs)
+        return run_stream(model, labeled, unlabeled, self.stream, selector, budget,
+                          retrain, seed)
 
     def sweep(self, selectors, budgets, seeds):
         """Selector x budget x seed grid with shared seeds per cell.

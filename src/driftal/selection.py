@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, check_fields, checked
+from .config import ConfigError, check_fields, checked, typed
 from .net import NumericError
 
 SELECTOR_KINDS = (
@@ -136,10 +136,7 @@ def score_pool(pool_X, model, labeled_X, cfg):
 
 def _top_k(keys, k, eligible=None):
     """Indices of the k largest keys; ties broken by lower index."""
-    n = len(keys)
-    idx = np.arange(n) if eligible is None else np.flatnonzero(eligible)
-    if len(idx) == 0 or k <= 0:
-        return []
+    idx = np.arange(len(keys)) if eligible is None else np.flatnonzero(eligible)
     order = idx[np.lexsort((idx, -np.asarray(keys)[idx]))]
     return list(order[:k])
 
@@ -147,12 +144,13 @@ def _top_k(keys, k, eligible=None):
 def select(pool_X, model, labeled_X, cfg, budget, rng=None):
     """Pick up to ``budget`` pool indices with the configured strategy.
 
-    Returns (indices, SelectionScore or None). Scores are None only for
-    the random selector, which never evaluates the model.
+    ``budget`` is an int >= 0; any other value raises ConfigError. Returns
+    (indices, SelectionScore or None). Scores are None only for the random
+    selector, which never evaluates the model.
     """
     n = len(pool_X)
-    k = int(budget)
-    if k <= 0 or n == 0:
+    k = typed(budget, "budget", int, minimum=0)
+    if k == 0 or n == 0:
         return [], None
     if cfg.kind == "random":
         if rng is None:

@@ -12,31 +12,19 @@ any training, and the two pools are arrays of row indices into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import selection as sel
-from .config import check_fields, checked
 from .data import check_unique_ids
 from .metrics import aggregate, compute_metrics
 from .net import NumericError
-from .trainer import TrainConfig, train
+from .trainer import train
 
 
 class PoolInvariantError(RuntimeError):
     """Labeled/unlabeled pool bookkeeping went inconsistent."""
-
-
-@dataclass
-class StreamConfig:
-    budget: int = checked(50, int, minimum=0)
-    selector: sel.SelectorConfig = field(default_factory=sel.SelectorConfig)
-    # warm-start retrain per month; run_stream seeds it per month
-    retrain: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=10))
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def months_from_dataset(dataset, months):
@@ -82,18 +70,20 @@ def check_pools(lab, unl, revealed):
                                  f"{counts[bad].tolist()} times, not once")
 
 
-def run_stream(model, labeled, unlabeled, months, cfg, seed):
+def run_stream(model, labeled, unlabeled, months, selector, budget, retrain, seed):
     """Replay the monthly stream with budget-k active labeling.
 
     ``labeled`` and ``unlabeled`` are Datasets and ``months`` an ordered
     ``{month: Dataset}`` map. Each month is (1) evaluated by the current
-    model, whose non-finite output raises NumericError, (2) appended to the
-    unlabeled pool, (3) scored, and up to ``budget`` pool rows picked; (4)
-    the picked rows, in picked order and with their true labels, move to the
-    end of the labeled pool, and (5) if any were picked the model is
-    warm-start retrained on both pools with seed ``seed`` + months
+    model, (2) appended to the unlabeled pool, (3) scored by ``selector``,
+    and up to ``budget`` pool rows picked; (4) the picked rows, in picked
+    order and with their true labels, move to the end of the labeled pool,
+    and (5) if any were picked the model is warm-start retrained on both
+    pools with the TrainConfig ``retrain`` and seed ``seed`` + months
     evaluated. Budget 0 never retrains: it is the static no-adaptation
-    baseline.
+    baseline. Steps (1)-(3) raise on overflow, invalid and divide, and a
+    non-finite model output or a floating-point error there raises
+    NumericError naming the month.
     """
     blocks = [labeled, unlabeled, *months.values()]
     X = np.concatenate([b.X for b in blocks])
@@ -105,18 +95,22 @@ def run_stream(model, labeled, unlabeled, months, cfg, seed):
     model, rng = model.copy(), np.random.default_rng(seed)
     monthly, selected_per_month = [], []
     for month, block in months.items():
-        # (1) evaluate before the month's data can influence anything
-        probs = model.predict_batch(block.X)
-        if not np.isfinite(probs).all():
-            raise NumericError(f"month {month}: non-finite model output")
-        monthly.append(compute_metrics(probs.argmax(axis=1), block.y, month=month))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                # (1) evaluate before the month's data can influence anything
+                probs = model.predict_batch(block.X)
+                if not np.isfinite(probs).all():
+                    raise NumericError("non-finite model output")
+                monthly.append(compute_metrics(probs.argmax(axis=1), block.y, month=month))
 
-        # (2) the month joins the unlabeled pool
-        unl = np.concatenate([unl, np.arange(revealed, revealed + len(block))])
-        revealed += len(block)
+                # (2) the month joins the unlabeled pool
+                unl = np.concatenate([unl, np.arange(revealed, revealed + len(block))])
+                revealed += len(block)
 
-        # (3) score and select under the budget
-        chosen, _ = sel.select(X[unl], model, X[lab], cfg.selector, cfg.budget, rng=rng)
+                # (3) score and select under the budget
+                chosen, _ = sel.select(X[unl], model, X[lab], selector, budget, rng=rng)
+        except FloatingPointError as e:  # NumericError among them
+            raise NumericError(f"month {month}: {e}") from None
 
         # (4) the selection is labeled: its rows move with their labels
         picked = unl[chosen]
@@ -126,8 +120,7 @@ def run_stream(model, labeled, unlabeled, months, cfg, seed):
 
         # (5) retrain on the updated pools
         if chosen:
-            model, _ = train(model, (X[lab], y[lab]), X[unl], cfg.retrain,
-                             seed + len(monthly))
+            model, _ = train(model, (X[lab], y[lab]), X[unl], retrain, seed + len(monthly))
     stats = [s for k in ("f1", "fnr", "fpr")
              for s in aggregate([getattr(m, k) for m in monthly])]
     return StreamResult(monthly, selected_per_month, *stats, seed)

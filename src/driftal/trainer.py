@@ -128,9 +128,11 @@ def run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng):
     """One ``opt`` step per (labeled_idx, unlabeled_idx) pair of ``batches``, on
     the labeled rows and weak/strong views of the (possibly no) unlabeled rows.
 
-    A step's NumericError (from ``total_loss`` or ``opt.step``) is raised
-    again naming the step. Returns the step-mean LossBreakdown (its
-    ``confident_count`` the epoch's) and the epoch's confident fraction.
+    A step's FloatingPointError (a NumericError from ``total_loss`` or
+    ``opt.step``, or a numpy error that an errstate such as ``train``'s
+    raises) is raised again as a NumericError naming the step. Returns the
+    step-mean LossBreakdown (its ``confident_count`` the epoch's) and the
+    epoch's confident fraction.
     """
     sums = np.zeros(4)
     n_conf = n_unlab = n_steps = 0
@@ -142,7 +144,7 @@ def run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng):
             breakdown, grad = step_loss_and_grads(model, Xl[lab_idx], yl[lab_idx], Xw, Xs,
                                                   cfg.loss)
             opt.step(model, grad)
-        except NumericError as e:
+        except FloatingPointError as e:  # NumericError among them
             raise NumericError(f"step {n_steps}: {e}") from None
         sums += (breakdown.sup, breakdown.unsup, breakdown.con, breakdown.total)
         n_conf += breakdown.confident_count
@@ -158,8 +160,11 @@ def train(model, labeled, unlabeled, cfg, seed):
 
     ``labeled`` is an (X, y) pair of arrays; ``unlabeled`` is an array of
     feature rows (may be empty, which degrades to supervised training).
-    A trained model whose output on the labeled rows is not finite raises
-    NumericError. Returns the trained model and a TrainReport.
+    Each epoch raises on overflow, invalid and divide (not underflow), and
+    a step's floating-point error raises NumericError("epoch E: step N: ..."),
+    as does a trained model whose output on the labeled rows is not finite
+    ("epoch E: non-finite model output"). Returns the trained model and a
+    TrainReport.
     """
     Xl, yl = labeled
     Xl = np.asarray(Xl, dtype=np.float64)
@@ -169,15 +174,16 @@ def train(model, labeled, unlabeled, cfg, seed):
     opt = Optimizer(learning_rate=cfg.learning_rate)
     t0 = time.perf_counter()
     epochs = []  # (mean LossBreakdown, confident fraction) per epoch
-    for epoch in range(cfg.epochs):
-        batches = sample_minibatches(len(Xl), len(Xu), cfg, rng)
-        try:
-            epochs.append(run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng))
-        except NumericError as e:
-            raise NumericError(f"epoch {epoch}: {e}") from None
-    # finite weights can still overflow in the next forward pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(model.predict_batch(Xl)).all():
-            raise NumericError(f"epoch {epoch}: non-finite model output")
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for epoch in range(cfg.epochs):
+            batches = sample_minibatches(len(Xl), len(Xu), cfg, rng)
+            try:
+                epochs.append(run_epoch(model, opt, batches, Xl, yl, Xu, cfg, rng))
+            except NumericError as e:
+                raise NumericError(f"epoch {epoch}: {e}") from None
+        # finite weights can still overflow in the next forward pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(model.predict_batch(Xl)).all():
+                raise NumericError(f"epoch {epoch}: non-finite model output")
     losses, fracs = map(list, zip(*epochs))
     return model, TrainReport(losses, fracs, time.perf_counter() - t0, seed)

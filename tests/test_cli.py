@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,23 @@ class TestErrorPaths:
                      "--seed", "0"]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "epoch 0: step 0: gradient entry not finite or too large" in err
+
+    # each overflows in the initial fit, where numpy would only warn: train's
+    # errstate raises it, named by epoch and step, before any file is written
+    @pytest.mark.parametrize("train", [
+        {"loss": {"contrastive_temperature": 5e-324}},
+        {"learning_rate": 1e308},
+        {"loss": {"lambda_con": 1e308}},
+    ], ids=["contrastive_temperature", "learning_rate", "lambda_con"])
+    def test_overflow_exits_numeric_naming_epoch_and_step(self, tmp_path, capsys, train):
+        cfg = write_config(tmp_path, train={"epochs": 2, "hidden": [8], **train})
+        out = tmp_path / "out"
+        assert main(["stream", "--config", cfg, "--out", str(out),
+                     "--seed", "0"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.match(r"numeric failure: epoch \d+: step 0: overflow encountered in ",
+                        err), err
+        assert not (out / "seed0" / "result.json").exists()
 
     @pytest.mark.parametrize("split,key", [
         ({"train_months": 9}, "split.train_months"),

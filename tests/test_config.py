@@ -4,7 +4,9 @@ The table is written out here, not read from the fields' metadata; it is
 the README's table of config keys. Given one field's value (the other
 fields at values that satisfy the rules between fields), a constructor
 must succeed exactly when the table accepts the value, and otherwise raise
-``ConfigError("<field>: expected ...")``, never another exception.
+``ConfigError("<field>: expected ...")``, never another exception. The
+budget, which no config object holds, is checked the same way through
+``select``.
 """
 
 import math
@@ -12,6 +14,7 @@ import re
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +24,7 @@ from driftal.config import ConfigError
 from driftal.data import DriftGeneratorConfig
 from driftal.losses import LossConfig
 from driftal.net import Optimizer
-from driftal.selection import SELECTOR_KINDS, SelectorConfig
-from driftal.stream import StreamConfig
+from driftal.selection import SELECTOR_KINDS, SelectorConfig, select
 from driftal.trainer import TrainConfig
 
 
@@ -83,12 +85,11 @@ TABLE = [
     (SelectorConfig, "gamma", number(0), {}),
     (SelectorConfig, "p_norm", number(1, math.inf), {}),  # inf is the max-norm
     (SelectorConfig, "low_confidence_cutoff", number(0, 1), {}),
-    (StreamConfig, "budget", integer(0), {}),
     (Optimizer, "learning_rate", number(0, low_open=True), {}),
 ]
 
 # the fields that hold a nested config object, not a value
-NESTED = {"loss", "augment", "selector", "retrain"}
+NESTED = {"loss", "augment", "selector"}
 
 NEAR_BOUNDS = st.sampled_from([
     -1, 0, 1, 2, 64, -0.5, -0.0, 0.0, 1e-3, 0.5, 1.0, 1.5, math.inf, -math.inf, math.nan,
@@ -119,6 +120,22 @@ def test_field_accepts_exactly_its_range(row, value):
     else:
         assert accepts(value), f"{name}={value!r} accepted"
         assert getattr(obj, name) == (tuple(value) if name == "hidden" else value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=VALUES)
+def test_select_accepts_exactly_a_budget(value):
+    # no config object holds the budget: select checks it, for every caller
+    pool = np.zeros((3, 2), dtype=np.uint8)
+    try:
+        chosen, _ = select(pool, None, None, SelectorConfig(kind="random"), value,
+                           rng=np.random.default_rng(0))
+    except ConfigError as e:
+        assert not integer(0)(value), f"budget={value!r} rejected: {e}"
+        assert re.match("budget: expected", str(e)), str(e)
+    else:
+        assert integer(0)(value), f"budget={value!r} accepted"
+        assert len(chosen) == min(value, len(pool))
 
 
 @pytest.mark.parametrize("cls,name,value", [

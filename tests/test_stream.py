@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftal import stream
+from driftal.config import ConfigError
 from driftal.data import Dataset, DriftGeneratorConfig, synth_drift_generate
 from driftal.experiment import Experiment
 from driftal.losses import LossConfig
 from driftal.metrics import compute_metrics
 from driftal.net import NumericError
-from driftal.selection import SELECTOR_KINDS, SelectorConfig
+from driftal.selection import SELECTOR_KINDS, SelectorConfig, select
 from driftal.stream import (
-    StreamConfig,
     PoolInvariantError,
     aggregate_runs,
     check_pools,
@@ -30,14 +30,10 @@ from driftal.trainer import TrainConfig, build_model, train
 from test_selection import nn_oracle, selection_oracle
 
 
-def small_cfg(**kw):
-    defaults = dict(
-        budget=5,
-        retrain=TrainConfig(epochs=2, hidden=(8,), labeled_batch=16,
-                            unlabeled_batch=16),
-    )
-    defaults.update(kw)
-    return StreamConfig(**defaults)
+def small_cfg(budget=5, selector=SelectorConfig()):
+    """``run_stream``'s selector, budget and retrain arguments."""
+    return selector, budget, TrainConfig(epochs=2, hidden=(8,), labeled_batch=16,
+                                         unlabeled_batch=16)
 
 
 def make_world(n_train=40, n_pool=30, d=6, n_months=3, per_month=20, seed=0):
@@ -113,7 +109,7 @@ class TestStreamBoundary:
     def _raises_untrained(monkeypatch, world, match):
         calls = record_train_calls(monkeypatch)
         with pytest.raises(PoolInvariantError, match=match):
-            run_stream(*world, small_cfg(budget=5), 0)
+            run_stream(*world, *small_cfg(budget=5), 0)
         assert calls == []
 
     def test_id_repeated_within_a_month(self, monkeypatch):
@@ -134,7 +130,7 @@ class TestStreamBoundary:
 class TestRunStream:
     def test_budget_respected_and_ids_from_stream_or_pool(self):
         model, labeled, unlabeled, months = make_world()
-        result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=5), 0)
+        result = run_stream(model, labeled, unlabeled, months, *small_cfg(budget=5), 0)
         valid = set(unlabeled.ids) | {i for m in months.values() for i in m.ids}
         for ids in result.selected_ids:
             assert len(ids) <= 5
@@ -144,7 +140,7 @@ class TestRunStream:
 
     def test_zero_budget_is_static(self):
         model, labeled, unlabeled, months = make_world()
-        result = run_stream(model, labeled, unlabeled, months, small_cfg(budget=0), 0)
+        result = run_stream(model, labeled, unlabeled, months, *small_cfg(budget=0), 0)
         assert all(ids == [] for ids in result.selected_ids)
         # the model must be untouched: recompute month metrics directly
         for mm, block in zip(result.monthly, months.values()):
@@ -156,26 +152,26 @@ class TestRunStream:
         model, labeled, unlabeled, months = make_world()
         model.theta[:] = np.nan
         with pytest.raises(NumericError, match="^month 2020-01: non-finite model output$"):
-            run_stream(model, labeled, unlabeled, months, small_cfg(budget=0), 0)
+            run_stream(model, labeled, unlabeled, months, *small_cfg(budget=0), 0)
 
     def test_input_model_not_mutated(self):
         model, labeled, unlabeled, months = make_world()
         before = model.theta.copy()
-        run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
+        run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
         assert (before == model.theta).all()
 
     def test_first_month_static_equals_adaptive(self):
         """Test-then-train: month 1 is scored before any labeling."""
         model, labeled, unlabeled, months = make_world()
-        r0 = run_stream(model, labeled, unlabeled, months, small_cfg(budget=0), 0)
-        r5 = run_stream(model, labeled, unlabeled, months, small_cfg(budget=5), 0)
+        r0 = run_stream(model, labeled, unlabeled, months, *small_cfg(budget=0), 0)
+        r5 = run_stream(model, labeled, unlabeled, months, *small_cfg(budget=5), 0)
         assert r0.monthly[0].to_dict() == r5.monthly[0].to_dict()
 
     def test_deterministic_given_seed(self):
         model, labeled, unlabeled, months = make_world()
         cfg = small_cfg(selector=SelectorConfig(kind="random"))
-        a = run_stream(model, labeled, unlabeled, months, cfg, 0)
-        b = run_stream(model, labeled, unlabeled, months, cfg, 0)
+        a = run_stream(model, labeled, unlabeled, months, *cfg, 0)
+        b = run_stream(model, labeled, unlabeled, months, *cfg, 0)
         assert a.selected_ids == b.selected_ids
         assert a.to_dict() == b.to_dict()
 
@@ -194,7 +190,7 @@ class TestRunStream:
 
         monkeypatch.setattr(type(model), "embed_batch", counting_embed)
         run_stream(model, labeled, unlabeled, months,
-                   small_cfg(selector=SelectorConfig(kind=kind)), 0)
+                   *small_cfg(selector=SelectorConfig(kind=kind)), 0)
         assert len(calls) == embeds
 
     def test_promoted_labels_are_truth(self, monkeypatch):
@@ -202,7 +198,7 @@ class TestRunStream:
         blocks = [labeled, unlabeled, *months.values()]
         truth = {i: int(c) for b in blocks for i, c in zip(b.ids, b.y)}
         retrains = record_train_calls(monkeypatch)
-        result = run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
+        result = run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
         assert len(retrains) == len(months)
         ids_l = list(labeled.ids)
         for ids, ((_, yl), _) in zip(result.selected_ids, retrains):
@@ -216,7 +212,7 @@ class TestRunStream:
         monkeypatch.setattr(stream.sel, "select",
                             lambda *args, **kw: ([3, 1], None))
         retrains = record_train_calls(monkeypatch)
-        run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
+        run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
         [month] = months.values()
         pool_X = np.concatenate([unlabeled.X, month.X])
         pool_y = np.concatenate([unlabeled.y, month.y])
@@ -229,7 +225,7 @@ class TestRunStream:
         model, labeled, unlabeled, months = make_world()
         items = list(months.items())
         months = dict([items[0], ("2020-01b", labeled.take([])), *items[1:]])
-        result = run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
+        result = run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
         empty = result.monthly[1]
         assert empty.tp == empty.fp == empty.tn == empty.fn == 0
         assert empty.f1 is None
@@ -245,12 +241,10 @@ class TestRunStream:
         cfg = TrainConfig(epochs=15, hidden=(16,))
         model = build_model(60, cfg, 0)
         model, _ = train(model, (labeled.X, labeled.y), unlabeled.X, cfg, 0)
-        static = run_stream(model, labeled, unlabeled, stream_m,
-                            StreamConfig(budget=0, retrain=cfg), 0)
-        adaptive = run_stream(
-            model, labeled, unlabeled, stream_m,
-            StreamConfig(budget=60, retrain=replace(cfg, epochs=5)), 0,
-        )
+        static = run_stream(model, labeled, unlabeled, stream_m, SelectorConfig(), 0,
+                            cfg, 0)
+        adaptive = run_stream(model, labeled, unlabeled, stream_m, SelectorConfig(), 60,
+                              replace(cfg, epochs=5), 0)
         assert adaptive.f1_mean > static.f1_mean + 0.05
 
     @pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
@@ -258,17 +252,29 @@ class TestRunStream:
         # no config object holds the run seed; each function that takes it
         # rejects what np.random.default_rng rejects
         model, labeled, unlabeled, months = make_world()
-        cfg = small_cfg()
+        selector, budget, retrain = small_cfg()
         with pytest.raises(error):
-            build_model(6, cfg.retrain, seed)
+            build_model(6, retrain, seed)
         with pytest.raises(error):
-            train(model, (labeled.X, labeled.y), unlabeled.X, cfg.retrain, seed)
+            train(model, (labeled.X, labeled.y), unlabeled.X, retrain, seed)
         with pytest.raises(error):
-            run_stream(model, labeled, unlabeled, months, cfg, seed)
+            run_stream(model, labeled, unlabeled, months, selector, budget, retrain, seed)
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            StreamConfig(budget=-1)
+        # select owns the budget rule, for every caller
+        model, labeled, unlabeled, months = make_world()
+        problem = "^budget: expected int >= 0, got -1$"
+        with pytest.raises(ConfigError, match=problem):
+            run_stream(model, labeled, unlabeled, months, *small_cfg(budget=-1), 0)
+        with pytest.raises(ConfigError, match=problem):
+            select(unlabeled.X, model, labeled.X, SelectorConfig(), -1)
+
+    def test_month_overflow_names_the_month(self):
+        # steps (1)-(3) raise numpy's overflow, not a RuntimeWarning
+        model, labeled, unlabeled, months = make_world()
+        model.theta *= 1e300
+        with pytest.raises(NumericError, match="^month 2020-01: overflow"):
+            run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
 
 
 def reference_scores(model, pool_X, labeled_X, cfg):
@@ -292,7 +298,7 @@ def reference_scores(model, pool_X, labeled_X, cfg):
                            hybrid=hybrid)
 
 
-def reference_stream(model, labeled, unlabeled, months, cfg, seed):
+def reference_stream(model, labeled, unlabeled, months, selector, k, retrain, seed):
     """The protocol of ``run_stream``'s docstring, with pools as id -> row dicts
     and each pool scored by ``reference_scores`` and ranked by
     ``selection_oracle``.
@@ -309,7 +315,6 @@ def reference_stream(model, labeled, unlabeled, months, cfg, seed):
 
     lab, unl = rows(labeled), rows(unlabeled)
     model, rng = model.copy(), np.random.default_rng(seed)
-    k, selector = cfg.budget, cfg.selector
     counts, selected = [], []
     for evaluated, (month, block) in enumerate(months.items(), start=1):
         preds = model.predict_batch(block.X).argmax(axis=1)
@@ -329,7 +334,7 @@ def reference_stream(model, labeled, unlabeled, months, cfg, seed):
         for i in picked:
             lab[i] = unl.pop(i)
         if picked:
-            model, _ = train(model, stack(lab), stack(unl)[0], cfg.retrain,
+            model, _ = train(model, stack(lab), stack(unl)[0], retrain,
                              seed + evaluated)
     return counts, selected
 
@@ -347,8 +352,8 @@ class TestReferenceStream:
     @pytest.mark.parametrize("budget", [0, 1, 23])  # 23 = first month's pool + 1
     def test_matches_reference(self, world, kind, budget):
         cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind))
-        result = run_stream(*world, cfg, 0)
-        counts, selected = reference_stream(*world, cfg, 0)
+        result = run_stream(*world, *cfg, 0)
+        counts, selected = reference_stream(*world, *cfg, 0)
         assert result.selected_ids == selected
         assert [(m.tp, m.fp, m.tn, m.fn) for m in result.monthly] == counts
         if budget == 23 and kind != "low_confidence_only":  # it skips confident rows
@@ -380,8 +385,8 @@ class TestStreamProperties:
         renamed_world = [renamed(labeled), renamed(unlabeled),
                          {m: renamed(b) for m, b in months.items()}]
         cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind))
-        a = run_stream(model, labeled, unlabeled, months, cfg, seed)
-        b = run_stream(model, *renamed_world, cfg, seed)
+        a = run_stream(model, labeled, unlabeled, months, *cfg, seed)
+        b = run_stream(model, *renamed_world, *cfg, seed)
         assert [m.to_dict() for m in a.monthly] == [m.to_dict() for m in b.monthly]
         position = {name: k for k, name in enumerate(names)}
         assert ([[ids.index(i) for i in sel] for sel in a.selected_ids]
@@ -405,7 +410,7 @@ class TestStreamProperties:
 
         with mock.patch.object(stream.sel, "select", recording):
             result = run_stream(model, labeled, unlabeled, months,
-                                small_cfg(budget=budget, selector=selector), seed)
+                                *small_cfg(budget=budget, selector=selector), seed)
         assert len(calls) == len(months)
         pool = list(unlabeled.ids)
         for m, picked, (n, chosen, scores) in zip(months.values(), result.selected_ids,
@@ -427,7 +432,7 @@ class TestStreamProperties:
         stream_months = {m: b if label is None else b.take(b.y == label)
                          for (m, b), label in zip(months.items(), classes)}
         result = run_stream(model, labeled, unlabeled, stream_months,
-                            small_cfg(budget=budget), seed)
+                            *small_cfg(budget=budget), seed)
         for mm, label in zip(result.monthly, classes):
             ratios = (mm.f1, mm.fnr, mm.fpr)
             assert all(v is None or np.isfinite(v) for v in ratios)
@@ -488,20 +493,20 @@ class TestRepeatedIds:
         model, labeled, unlabeled, months = make_world()
         months = self._repeat(months, unlabeled.ids[:4])
         with pytest.raises(PoolInvariantError):
-            run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget), 0)
+            run_stream(model, labeled, unlabeled, months, *small_cfg(budget=budget), 0)
 
     @pytest.mark.parametrize("budget", [0, 5])
     def test_month_repeating_labeled_ids(self, budget):
         model, labeled, unlabeled, months = make_world()
         months = self._repeat(months, labeled.ids[:4])
         with pytest.raises(PoolInvariantError, match="both pools"):
-            run_stream(model, labeled, unlabeled, months, small_cfg(budget=budget), 0)
+            run_stream(model, labeled, unlabeled, months, *small_cfg(budget=budget), 0)
 
 
 class TestAggregation:
     def test_aggregate_runs(self):
         model, labeled, unlabeled, months = make_world()
-        runs = [run_stream(model, labeled, unlabeled, months, small_cfg(), s)
+        runs = [run_stream(model, labeled, unlabeled, months, *small_cfg(), s)
                 for s in (0, 1)]
         agg = aggregate_runs(runs)
         assert np.isclose(agg["f1"][0],
@@ -509,7 +514,7 @@ class TestAggregation:
 
     def test_result_round_trips_through_dict(self):
         model, labeled, unlabeled, months = make_world()
-        result = run_stream(model, labeled, unlabeled, months, small_cfg(), 0)
+        result = run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
         d = result.to_dict()
         assert len(d["monthly"]) == len(months)
         assert d["aggregate"]["f1"][0] == result.f1_mean
