@@ -26,6 +26,7 @@ class NumericError(FloatingPointError):
 
 
 _MAX_GRAD = float(np.sqrt(np.finfo(np.float64).max))  # Adam squares each entry
+INFER_BLOCK = 2048  # rows per forward block in Classifier.infer
 
 
 def softmax(logits):
@@ -111,8 +112,8 @@ class Classifier:
     # forward / backward
     # ------------------------------------------------------------------
 
-    def _check_input(self, X):
-        X = np.asarray(X, dtype=np.float64)
+    def _check_input(self, X, dtype=None):
+        X = np.asarray(X, dtype=dtype)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ShapeError(f"input has shape {X.shape}, model expects (n, {self.input_dim})")
         return X
@@ -121,9 +122,10 @@ class Classifier:
         """Batched forward returning (logits, probs, embeddings, cache).
 
         The cache holds per-layer inputs and pre-activations and is what
-        ``backward_batch`` consumes.
+        ``backward_batch`` consumes; passes that need no gradient use
+        ``infer``.
         """
-        X = self._check_input(X)
+        X = self._check_input(X, np.float64)
         last = len(self.weights) - 1
         inputs, pres = [], []
         a = X
@@ -166,18 +168,40 @@ class Classifier:
     # batch prediction
     # ------------------------------------------------------------------
 
+    def infer(self, X):
+        """Class-probability pairs and embeddings for each row, order preserved.
+
+        The forward pass runs over ``INFER_BLOCK`` rows at a time: each block
+        of ``X`` (uint8 included) is cast into one reused float64 buffer,
+        and the block's softmax and embedding are written into the outputs.
+        No backward cache is kept, and no float64 copy of all of ``X`` is
+        made.
+        """
+        X = self._check_input(X)
+        n = len(X)
+        probs, embs = np.empty((n, 2)), np.empty((n, self.embedding_dim))
+        block = np.empty((min(n, INFER_BLOCK), self.input_dim))
+        *hidden, (w_out, b_out) = zip(self.weights, self.biases)
+        for start in range(0, n, INFER_BLOCK):
+            rows = slice(start, min(start + INFER_BLOCK, n))
+            a = block[:rows.stop - start]
+            a[...] = X[rows]
+            for w, b in hidden:
+                a = a @ w.T
+                a += b
+                np.maximum(a, 0.0, out=a)
+            embs[rows] = a
+            logits = a @ w_out.T
+            logits += b_out
+            probs[rows] = softmax(logits)
+        return probs, embs
+
     def predict_batch(self, X):
         """Class-probability pairs for each row, order preserved."""
-        if len(X) == 0:
-            return np.zeros((0, 2))
-        _, probs, _, _ = self.forward_batch(X)
-        return probs
+        return self.infer(X)[0]
 
     def embed_batch(self, X):
-        if len(X) == 0:
-            return np.zeros((0, self.embedding_dim))
-        _, _, emb, _ = self.forward_batch(X)
-        return emb
+        return self.infer(X)[1]
 
     # ------------------------------------------------------------------
     # checkpointing

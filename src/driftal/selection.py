@@ -122,7 +122,7 @@ def score_pool(pool_X, model, labeled_X, cfg):
     the Lp distance; for the other kinds ``labeled_X`` is not read and
     ``lp_distance`` and ``hybrid`` are NaN.
     """
-    _, probs, embs, _ = model.forward_batch(pool_X)
+    probs, embs = model.infer(pool_X)
     m = margin_scores(probs)
     c = confidence_scores(probs)
     if cfg.kind in ("multi_criteria", "lp_only"):

@@ -1,11 +1,13 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from driftal.net import (
+    INFER_BLOCK,
     Classifier,
     NumericError,
     Optimizer,
@@ -241,6 +243,62 @@ class TestBatch:
         X = rng.random((12, 8))
         perm = rng.permutation(12)
         assert np.allclose(m.predict_batch(X)[perm], m.predict_batch(X[perm]))
+
+
+class TestInfer:
+    @staticmethod
+    def pool(n, d=200, seed=0):
+        return (np.random.default_rng(seed).random((n, d)) < 0.3).astype(np.uint8)
+
+    @pytest.mark.parametrize("n", [1, 37, INFER_BLOCK])
+    def test_one_block_equals_forward_batch(self, n):
+        m = Classifier((200, 32, 16, 2), seed=1)
+        X = self.pool(n)
+        probs, embs = m.infer(X)
+        _, fwd_probs, fwd_embs, _ = m.forward_batch(X)
+        assert probs.tobytes() == fwd_probs.tobytes()
+        assert embs.tobytes() == fwd_embs.tobytes()
+
+    def test_blocks_equal_blockwise_forward_batch(self):
+        m = Classifier((200, 32, 16, 2), seed=1)
+        X = self.pool(2 * INFER_BLOCK + 1)
+        probs, embs = m.infer(X)
+        blocks = [m.forward_batch(X[i:i + INFER_BLOCK]) for i in range(0, len(X), INFER_BLOCK)]
+        assert [len(b[1]) for b in blocks] == [INFER_BLOCK, INFER_BLOCK, 1]
+        assert probs.tobytes() == np.concatenate([b[1] for b in blocks]).tobytes()
+        assert embs.tobytes() == np.concatenate([b[2] for b in blocks]).tobytes()
+        _, whole_probs, whole_embs, _ = m.forward_batch(X)
+        assert np.abs(probs - whole_probs).max() <= 1e-15
+        assert np.abs(embs - whole_embs).max() <= 1e-15
+
+    @pytest.mark.parametrize("architecture", [(200, 2), (200, 32, 16, 2)])
+    def test_uint8_equals_float64(self, architecture):
+        m = Classifier(architecture, seed=2)
+        X = self.pool(INFER_BLOCK + 5)
+        for got, want in zip(m.infer(X), m.infer(X.astype(np.float64))):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_no_float64_copy_of_the_pool(self):
+        m = Classifier((200, 32, 16, 2), seed=3)
+        X = self.pool(3 * INFER_BLOCK)
+        bound = X.size * 8  # one float64 copy of X
+        peaks = {}
+        for name, run in (("infer", m.infer), ("forward_batch", m.forward_batch)):
+            tracemalloc.start()
+            try:
+                run(X)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["infer"] < bound < peaks["forward_batch"], peaks
+
+    def test_empty_and_wrong_shape(self):
+        m = Classifier((200, 32, 16, 2))
+        probs, embs = m.infer(np.zeros((0, 200), dtype=np.uint8))
+        assert probs.shape == (0, 2) and embs.shape == (0, 16)
+        for X in (np.zeros((0, 199)), np.zeros((4, 201), dtype=np.uint8), np.zeros(200)):
+            with pytest.raises(ShapeError):
+                m.infer(X)
 
 
 class TestCheckpoint:

@@ -238,23 +238,25 @@ class TestSelect:
 
     def test_score_pool_runs_one_forward(self, monkeypatch):
         outputs = []
-        forward = Classifier.forward_batch
+        infer = Classifier.infer
 
-        def counting_forward(model, X):
-            out = forward(model, X)
-            if np.array_equal(X, self.pool):  # the labeled forward is not counted
+        def counting_infer(model, X):
+            out = infer(model, X)
+            if np.array_equal(X, self.pool):  # the labeled pass is not counted
                 outputs.append(out)
             return out
 
-        monkeypatch.setattr(Classifier, "forward_batch", counting_forward)
+        monkeypatch.setattr(Classifier, "infer", counting_infer)
         scores = score_pool(self.pool, self.model, self.labeled_X,
                             SelectorConfig())
         monkeypatch.undo()
         assert len(outputs) == 1
-        _, probs, embs, _ = outputs[0]
-        # bit-identical to the two separate forwards it replaces
+        probs, embs = outputs[0]
+        # bit-identical to the two separate passes it replaces
         assert np.array_equal(probs, self.model.predict_batch(self.pool))
         assert np.array_equal(embs, self.model.embed_batch(self.pool))
+        _, fwd_probs, fwd_embs, _ = self.model.forward_batch(self.pool)
+        assert np.array_equal(probs, fwd_probs) and np.array_equal(embs, fwd_embs)
         assert np.array_equal(scores.margin, margin_scores(probs))
         assert np.array_equal(scores.confidence, confidence_scores(probs))
         assert np.array_equal(scores.lp_distance,
