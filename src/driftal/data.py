@@ -20,7 +20,7 @@ import numpy as np
 from .config import ConfigError, check_fields, checked, entry
 
 MAGIC = b"BFVS"
-BINARY_VERSION = 1
+BINARY_VERSION = 2
 MANIFEST_VERSION = 1
 
 
@@ -182,13 +182,13 @@ def _utf8_ids(ids):
     return raw_ids, np.fromiter(map(len, raw_ids), dtype=np.intp, count=len(raw_ids))
 
 
-def _insert_ids(block, at, raw_ids, idlen):
-    """The bytes of ``block``'s rows, each with its record's id inserted
-    before column ``at``, placed through one boolean run mask."""
+def _insert_ids(block, raw_ids, idlen):
+    """The bytes of ``block``'s rows, each preceded by its record's UTF-8 id,
+    placed through one boolean run mask."""
     n, width = block.shape
-    runs = np.empty((n, 3), dtype=np.intp)
-    runs[:, 0], runs[:, 1], runs[:, 2] = at, idlen, width - at
-    is_id = np.repeat(np.tile([False, True, False], n), runs.ravel())
+    runs = np.empty((n, 2), dtype=np.intp)
+    runs[:, 0], runs[:, 1] = idlen, width
+    is_id = np.repeat(np.tile([True, False], n), runs.ravel())
     out = np.empty(is_id.size, dtype=np.uint8)
     out[~is_id] = block.ravel()
     out[is_id] = np.frombuffer(b"".join(raw_ids), dtype=np.uint8)
@@ -197,11 +197,12 @@ def _insert_ids(block, at, raw_ids, idlen):
 
 def _shard_bytes_binary(ids, labels, X):
     """Binary shard bytes of the rows ``(ids, labels, X)``, whose labels and
-    features ``record_arrays`` has checked to be 0 or 1.
+    features ``check_bits`` has checked to be 0 or 1.
 
-    After the header each record holds its label byte, the little-endian
-    uint16 byte length of its UTF-8 id, the id, and ``ceil(d / 8)`` bytes of
-    ``np.packbits`` bits whose padding bits are 0.
+    After the header come four columns, each in row order: one label byte
+    per row, the little-endian uint16 byte length of each row's UTF-8 id,
+    ``ceil(d / 8)`` bytes of ``np.packbits`` bits per row whose padding bits
+    are 0, and the ids.
     """
     n, d = X.shape
     raw_ids, idlen = _utf8_ids(ids)
@@ -209,55 +210,48 @@ def _shard_bytes_binary(ids, labels, X):
         k = int(np.argmax(idlen > MAX_BINARY_ID_BYTES))
         raise DataError(f"id {ids[k][:32]!r}... has {idlen[k]} UTF-8 bytes; "
                         f"a binary shard holds at most {MAX_BINARY_ID_BYTES}")
-    block = np.empty((n, 3 + (d + 7) // 8), dtype=np.uint8)
-    block[:, 0] = labels
-    block[:, 1] = idlen & 0xFF
-    block[:, 2] = idlen >> 8
-    block[:, 3:] = np.packbits(X, axis=1)
-    header = BINARY_HEADER.pack(MAGIC, BINARY_VERSION, d, n)
-    return header + _insert_ids(block, 3, raw_ids, idlen)
+    return b"".join([BINARY_HEADER.pack(MAGIC, BINARY_VERSION, d, n),
+                     labels.astype(np.uint8).tobytes(), idlen.astype("<u2").tobytes(),
+                     np.packbits(X, axis=1).tobytes(), *raw_ids])
 
 
 def _read_shard_binary(raw, dim, path):
-    """(ids, labels, X) of one binary shard; every byte must belong to a record,
-    every label must be 0 or 1 and every padding bit 0."""
+    """(ids, labels, X) of one binary shard; every byte must belong to a column,
+    every label must be 0 or 1, every id UTF-8 and every padding bit 0."""
     if len(raw) < BINARY_HEADER.size or raw[:4] != MAGIC:
         raise DataError(f"shard {path} has bad magic bytes or a short header")
-    _, version, d, count = BINARY_HEADER.unpack_from(raw)
+    _, version, d, n = BINARY_HEADER.unpack_from(raw)
     if version != BINARY_VERSION:
         raise DataError(f"shard {path} has unsupported version {version}")
     if d != dim:
         raise DataError(f"shard {path} has dim {d}, manifest expects {dim}")
     nbytes = (d + 7) // 8
-    # each record starts after the last one's 3 + id length + nbytes bytes
-    off, starts = BINARY_HEADER.size, []
-    try:
-        for _ in range(count):
-            starts.append(off)
-            off += 3 + raw[off + 1] + (raw[off + 2] << 8) + nbytes
-    except IndexError:
-        raise DataError(f"shard {path} is truncated or malformed: record "
-                        f"{len(starts) - 1} has no id length") from None
-    if off > len(raw):
-        raise DataError(f"shard {path} is truncated: {count} records do not fit "
-                        f"in {len(raw)} bytes")
-    if off < len(raw):
-        raise DataError(f"shard {path} has {len(raw) - off} trailing bytes "
-                        "after its last record")
+    # the label, id length and bits columns; the id column starts after them
+    at = BINARY_HEADER.size
+    id_at = at + n * (3 + nbytes)
+    if id_at > len(raw):
+        raise DataError(f"shard {path} is truncated: {n} rows of {d} features "
+                        f"do not fit in {len(raw)} bytes")
+    idlen = np.frombuffer(raw, "<u2", n, at + n)
+    ends = (id_at + np.cumsum(idlen, dtype=np.int64)).tolist()
+    end = ends[-1] if n else id_at
+    if end > len(raw):
+        raise DataError(f"shard {path} is truncated: its id column ends at byte "
+                        f"{end} of {len(raw)}")
+    if end < len(raw):
+        raise DataError(f"shard {path} has {len(raw) - end} trailing bytes "
+                        "after its last id")
     buf = np.frombuffer(raw, dtype=np.uint8)
-    starts = np.array(starts, dtype=np.intp)
-    labels = buf[starts].astype(np.int64)
+    labels = buf[at:at + n].astype(np.int64)
     if (labels > 1).any():
         raise DataError(f"shard {path} has labels outside {{0, 1}}")
-    id_from = starts + 3
-    id_to = id_from + buf[starts + 1] + (buf[starts + 2].astype(np.intp) << 8)
-    try:
-        ids = [raw[a:b].decode() for a, b in zip(id_from.tolist(), id_to.tolist())]
-    except UnicodeDecodeError as e:
-        raise DataError(f"shard {path} is truncated or malformed: {e}") from None
-    packed = buf[np.add.outer(id_to, np.arange(nbytes))]
+    packed = buf[at + 3 * n:id_at].reshape(n, nbytes)
     if d % 8 and (packed[:, -1] & (0xFF >> d % 8)).any():
         raise DataError(f"shard {path} has set padding bits after feature {d - 1}")
+    try:
+        ids = [raw[a:b].decode() for a, b in zip([id_at, *ends], ends)]
+    except UnicodeDecodeError as e:
+        raise DataError(f"shard {path} has an id that is not UTF-8: {e}") from None
     return ids, labels, np.unpackbits(packed, axis=1, count=d)
 
 
@@ -280,7 +274,7 @@ def _shard_bytes_csv(ids, labels, X):
     block[:, 3::2] = X + ord("0")
     block[:, -1] = ord("\n")
     header = "id,label," + ",".join(f"f{i}" for i in range(dim)) + "\n"
-    return header.encode() + _insert_ids(block, 0, raw_ids, idlen)
+    return header.encode() + _insert_ids(block, raw_ids, idlen)
 
 
 def _read_shard_csv(raw, dim, path):
@@ -330,8 +324,8 @@ def save_dataset(dataset, path, fmt="binary"):
     suffix, write, _ = SHARD_FORMATS[fmt]
     encoded = []
     for month, rows in dataset.month_rows().items():
-        part = dataset.take(rows)
-        encoded.append((month, part.y, write(part.ids, part.y, part.X)))
+        ids, labels = list(map(dataset.ids.__getitem__, rows.tolist())), dataset.y[rows]
+        encoded.append((month, labels, write(ids, labels, dataset.X[rows])))
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     shards = []

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftal import data as dio
+from driftal.cli import EXIT_DATA, main
 from driftal.config import ConfigError
 from driftal.experiment import Experiment
 from driftal.losses import LossConfig
@@ -181,15 +182,30 @@ class TestShardValidation:
             dio.load_dataset(ds_dir)
 
     def test_binary_padding_bits_set(self, tmp_path):
-        # d = 3: each row is one byte whose 5 low bits are padding
+        # d = 3: each row is one byte whose 5 low bits are padding; the bits
+        # column follows the header, n label bytes and n uint16 id lengths
         ds_dir = self.saved(tmp_path, ds=make_dataset(d=3))
         raw = (ds_dir / "2020-01.bfv").read_bytes()
-        _, idlen = struct.unpack_from("<BH", raw, 16)
-        row = 16 + 3 + idlen
+        n = struct.unpack_from("<I", raw, 12)[0]
+        row = 16 + 3 * n
         rewrite_shard(ds_dir, ".bfv",
                       lambda raw: raw[:row] + bytes([raw[row] | 0x01]) + raw[row + 1:])
         with pytest.raises(dio.DataError, match="padding bits"):
             dio.load_dataset(ds_dir)
+
+    def test_version_1_shard_exits_data(self, tmp_path, capsys):
+        # no reader of the v1 layout (each row's label, id length, id and bits
+        # in turn) is kept; `driftal synth` writes the dataset again
+        ds_dir = self.saved(tmp_path)
+        rewrite_shard(ds_dir, ".bfv", lambda raw: raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(dio.DataError, match="shard 2020-01.bfv has unsupported version 1"):
+            dio.load_dataset(ds_dir)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": str(ds_dir), "split": {"train_months": 1},
+                                      "train": {"epochs": 1, "hidden": [4]}}))
+        assert main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--seed", "0"]) == EXIT_DATA
+        assert "unsupported version 1" in capsys.readouterr().err
 
     def test_csv_label_beyond_int64(self, tmp_path):
         raw = b"id,label,f0,f1\na,99999999999999999999,0,1"

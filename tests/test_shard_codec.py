@@ -1,13 +1,16 @@
 """The whole-array shard codec against per-record reference code.
 
 The reference writers and binary reader below encode and decode one record
-at a time, as the codec did before it was vectorised. The shard bytes are a
-fixed on-disk layout, so the codec must write exactly the bytes they write
-and read exactly the rows they read, for any ids (multi-byte UTF-8, empty,
-of one length or of many), any number of rows and any feature dimension.
+at a time: the CSV one row by row, the binary one value by value down each
+of its four columns (labels, id lengths, packed bits, ids). The shard bytes
+are a fixed on-disk layout, so the codec must write exactly the bytes they
+write and read exactly the rows they read, for any ids (multi-byte UTF-8,
+empty, of one length or of many), any number of rows and any feature
+dimension.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +22,16 @@ from driftal import data as dio
 
 def reference_binary_bytes(ids, labels, X):
     n, dim = X.shape
+    raw_ids = [rid.encode() for rid in ids]
     buf = bytearray(dio.MAGIC + struct.pack("<III", dio.BINARY_VERSION, dim, n))
-    for rid, label, x in zip(ids, labels, X):
-        raw_id = rid.encode()
-        buf += struct.pack("<BH", label, len(raw_id)) + raw_id
+    for label in labels:
+        buf += struct.pack("<B", label)
+    for raw_id in raw_ids:
+        buf += struct.pack("<H", len(raw_id))
+    for x in X:
         buf += np.packbits(x).tobytes()
+    for raw_id in raw_ids:
+        buf += raw_id
     return bytes(buf)
 
 
@@ -42,15 +50,22 @@ def reference_binary_rows(raw, dim):
     assert raw[:4] == dio.MAGIC and version == dio.BINARY_VERSION and d == dim
     nbytes = (d + 7) // 8
     off = 16
-    ids, labels, rows = [], [], []
+    labels = []
     for _ in range(count):
-        label, idlen = struct.unpack_from("<BH", raw, off)
-        off += 3
-        ids.append(raw[off:off + idlen].decode())
-        labels.append(label)
-        off += idlen
+        labels.append(raw[off])
+        off += 1
+    idlens = []
+    for _ in range(count):
+        idlens.append(struct.unpack_from("<H", raw, off)[0])
+        off += 2
+    rows = []
+    for _ in range(count):
         rows.append(np.unpackbits(np.frombuffer(raw[off:off + nbytes], np.uint8))[:d])
         off += nbytes
+    ids = []
+    for idlen in idlens:
+        ids.append(raw[off:off + idlen].decode())
+        off += idlen
     assert off == len(raw)
     X = np.array(rows, dtype=np.uint8).reshape(count, d)
     return ids, np.array(labels, dtype=np.int64), X
@@ -96,6 +111,52 @@ def test_codec_matches_per_record_reference(case):
     assert got[0] == want[0]
     assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
     assert got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
+
+
+class TestBinaryColumns:
+    """A damaged shard fails as a DataError naming it: every byte must belong
+    to one of the four columns, and each id must be UTF-8 on its own."""
+
+    IDS = ["é", "a"]  # an id column of 3 bytes, b"\xc3\xa9a"
+
+    def shard(self):
+        return dio._shard_bytes_binary(self.IDS, np.array([1, 0]),
+                                       np.eye(2, 11, dtype=np.uint8))
+
+    def test_count_beyond_the_file_is_truncated(self):
+        # 2^32 - 1 rows of 200 features would be about 107 GB of fixed columns
+        raw = self.shard()
+        raw = raw[:12] + struct.pack("<I", 2**32 - 1) + raw[16:]
+        tracemalloc.start()
+        try:
+            with pytest.raises(dio.DataError, match="shard s.bfv is truncated: "
+                               "4294967295 rows of 11 features do not fit"):
+                dio._read_shard_binary(raw, 11, "s.bfv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_cut_inside_the_id_column(self):
+        # 16 header bytes, then 2 rows of 1 label, 2 length and 2 bit bytes
+        raw = self.shard()
+        assert len(raw) == 16 + 2 * 5 + 3
+        with pytest.raises(dio.DataError, match="shard s.bfv is truncated: its id "
+                           "column ends at byte 29 of 28"):
+            dio._read_shard_binary(raw[:-1], 11, "s.bfv")
+
+    def test_bytes_after_the_last_id(self):
+        with pytest.raises(dio.DataError, match="shard s.bfv has 2 trailing bytes "
+                           "after its last id"):
+            dio._read_shard_binary(self.shard() + b"ab", 11, "s.bfv")
+
+    def test_id_lengths_that_split_a_character(self):
+        # lengths 1 and 2 cut "é" in two; the id column alone is still UTF-8
+        raw = self.shard()
+        assert raw[18:22] == struct.pack("<HH", 2, 1) and raw[-3:].decode() == "éa"
+        raw = raw[:18] + struct.pack("<HH", 1, 2) + raw[22:]
+        with pytest.raises(dio.DataError, match="shard s.bfv has an id that is not UTF-8"):
+            dio._read_shard_binary(raw, 11, "s.bfv")
 
 
 def make_records(shapes):
