@@ -194,7 +194,9 @@ def bench(n_list, budget=400, dim=100, hidden=(32, 16), batch=10, seed=0):
         arch = model.architecture
         steps = -(-len(Xu) // batch) + -(-len(Xu2) // batch)  # ceil(n / batch) each
         ops = steps * train_step_ops(arch, batch, batch)
-        ops += forward_ops(arch, len(Xu))  # scoring: one forward, probs + embeddings
+        # scoring: the pool's forward (probs + embeddings); select also embeds
+        # the n_lab labeled rows, which this count leaves out
+        ops += forward_ops(arch, len(Xu))
         ops += distance_ops(len(Xu), n_lab, model.embedding_dim)
         records.append(BenchRecord(n, elapsed, int(ops)))
     return records

@@ -123,7 +123,7 @@ class Classifier:
 
         The cache holds per-layer inputs and pre-activations and is what
         ``backward_batch`` consumes; passes that need no gradient use
-        ``infer``.
+        ``infer``, which runs this over blocks of rows.
         """
         X = self._check_input(X, np.float64)
         last = len(self.weights) - 1
@@ -171,29 +171,17 @@ class Classifier:
     def infer(self, X):
         """Class-probability pairs and embeddings for each row, order preserved.
 
-        The forward pass runs over ``INFER_BLOCK`` rows at a time: each block
-        of ``X`` (uint8 included) is cast into one reused float64 buffer,
-        and the block's softmax and embedding are written into the outputs.
-        No backward cache is kept, and no float64 copy of all of ``X`` is
-        made.
+        This is ``forward_batch`` run over ``INFER_BLOCK`` rows at a time,
+        each block's probabilities and embeddings written into the outputs.
+        Each block's cache is dropped before the next block runs, so no
+        float64 copy of all of ``X`` (uint8 included) is made.
         """
         X = self._check_input(X)
         n = len(X)
         probs, embs = np.empty((n, 2)), np.empty((n, self.embedding_dim))
-        block = np.empty((min(n, INFER_BLOCK), self.input_dim))
-        *hidden, (w_out, b_out) = zip(self.weights, self.biases)
         for start in range(0, n, INFER_BLOCK):
-            rows = slice(start, min(start + INFER_BLOCK, n))
-            a = block[:rows.stop - start]
-            a[...] = X[rows]
-            for w, b in hidden:
-                a = a @ w.T
-                a += b
-                np.maximum(a, 0.0, out=a)
-            embs[rows] = a
-            logits = a @ w_out.T
-            logits += b_out
-            probs[rows] = softmax(logits)
+            rows = slice(start, start + INFER_BLOCK)
+            probs[rows], embs[rows] = self.forward_batch(X[rows])[1:3]
         return probs, embs
 
     def predict_batch(self, X):

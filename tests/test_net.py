@@ -1,11 +1,14 @@
 import json
 import re
+import sys
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from driftal.data import DriftGeneratorConfig, synth_drift_generate
+from driftal.experiment import Experiment
 from driftal.net import (
     INFER_BLOCK,
     Classifier,
@@ -14,6 +17,8 @@ from driftal.net import (
     ShapeError,
     softmax,
 )
+from driftal.selection import SelectorConfig
+from driftal.trainer import TrainConfig
 
 
 def small_net(seed=0):
@@ -291,6 +296,59 @@ class TestInfer:
             finally:
                 tracemalloc.stop()
         assert peaks["infer"] < bound < peaks["forward_batch"], peaks
+
+    def test_blocks_run_through_forward_batch(self, monkeypatch):
+        m = Classifier((200, 32, 16, 2), seed=4)
+        X = self.pool(2 * INFER_BLOCK + 1)
+        sizes = []
+        forward_batch = Classifier.forward_batch
+
+        def counting_forward(model, X):
+            sizes.append(len(X))
+            return forward_batch(model, X)
+
+        monkeypatch.setattr(Classifier, "forward_batch", counting_forward)
+        m.infer(X)
+        assert sizes == [INFER_BLOCK, INFER_BLOCK, 1]
+
+    def test_every_inferred_row_reaches_forward_batch(self, monkeypatch):
+        # one multi_criteria run infers for evaluation, pool scoring, the
+        # labeled embedding and the weak view; each call's rows must reach
+        # forward_batch, block by block and in order
+        gen = DriftGeneratorConfig(dim=12, months=4, samples_per_month_per_class=20, seed=0)
+        ds = synth_drift_generate(gen)
+        months = ds.months()
+        exp = Experiment(ds, months[:2], months[2:], label_ratio=0.5, noise_rate=0.0,
+                         train_cfg=TrainConfig(epochs=1, hidden=(4,)), retrain_epochs=1)
+        calls, open_calls = [], []
+        infer, forward_batch = Classifier.infer, Classifier.forward_batch
+
+        def spying_infer(model, X):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] == "driftal.net":  # predict/embed_batch
+                frame = frame.f_back
+            open_calls.append([])
+            out = infer(model, X)
+            calls.append((frame.f_code.co_name, np.asarray(X), open_calls.pop()))
+            return out
+
+        def spying_forward(model, X):
+            if open_calls:
+                open_calls[-1].append(np.asarray(X))
+            return forward_batch(model, X)
+
+        monkeypatch.setattr(Classifier, "infer", spying_infer)
+        monkeypatch.setattr(Classifier, "forward_batch", spying_forward)
+        exp.run(SelectorConfig(), 5, 0)
+        monkeypatch.undo()
+        assert {caller for caller, _, _ in calls} == {
+            "run_stream", "score_pool", "step_loss_and_grads", "train"}
+        scored = [X for caller, X, _ in calls if caller == "score_pool"]
+        assert len(scored) == 2 * (len(months) - 2)  # pool and labeled rows per month
+        for _, X, forwarded in calls:
+            assert [len(f) for f in forwarded] == [
+                min(INFER_BLOCK, len(X) - i) for i in range(0, len(X), INFER_BLOCK)]
+            assert np.array_equal(np.concatenate([X[:0], *forwarded]), X)
 
     def test_empty_and_wrong_shape(self):
         m = Classifier((200, 32, 16, 2))
