@@ -23,7 +23,7 @@ from pathlib import Path
 from . import data as dio
 from . import metrics as met
 from .augment import AugmentConfig
-from .config import ConfigError, entry, typed, typed_list
+from .config import ConfigError, entry, read_json, typed, typed_list
 from .experiment import Experiment
 from .losses import LossConfig
 from .outputs import write_outputs
@@ -39,20 +39,10 @@ EXIT_NUMERIC = 4
 DEFAULT_OUT_ENV = "DRIFTAL_OUT"
 
 
-def _read_json(path, what, error):
-    """The JSON value in file ``path``; ``error`` names the ``what`` file otherwise."""
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as e:
-        raise error(f"cannot read {what} {path}: {e.strerror}") from None
-    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
-        raise error(f"{what} {path} is not valid JSON: {e}") from None
-
-
 def _load_config(path):
     if path is None:
         return {}
-    config = _read_json(path, "config file", ConfigError)
+    config = read_json(path, "config file", ConfigError)
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path}: expected an object, got {config!r}")
     return config
@@ -184,10 +174,8 @@ def setup_from_config(config, streams=True):
         dataset=dataset,
         train_months=train_months,
         stream_months=stream_months,
-        label_ratio=typed(config.get("label_ratio", 0.4), "label_ratio", float,
-                          minimum=0, maximum=1),
-        noise_rate=typed(config.get("noise_rate", 0.0), "noise_rate", float,
-                         minimum=0, maximum=1),
+        label_ratio=config.get("label_ratio", 0.4),
+        noise_rate=config.get("noise_rate", 0.0),
         train_cfg=_train_config(config),
         retrain_epochs=typed(stream.get("retrain_epochs", 10),
                              "stream.retrain_epochs", int, minimum=1),
@@ -317,7 +305,7 @@ def _check_result(payload, where):
 
 def cmd_report(args, config, out_dir):
     src = Path(typed(config.get("result"), "result", str))
-    payload = _read_json(src, "result file", dio.DataError)
+    payload = read_json(src, "result file", dio.DataError)
     checked = _check_result(payload, f"result file {src}")
     return [], {"result.csv": met.report_rows(checked)}, f"wrote {out_dir / 'result.csv'}"
 

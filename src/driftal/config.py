@@ -1,17 +1,30 @@
-"""Typed values read from a file: ``checked`` declares a dataclass field's kind
-and range once, ``check_fields`` checks every such field, the CLI checks its
-own keys with the same ``typed``, and ``entry`` reads a key of a JSON object
-(a manifest, a ``result.json``, a checkpoint's ``meta``) the same way. A bad
-value raises ``error("<key>: expected ...")``, a ``ConfigError`` by default."""
+"""Typed values read from a file: ``read_json`` reads a JSON file, ``checked``
+declares a dataclass field's kind and range once, ``check_fields`` checks every
+such field, the CLI checks its own keys with the same ``typed``, and ``entry``
+reads a key of a JSON object (a manifest, a ``result.json``, a checkpoint's
+``meta``) the same way. A bad value raises ``error("<key>: expected ...")``, a
+``ConfigError`` by default."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import field, fields
+from pathlib import Path
 
 
 class ConfigError(ValueError):
     pass
+
+
+def read_json(path, what, error):
+    """The JSON value in file ``path``; ``error`` names the ``what`` file otherwise."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e.strerror}") from None
+    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
 
 
 def typed(value, key, kind, error=ConfigError, minimum=None, maximum=None, above=None,

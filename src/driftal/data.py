@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, check_fields, checked, entry
+from .config import ConfigError, check_fields, checked, entry, read_json, typed
 
 MAGIC = b"BFVS"
 BINARY_VERSION = 2
@@ -364,12 +364,7 @@ def load_dataset(path):
     """Read and validate a dataset directory; returns (manifest, Dataset)."""
     path = Path(path)
     mpath = path / "manifest.json"
-    try:
-        manifest = json.loads(mpath.read_text())
-    except OSError as e:
-        raise DataError(f"cannot read {mpath}: {e.strerror}") from None
-    except ValueError as e:  # bad JSON or UTF-8, or an int too long to convert
-        raise DataError(f"{mpath} is not valid JSON: {e}") from None
+    manifest = read_json(mpath, "manifest", DataError)
     entry(manifest, "version", mpath, int, DataError, choices=(MANIFEST_VERSION,))
     name = entry(manifest, "name", mpath, str, DataError)
     dim = entry(manifest, "feature_dim", mpath, int, DataError, minimum=1)
@@ -411,8 +406,7 @@ def load_dataset(path):
 
 def label_ratio_split(train, ratio, seed):
     """Stratified labeled/unlabeled split with |D_l| = round(ratio * N) >= 1."""
-    if not 0.0 <= ratio <= 1.0:
-        raise DataError(f"label ratio {ratio} outside [0, 1]")
+    ratio = typed(ratio, "label_ratio", float, minimum=0, maximum=1)
     n = len(train)
     target = int(round(ratio * n))
     if target == 0:
@@ -421,7 +415,7 @@ def label_ratio_split(train, ratio, seed):
     rng = np.random.default_rng(seed)
     by_class = {c: np.flatnonzero(train.y == c) for c in (0, 1)}
     # largest-remainder apportionment keeps class proportions within one sample
-    quotas = {c: target * len(idxs) / n if n else 0.0 for c, idxs in by_class.items()}
+    quotas = {c: target * len(idxs) / n for c, idxs in by_class.items()}
     counts = {c: int(np.floor(q)) for c, q in quotas.items()}
     rem = target - sum(counts.values())
     for c in sorted(quotas, key=lambda c: quotas[c] - counts[c], reverse=True):
@@ -438,8 +432,7 @@ def label_ratio_split(train, ratio, seed):
 
 def inject_label_noise(labeled, noise_rate, seed):
     """Flip exactly round(rate * N) labels, chosen without replacement."""
-    if not 0.0 <= noise_rate <= 1.0:
-        raise DataError(f"noise rate {noise_rate} outside [0, 1]")
+    noise_rate = typed(noise_rate, "noise_rate", float, minimum=0, maximum=1)
     n = len(labeled)
     flips = int(round(noise_rate * n))
     rng = np.random.default_rng(seed)

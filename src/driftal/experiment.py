@@ -41,8 +41,7 @@ class Experiment:
         if seed in self._initial:
             return self._initial[seed]
         labeled, unlabeled = dio.label_ratio_split(self.train_set, self.label_ratio, seed)
-        if self.noise_rate > 0:
-            labeled = dio.inject_label_noise(labeled, self.noise_rate, seed)
+        labeled = dio.inject_label_noise(labeled, self.noise_rate, seed)
         model = build_model(self.train_set.feature_dim, self.train_cfg, seed)
         model, report = train(model, (labeled.X, labeled.y), unlabeled.X, self.train_cfg,
                               seed)

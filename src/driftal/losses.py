@@ -58,8 +58,8 @@ def supervised_ce(probs, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if len(probs) == 0:
         raise EmptyBatchError("supervised_ce on empty batch")
-    if len(probs) != len(labels):
-        raise ValueError("probs and labels length mismatch")
+    if labels.shape != (len(probs),):
+        raise ValueError(f"labels of shape {labels.shape} for {len(probs)} rows of probs")
     n = len(probs)
     rows = np.arange(n)
     picked = np.clip(probs[rows, labels], _CLAMP, 1.0)
@@ -116,8 +116,6 @@ def supervised_contrastive(embeddings, labels, temperature):
     n = len(E)
     if n < 2:
         raise DegenerateBatchError("contrastive loss needs at least 2 samples")
-    if len(labels) != n:
-        raise ValueError("embeddings and labels length mismatch")
     norms = np.sqrt((E * E).sum(axis=1, keepdims=True))  # bit-equal to np.linalg.norm
     np.maximum(norms, _CLAMP, out=norms)
     Z = E / norms

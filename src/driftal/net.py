@@ -147,8 +147,6 @@ class Classifier:
         flat gradient shaped like ``theta``.
         """
         d_logits = np.asarray(d_logits, dtype=np.float64)
-        if d_logits.shape != cache["pres"][-1].shape:
-            raise ShapeError("d_logits shape does not match cached forward pass")
         grad = np.empty_like(self.theta)
         d_weights, d_biases = self.layer_views(grad)
         last = len(self.weights) - 1

@@ -179,6 +179,12 @@ class TestNoise:
         assert [r["noise_rate"] for r in rows] == [0.0, 0.4]
         assert all("f1_mean" in r for r in rows)
 
+    def test_top_level_noise_rate_unread(self, tmp_path):
+        # every run's rate comes from noise_rates, so a bad noise_rate is never read
+        cfg = write_config(tmp_path, noise_rate="x", noise_rates=[0.0])
+        assert main(["noise", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == EXIT_OK
+
 
 class TestReport:
     def test_json_to_csv(self, tmp_path):

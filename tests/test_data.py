@@ -431,6 +431,12 @@ class TestLabelRatioSplit:
         with pytest.raises(ConfigError, match=problem):
             dio.label_ratio_split(make_dataset(), ratio, 0)
 
+    @pytest.mark.parametrize("ratio", [1.5, -0.1, "x", None, True])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        problem = f"^label_ratio: expected float in \\[0, 1\\], got {ratio!r}$"
+        with pytest.raises(ConfigError, match=problem):
+            dio.label_ratio_split(make_dataset(), ratio, 0)
+
     def test_disjoint_and_exhaustive(self):
         ds = make_dataset()
         labeled, unlabeled = dio.label_ratio_split(ds, 0.3, 2)
@@ -451,6 +457,12 @@ class TestLabelNoise:
         noisy = dio.inject_label_noise(ds, 1.0, 0)
         assert all(a.label == 1 - b.label
                    for a, b in zip(noisy.records, ds.records))
+
+    @pytest.mark.parametrize("rate", [1.5, -0.1, "x", None, True])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        problem = f"^noise_rate: expected float in \\[0, 1\\], got {rate!r}$"
+        with pytest.raises(ConfigError, match=problem):
+            dio.inject_label_noise(make_dataset(), rate, 0)
 
     def test_exact_flip_count_and_seed_variation(self):
         ds = make_dataset(n=50)

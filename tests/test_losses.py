@@ -53,6 +53,13 @@ class TestSupervisedCE:
         with pytest.raises(EmptyBatchError):
             supervised_ce(np.zeros((0, 2)), [])
 
+    @pytest.mark.parametrize("labels", [[1], 1, [[0], [1], [1]]],
+                             ids=["one-label", "scalar", "column"])
+    def test_labels_not_one_per_row(self, labels):
+        # numpy would broadcast these labels over the rows and return a loss
+        with pytest.raises(ValueError, match="for 3 rows of probs"):
+            supervised_ce(np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4]]), labels)
+
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(5, 2))
@@ -78,6 +85,11 @@ class TestConsistency:
         loss, count, grad = consistency_loss(weak, np.full((3, 2), 0.5), 0.95)
         assert loss == 0 and count == 0
         assert not grad.any()
+
+    def test_one_weak_row_for_many_strong_rows(self):
+        # numpy would broadcast the one pseudo-label over every strong row
+        with pytest.raises(ValueError, match="length mismatch"):
+            consistency_loss(np.array([[0.99, 0.01]]), np.full((3, 2), 0.5), 0.95)
 
     def test_single_confident_sample(self):
         weak = np.array([[0.96, 0.04]])
@@ -134,6 +146,12 @@ class TestContrastive:
         labels = [0, 0, 1, 1]
         loss, _ = supervised_contrastive(z, labels, 0.07)
         assert abs(loss - contrastive_oracle(z, labels, 0.07)) < 1e-10
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0], [1], [[0], [1], [1]]])
+    def test_labels_not_one_per_row_raise(self, labels):
+        # no check of its own: numpy cannot broadcast the label grid over the rows
+        with pytest.raises((IndexError, ValueError)):
+            supervised_contrastive(np.ones((3, 4)), labels, 0.1)
 
     def test_too_few_samples(self):
         with pytest.raises(DegenerateBatchError):

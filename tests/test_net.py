@@ -117,6 +117,14 @@ class TestBackward:
         assert grad.shape == m.theta.shape
         assert not grad.any()
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (1, 2), (3,), (3, 3), (3, 1)])
+    def test_d_logits_of_another_shape_raises(self, shape):
+        # no check of its own: the layer products cannot take the wrong shape
+        m = small_net()
+        _, _, _, cache = m.forward_batch(np.ones((3, 8)))
+        with pytest.raises(ValueError):
+            m.backward_batch(cache, np.ones(shape))
+
     def test_single_linear_layer_chain_rule(self):
         m = Classifier((3, 2), init=False)
         x = np.array([[1.0, 2.0, 3.0]])

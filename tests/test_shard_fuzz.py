@@ -181,6 +181,7 @@ def apply_edits(manifest, edits):
 @example(edits=[("set", 0, "file", "../ds/2020-01.bfv")], whole=None)
 @example(edits=[("set", None, "version", True)], whole=None)
 @example(edits=[("set", 0, "benign", True)], whole=None)
+@example(edits=[("set", 0, "benign", 7)], whole=None)  # more rows than shard 0 holds
 def test_manifest(tmp_path, edits, whole):
     ds_dir = tmp_path / "ds"
     base, rows = saved_dataset(ds_dir)  # the shards are written once per test run
