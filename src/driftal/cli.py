@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -218,9 +217,8 @@ def cmd_stream(args, config, out_dir):
     outputs = {}
     exp = setup_from_config(config)
     [(_, _, results)] = exp.sweep([selector], [budget], seeds)
-    config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     for seed, result in zip(seeds, results):
-        for name, payload in met.emit_report(result, config_hash, [seed]).items():
+        for name, payload in met.emit_report(result).items():
             outputs[f"seed{seed}/{name}"] = payload
         print(f"seed {seed}: mean F1 {_fmt_f1(result.f1_mean)}")
     outputs["aggregate.json"] = aggregate_runs(results)

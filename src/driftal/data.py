@@ -417,13 +417,9 @@ def label_ratio_split(train, ratio, seed):
     # largest-remainder apportionment keeps class proportions within one sample
     quotas = {c: target * len(idxs) / n for c, idxs in by_class.items()}
     counts = {c: int(np.floor(q)) for c, q in quotas.items()}
-    rem = target - sum(counts.values())
-    for c in sorted(quotas, key=lambda c: quotas[c] - counts[c], reverse=True):
-        if rem <= 0:
-            break
-        if counts[c] < len(by_class[c]):
-            counts[c] += 1
-            rem -= 1
+    # the two floors leave at most one row over: the larger remainder takes it
+    if sum(counts.values()) < target:
+        counts[max(quotas, key=lambda c: quotas[c] - counts[c])] += 1
     labeled = np.zeros(n, dtype=bool)
     for c, idxs in by_class.items():
         labeled[idxs[rng.permutation(len(idxs))[: counts[c]]]] = True

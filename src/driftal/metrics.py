@@ -65,12 +65,10 @@ def aggregate(values):
 REPORT_COLUMNS = ["month", "tp", "fp", "tn", "fn", "f1", "fnr", "fpr", "n_selected"]
 
 
-def emit_report(result, config_hash="", seeds=()):
+def emit_report(result):
     """A StreamResult's outputs as ``write_outputs`` takes them: its JSON
-    payload and its per-month CSV rows."""
+    payload, ``result.to_dict()``, and its per-month CSV rows."""
     payload = result.to_dict()
-    payload["config_hash"] = config_hash
-    payload["seeds"] = list(seeds)
     return {"result.json": payload, "result.csv": report_rows(payload)}
 
 

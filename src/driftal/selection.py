@@ -56,12 +56,9 @@ class SelectionScore:
 
 
 def margin_scores(probs):
-    """Difference between the top two class probabilities per row."""
+    """Gap between the two class probabilities of each row."""
     probs = np.asarray(probs, dtype=np.float64)
-    if len(probs) == 0:
-        return np.zeros(0)
-    top = np.sort(probs, axis=1)[:, ::-1]
-    return top[:, 0] - top[:, 1]
+    return np.abs(probs[:, 0] - probs[:, 1])
 
 
 def lp_distances(pool_embs, labeled_set, p_norm=2.0):
@@ -82,17 +79,12 @@ def lp_distances(pool_embs, labeled_set, p_norm=2.0):
     for name, E in (("pool", U), ("labeled", L)):
         if not np.isfinite(E).all():
             raise NumericError(f"non-finite {name} embedding")
-    if len(U) == 0:
-        return np.zeros(0)
     return cKDTree(L).query(U, k=1, p=p_norm)[0]
 
 
 def confidence_scores(probs):
     """Maximum class probability per row."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if len(probs) == 0:
-        return np.zeros(0)
-    return probs.max(axis=1)
+    return np.asarray(probs, dtype=np.float64).max(axis=1)
 
 
 def minmax_normalize(values):

@@ -1,14 +1,16 @@
 import hashlib
 import json
+import math
 import re
 import struct
 
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftal import data as dio
@@ -404,7 +406,60 @@ class TestRecordValues:
             dio.label_ratio_split(dio.Dataset("test", 10, records), 0.4, 0)
 
 
+class Labels:
+    """What ``label_ratio_split`` reads of a Dataset: its length, its labels and
+    ``take``, which here gives the labels of the rows a mask keeps."""
+
+    def __init__(self, y):
+        self.y = y
+
+    def __len__(self):
+        return len(self.y)
+
+    def take(self, mask):
+        return self.y[mask]
+
+
+def check_apportionment(n0, n1, target):
+    """The labeled counts of a split of n0 benign and n1 malware rows that
+    labels ``target`` rows, against each class's exact quota."""
+    n = n0 + n1
+    ratio = target / n
+    labeled, _ = dio.label_ratio_split(Labels(np.repeat([0, 1], [n0, n1])), ratio, 0)
+    counts = np.bincount(labeled, minlength=2).tolist()
+    assert sum(counts) == round(ratio * n) == target
+    quotas = [Fraction(target * size, n) for size in (n0, n1)]
+    assert all(abs(c - q) < 1 for c, q in zip(counts, quotas))
+    floors = [math.floor(q) for q in quotas]
+    if sum(floors) < target:
+        # one row is left over: the larger remainder gets it, class 0 on a tie
+        gets = 0 if quotas[0] - floors[0] >= quotas[1] - floors[1] else 1
+        assert counts[gets] == floors[gets] + 1
+    else:
+        assert counts == floors
+
+
+@st.composite
+def class_sizes_and_target(draw):
+    sizes = draw(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(any))
+    return sizes + (draw(st.integers(1, sum(sizes))),)
+
+
 class TestLabelRatioSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(class_sizes_and_target())
+    @example((1, 1, 1))  # a tie: class 0
+    @example((3, 0, 2))
+    @example((10**6, 10**6 - 1, 10**6))
+    def test_counts_apportion_the_target(self, case):
+        check_apportionment(*case)
+
+    def test_every_target_of_small_classes(self):
+        for n0 in range(12):
+            for n1 in range(12):
+                for target in range(1, n0 + n1 + 1):
+                    check_apportionment(n0, n1, target)
+
     def test_ratio_one(self):
         ds = make_dataset()
         labeled, unlabeled = dio.label_ratio_split(ds, 1.0, 0)

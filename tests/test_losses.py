@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,15 @@ class TestConsistency:
         loss, count, grad = consistency_loss(weak, np.full((3, 2), 0.5), 0.95)
         assert loss == 0 and count == 0
         assert not grad.any()
+
+    def test_empty_batch(self):
+        # the sum over no rows is divided by no rows: it must not become 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, count, grad = consistency_loss(np.zeros((0, 2)), np.zeros((0, 2)), 0.95)
+        assert type(loss) is float and loss == 0.0
+        assert type(count) is int and count == 0
+        assert grad.shape == (0, 2) and grad.dtype == np.float64
 
     def test_one_weak_row_for_many_strong_rows(self):
         # numpy would broadcast the one pseudo-label over every strong row

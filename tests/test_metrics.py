@@ -9,6 +9,7 @@ from driftal import trainer
 from driftal.losses import LossConfig
 from driftal.net import Optimizer
 from driftal.metrics import (
+    BenchRecord,
     MonthlyMetrics,
     aggregate,
     bench,
@@ -87,9 +88,9 @@ def fake_result():
 
 class TestEmitReport:
     def test_json_payload(self):
-        payload = emit_report(fake_result(), config_hash="abc", seeds=[3])["result.json"]
-        assert payload["config_hash"] == "abc"
-        assert payload["seeds"] == [3]
+        result = fake_result()
+        payload = emit_report(result)["result.json"]
+        assert payload == result.to_dict()
         assert len(payload["monthly"]) == 2
         assert payload["monthly"][0]["month"] == "2020-01"
 
@@ -198,3 +199,12 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert rows[0]["sample_count"] == "30"
         assert int(rows[0]["operations"]) == records[0].operations
+
+    def test_record_dict_has_the_csv_columns(self):
+        # perfbench writes records as dicts: the keys are bench.csv's header
+        record = BenchRecord(30, 0.25, 1200)
+        payload = record.to_dict()
+        assert list(payload) == bench_rows([record])[0]
+        assert payload == {"sample_count": 30, "seconds": 0.25, "operations": 1200}
+        payload["seconds"] = 1.0
+        assert record.seconds == 0.25

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftal.selection as selection
 from driftal.net import Classifier, NumericError
@@ -36,6 +38,9 @@ def tiny_model(d=6, seed=0):
     return Classifier((d, 4, 2), seed=seed)
 
 
+PROBABILITY = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
+
+
 class TestMargin:
     @pytest.mark.parametrize("probs,expected", [
         ([0.5, 0.5], 0.0),
@@ -45,6 +50,27 @@ class TestMargin:
     ])
     def test_values(self, probs, expected):
         assert np.isclose(margin_scores(np.array([probs]))[0], expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(PROBABILITY, PROBABILITY)
+                    | PROBABILITY.map(lambda p: (p, p))
+                    | PROBABILITY.map(lambda p: (p, 1 - p)), max_size=20))
+    def test_equals_top_two_difference(self, rows):
+        probs = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        top = np.sort(probs, axis=1)[:, ::-1]
+        assert margin_scores(probs).tobytes() == (top[:, 0] - top[:, 1]).tobytes()
+
+
+class TestEmptyPool:
+    @pytest.mark.parametrize("criterion", [margin_scores, confidence_scores])
+    def test_probability_criteria(self, criterion):
+        scores = criterion(np.zeros((0, 2)))
+        assert scores.dtype == np.float64 and scores.shape == (0,)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    def test_lp_distance(self, p):
+        d = lp_distances(np.zeros((0, 4)), np.ones((3, 4)), p)
+        assert d.dtype == np.float64 and d.shape == (0,)
 
 
 class TestLpDistance:
