@@ -96,13 +96,13 @@ class Dataset:
                                    [self.ids[i] for i in at], [self.row_months[i] for i in at])
 
 
-def check_month(month, key="month", error=DataError):
+def check_month(month, key="month"):
     """(year, month) of a 'YYYY-MM' string; any other value is an error naming ``key``."""
     parts = month.split("-") if isinstance(month, str) and month.isascii() else []
     if ([len(p) for p in parts] == [4, 2] and all(p.isdigit() for p in parts)
             and 1 <= int(parts[1]) <= 12):
         return int(parts[0]), int(parts[1])
-    raise error(f"{key}: expected YYYY-MM, got {month!r}")
+    raise DataError(f"{key}: expected YYYY-MM, got {month!r}")
 
 
 def month_range(start, end):
@@ -452,27 +452,21 @@ class DriftGeneratorConfig:
     drift_rate: float = checked(0.15, float, minimum=0, maximum=1)
     # fraction of features sharing one rate across classes
     overlap: float = checked(0.3, float, minimum=0, maximum=1)
-    start_month: str = checked("2020-01", str)
-    prob_low: float = checked(0.02, float, minimum=0, maximum=1)
-    prob_high: float = checked(0.85, float, minimum=0, maximum=1)
     seed: int = checked(0, int, minimum=0)
 
     def __post_init__(self):
         check_fields(self)
-        if self.prob_low > self.prob_high:
-            raise ConfigError(f"prob_low: expected <= prob_high ({self.prob_high!r}), "
-                              f"got {self.prob_low!r}")
-        check_month(self.start_month, "start_month", ConfigError)
 
 
 def synth_drift_generate(cfg):
     """Covariate-drift stream of binary vectors.
 
-    Each class has a per-feature Bernoulli rate vector. A fraction
-    ``overlap`` of features share one rate across classes (uninformative);
-    the rest are class-specific. Between months every rate is resampled
-    independently with probability ``drift_rate``, shifting P(X) while
-    the labeling rule stays tied to the current rates.
+    Each class has a per-feature Bernoulli rate vector, each rate drawn
+    from U(0.02, 0.85). A fraction ``overlap`` of features share one rate
+    across classes (uninformative); the rest are class-specific. Between
+    months every rate is resampled independently with probability
+    ``drift_rate``, shifting P(X) while the labeling rule stays tied to the
+    current rates. The months run from 2020-01.
     """
     rng = np.random.default_rng(cfg.seed)
     d = cfg.dim
@@ -482,14 +476,12 @@ def synth_drift_generate(cfg):
     shared_mask[shared] = True
 
     def draw_rates(size):
-        return rng.uniform(cfg.prob_low, cfg.prob_high, size=size)
+        return rng.uniform(0.02, 0.85, size=size)
 
     theta = np.stack([draw_rates(d), draw_rates(d)])  # [class, feature]
     theta[1, shared_mask] = theta[0, shared_mask]
 
-    y, m = check_month(cfg.start_month)
-    last = 12 * y + m - 1 + cfg.months - 1  # months since year 0, zero-based
-    month_names = month_range(cfg.start_month, f"{last // 12:04d}-{last % 12 + 1:02d}")
+    month_names = [f"{2020 + t // 12:04d}-{t % 12 + 1:02d}" for t in range(cfg.months)]
 
     n = cfg.samples_per_month_per_class
     X = np.empty((2 * n * len(month_names), d), dtype=np.uint8)  # month-major, class 0 first

@@ -20,14 +20,6 @@ from .net import NumericError
 _CLAMP = 1e-12
 
 
-class EmptyBatchError(ValueError):
-    pass
-
-
-class DegenerateBatchError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class LossConfig:
     confidence_threshold: float = checked(0.95, float, above=0, maximum=1)
@@ -57,7 +49,7 @@ def supervised_ce(probs, labels):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(probs) == 0:
-        raise EmptyBatchError("supervised_ce on empty batch")
+        raise ValueError("supervised_ce on empty batch")
     if labels.shape != (len(probs),):
         raise ValueError(f"labels of shape {labels.shape} for {len(probs)} rows of probs")
     n = len(probs)
@@ -115,7 +107,7 @@ def supervised_contrastive(embeddings, labels, temperature):
     labels = np.asarray(labels, dtype=np.int64)
     n = len(E)
     if n < 2:
-        raise DegenerateBatchError("contrastive loss needs at least 2 samples")
+        raise ValueError("contrastive loss needs at least 2 samples")
     norms = np.sqrt((E * E).sum(axis=1, keepdims=True))  # bit-equal to np.linalg.norm
     np.maximum(norms, _CLAMP, out=norms)
     Z = E / norms

@@ -8,7 +8,6 @@ the contrastive loss and the distance-based selection criterion.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -50,13 +49,6 @@ def _widths(architecture):
     return widths
 
 
-def _layer_list(widths):
-    """The checkpoint ``meta`` form of ``widths``: ``[in, out, activation]`` per layer."""
-    last = len(widths) - 2
-    return [[n_in, n_out, "relu" if i < last else "identity"]
-            for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))]
-
-
 class Classifier:
     """MLP with explicit parameters and hand-written backprop.
 
@@ -74,7 +66,6 @@ class Classifier:
 
     def __init__(self, architecture, seed=0, init=True):
         self.architecture = _widths(architecture)
-        self.seed = operator.index(seed)  # an integer, as default_rng takes it
         # per layer: the weights' slice and shape, then the biases' slice
         self._layout, start = [], 0
         for n_in, n_out in zip(self.architecture, self.architecture[1:]):
@@ -84,7 +75,7 @@ class Classifier:
         self.theta = np.zeros(start)
         self.weights, self.biases = self.layer_views(self.theta)
         if init:
-            rng = np.random.default_rng(self.seed)
+            rng = np.random.default_rng(seed)
             for w in self.weights:
                 bound = np.sqrt(6.0 / sum(w.shape))
                 w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -104,7 +95,7 @@ class Classifier:
                 tuple(flat[b] for _, _, b in self._layout))
 
     def copy(self):
-        clone = Classifier(self.architecture, seed=self.seed, init=False)
+        clone = Classifier(self.architecture, init=False)
         clone.theta[:] = self.theta
         return clone
 
@@ -193,7 +184,7 @@ class Classifier:
     # checkpointing
     # ------------------------------------------------------------------
 
-    CHECKPOINT_VERSION = 1
+    CHECKPOINT_VERSION = 2
 
     def _named_views(self):
         """Checkpoint array name (``w{i}``/``b{i}``) -> view into ``theta``."""
@@ -204,11 +195,7 @@ class Classifier:
 
     def save(self, path):
         """Write a versioned .npz checkpoint; round-trips bit-exactly."""
-        meta = {
-            "version": self.CHECKPOINT_VERSION,
-            "seed": self.seed,
-            "architecture": _layer_list(self.architecture),
-        }
+        meta = {"version": self.CHECKPOINT_VERSION, "architecture": list(self.architecture)}
         meta = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         with open(path, "wb") as fh:
             np.savez(fh, meta=meta, **self._named_views())
@@ -219,23 +206,22 @@ class Classifier:
             meta = json.loads(bytes(_array(data, "meta", path)).decode())
             where = f"checkpoint {path} meta"
             entry(meta, "version", where, int, ValueError, choices=(cls.CHECKPOINT_VERSION,))
-            layers = entry(meta, "architecture", where, list, ValueError)
-            seed = entry(meta, "seed", where, int, ValueError, minimum=0)
             try:
-                widths = _widths([layers[0][0]] + [layer[1] for layer in layers])
-            except (TypeError, LookupError, ShapeError):
-                widths = None
-            # repr tells a width 4 from 4.0, and 1 from true
-            if widths is None or repr(layers) != repr(_layer_list(widths)):
-                raise ValueError(f"{where}: 'architecture': expected the layer list of "
-                                 f"(input_dim, *hidden, 2), got {layers!r}")
-            model = cls(widths, seed=seed, init=False)
-            for name, view in model._named_views().items():
-                array = _array(data, name, path)
-                if array.shape != view.shape:
-                    raise ValueError(f"checkpoint {path} array {name!r} has shape "
-                                     f"{array.shape}, the architecture needs {view.shape}")
-                view[...] = array
+                widths = _widths(entry(meta, "architecture", where, list, ValueError))
+            except ShapeError as e:
+                raise ValueError(f"{where}: {e}") from None
+            # every stored shape is checked before theta is allocated, so a width
+            # the file holds no array of is never allocated
+            arrays = {}
+            for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+                for name, needed in ((f"w{i}", (n_out, n_in)), (f"b{i}", (n_out,))):
+                    array = arrays[name] = _array(data, name, path)
+                    if array.shape != needed:
+                        raise ValueError(f"checkpoint {path} array {name!r} has shape "
+                                         f"{array.shape}, the architecture needs {needed}")
+        model = cls(widths, init=False)
+        for name, view in model._named_views().items():
+            view[...] = arrays[name]
         return model
 
 

@@ -70,6 +70,15 @@ class TestTrain:
         report = json.loads((out / "train_report_seed0.json").read_text())
         assert len(report["epoch_losses"]) == 2
 
+    def test_checkpoint_loads_back_as_the_initial_fit(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out), "--seed", "0"]) == EXIT_OK
+        loaded = Classifier.load(out / "checkpoint_seed0.npz")
+        fitted = setup_from_config(base_config(), streams=False).initial_fit(0)[0]
+        assert loaded.architecture == fitted.architecture == (20, 8, 2)
+        assert loaded.theta.tobytes() == fitted.theta.tobytes()
+
 
 class TestStream:
     def test_reports_and_aggregate(self, tmp_path):
@@ -744,10 +753,10 @@ class TestErrorPaths:
         ("synth", "generator.seed", -1),
         ("train", "generator.months", 2.5),
         ("train", "generator.samples_per_month_per_class", -1),
-        ("train", "generator.prob_low", 2),
-        ("train", "generator.prob_low", 0.9),  # above the default prob_high
+        ("train", "generator.drift_rate", 1.5),
+        ("train", "generator.overlap", -0.1),
         ("train", "generator.dim", 0),
-        ("train", "generator.start_month", "2020-13"),
+        ("synth", "generator.drift_rate", True),
         # a malformed split period is a config value, not a data error
         ("train", "split.train", "2020-13"),
         ("stream", "split.stream", "2020-04..2020-03"),
@@ -853,6 +862,9 @@ class TestErrorPaths:
         # a key that driftal no longer reads fails loudly instead of being ignored
         ("stream.selector", "intersection_quantile", 0.5),
         ("bench", "dim", 8),
+        ("generator", "prob_low", 0.02),
+        ("generator", "prob_high", 0.85),
+        ("generator", "start_month", "2020-01"),
     ])
     def test_unread_config_key_rejected(self, tmp_path, capsys, section, key, value):
         cfg = base_config()

@@ -48,10 +48,6 @@ def one_of(choices):
     return lambda v: type(v) is str and v in choices
 
 
-def month(v):
-    return type(v) is str and re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", v) is not None
-
-
 def widths(v):
     return type(v) in (list, tuple) and len(v) > 0 and all(integer(1)(w) for w in v)
 
@@ -63,9 +59,6 @@ TABLE = [
     (DriftGeneratorConfig, "samples_per_month_per_class", integer(1), {}),
     (DriftGeneratorConfig, "drift_rate", number(0, 1), {}),
     (DriftGeneratorConfig, "overlap", number(0, 1), {}),
-    (DriftGeneratorConfig, "start_month", month, {}),
-    (DriftGeneratorConfig, "prob_low", number(0, 1), {"prob_high": 1.0}),
-    (DriftGeneratorConfig, "prob_high", number(0, 1), {"prob_low": 0.0}),
     (DriftGeneratorConfig, "seed", integer(0), {}),
     (TrainConfig, "epochs", integer(1), {}),
     (TrainConfig, "labeled_batch", integer(1), {}),
@@ -93,8 +86,7 @@ NESTED = {"loss", "augment", "selector"}
 
 NEAR_BOUNDS = st.sampled_from([
     -1, 0, 1, 2, 64, -0.5, -0.0, 0.0, 1e-3, 0.5, 1.0, 1.5, math.inf, -math.inf, math.nan,
-    10**400,
-    "2020-01", "2020-12", "2020-13", "2020-1", "202001", *MODES, *SELECTOR_KINDS,
+    10**400, *MODES, *SELECTOR_KINDS,
 ])
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
            | NEAR_BOUNDS)
@@ -158,7 +150,7 @@ def test_p_norm_takes_inf_as_the_max_norm():
 
 @pytest.mark.parametrize("cls,values,name", [
     (AugmentConfig, {"weak_prob": 0.2, "strong_prob": 0.1}, "weak_prob"),
-    (DriftGeneratorConfig, {"prob_low": 0.9, "prob_high": 0.5}, "prob_low"),
+    (AugmentConfig, {"weak_prob": 0.5}, "weak_prob"),  # above the default strong_prob
     (SelectorConfig, {"alpha": 0, "beta": 0.0, "gamma": 0}, "alpha"),
     (SelectorConfig, {"alpha": 1e308, "beta": 1e308, "gamma": 1e308}, "alpha"),
 ])

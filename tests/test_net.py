@@ -367,6 +367,19 @@ class TestInfer:
                 m.infer(X)
 
 
+def saved_arrays(model, path):
+    """The ``w{i}``/``b{i}`` members of ``model``'s checkpoint, and its ``meta``."""
+    model.save(path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+        return arrays, json.loads(bytes(data["meta"]).decode())
+
+
+def write_checkpoint(path, arrays, meta):
+    """An .npz checkpoint of ``arrays`` whose ``meta`` member is the JSON of ``meta``."""
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = Classifier((16, 8, 4, 2), seed=9)
@@ -376,17 +389,22 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         m.save(path)
         loaded = Classifier.load(path)
-        assert (m.theta == loaded.theta).all()
+        assert loaded.theta.tobytes() == m.theta.tobytes()
         for a, b in zip(m.weights + m.biases, loaded.weights + loaded.biases):
             assert (a == b).all()
         assert loaded.architecture == m.architecture == (16, 8, 4, 2)
 
+    def test_checkpoint_holds_version_widths_and_arrays(self, tmp_path):
+        arrays, meta = saved_arrays(Classifier((16, 8, 4, 2), seed=9), tmp_path / "model.npz")
+        assert sorted(arrays) == ["b0", "b1", "b2", "w0", "w1", "w2"]
+        assert meta == {"version": 2, "architecture": [16, 8, 4, 2]}
+
     @pytest.mark.parametrize("name", ["meta", "w1", "b0"])
     def test_missing_array_named(self, tmp_path, name):
         path = tmp_path / "model.npz"
-        Classifier((16, 8, 4, 2), seed=9).save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files if k != name}
+        arrays, meta = saved_arrays(Classifier((16, 8, 4, 2), seed=9), path)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        del arrays[name]
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"no array '{name}'"):
             Classifier.load(path)
@@ -397,59 +415,68 @@ class TestCheckpoint:
     ])
     def test_wrong_shape_array_named(self, tmp_path, name, reshape):
         path = tmp_path / "model.npz"
-        Classifier((16, 8, 4, 2), seed=9).save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
+        arrays, meta = saved_arrays(Classifier((16, 8, 4, 2), seed=9), path)
         needed = arrays[name].shape
         arrays[name] = reshape(arrays[name])
-        np.savez(path, **arrays)
+        write_checkpoint(path, arrays, meta)
         message = f"'{name}' has shape {arrays[name].shape}, the architecture needs {needed}"
         with pytest.raises(ValueError, match=re.escape(message)):
             Classifier.load(path)
 
-    @pytest.mark.parametrize("key", ["version", "architecture", "seed", None])
+    @pytest.mark.parametrize("key", ["version", "architecture", None])
     def test_meta_missing_key_named(self, tmp_path, key):
         path = tmp_path / "model.npz"
-        Classifier((16, 8, 4, 2), seed=9).save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
+        arrays, meta = saved_arrays(Classifier((16, 8, 4, 2), seed=9), path)
         if key is None:  # not an object at all
             meta, key = list(meta), "version"
         else:
             del meta[key]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        write_checkpoint(path, arrays, meta)
         with pytest.raises(ValueError, match=f"meta has no '{key}'"):
+            Classifier.load(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # the version-1 meta: a seed, and [in, out, activation] per layer
+        path = tmp_path / "model.npz"
+        arrays, _ = saved_arrays(Classifier((16, 8, 4, 2), seed=9), path)
+        layers = [[16, 8, "relu"], [8, 4, "relu"], [4, 2, "identity"]]
+        write_checkpoint(path, arrays, {"version": 1, "seed": 9, "architecture": layers})
+        with pytest.raises(ValueError, match="'version': expected one of \\[2\\], got 1"):
             Classifier.load(path)
 
     @pytest.mark.parametrize("layers", [
         5,  # not a list
-        [[16, 8], [8, 4, "relu"], [4, 2, "identity"]],  # short triple
-        [[16, "8", "relu"], ["8", 4, "relu"], [4, 2, "identity"]],  # non-int width
-        [[16, 8, "relu"], [7, 4, "relu"], [4, 2, "identity"]],  # widths do not chain
-        [[16, 8, "identity"], [8, 4, "relu"], [4, 2, "identity"]],  # identity hidden
-        [[16, 8, "relu"], [8.0, 4, "relu"], [4, 2, "identity"]],  # a float in-width
+        # version-1 layer lists, well formed or not, are no widths
+        [[16, 8], [8, 4, "relu"], [4, 2, "identity"]],
+        [[16, "8", "relu"], ["8", 4, "relu"], [4, 2, "identity"]],
+        [[16, 8, "relu"], [7, 4, "relu"], [4, 2, "identity"]],
+        [[16, 8, "identity"], [8, 4, "relu"], [4, 2, "identity"]],
+        [[16, 8, "relu"], [8.0, 4, "relu"], [4, 2, "identity"]],
+        [[16, 8, "relu"], [8, 4, "relu"], [4, 2, "identity"]],
+        [], [16, 8, 4], [16, 8, 4, 3], [16, 0, 4, 2], [16, "8", 4, 2],
+        [16, 8.0, 4, 2], [16, True, 4, 2], [16, 8, 4, 2.0],
     ])
     def test_bad_architecture_named(self, tmp_path, layers):
         path = tmp_path / "model.npz"
-        Classifier((16, 8, 4, 2), seed=9).save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["architecture"] = layers
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="'architecture'"):
+        arrays, _ = saved_arrays(Classifier((16, 8, 4, 2), seed=9), path)
+        write_checkpoint(path, arrays, {"version": 2, "architecture": layers})
+        with pytest.raises(ValueError, match="meta: '?architecture'?: expected"):
             Classifier.load(path)
 
-    def test_checkpoint_meta_layer_list(self, tmp_path):
+    @pytest.mark.parametrize("widths,name", [
+        ([18, 2], "w0"),  # the parameter count of (6, 4, 2)
+        ([6, 2**40, 2], "w0"),  # 72 TiB of theta if allocated before the check
+        ([6, 4, 2**40, 2], "w1"),
+        ([2**70, 4, 2], "w0"),
+        ([6, 4, 4, 2], "w1"),
+    ])
+    def test_architecture_the_arrays_do_not_have(self, tmp_path, widths, name):
+        # rejected from the stored shapes alone, before theta is allocated
         path = tmp_path / "model.npz"
-        Classifier((16, 8, 4, 2), seed=9).save(path)
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-        assert meta == {"version": 1, "seed": 9, "architecture": [
-            [16, 8, "relu"], [8, 4, "relu"], [4, 2, "identity"]]}
+        arrays, _ = saved_arrays(Classifier((6, 4, 2), seed=9), path)
+        write_checkpoint(path, arrays, {"version": 2, "architecture": widths})
+        with pytest.raises(ValueError, match=f"array '{name}' has shape"):
+            Classifier.load(path)
 
 
 class TestParameterVector:
