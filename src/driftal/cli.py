@@ -123,13 +123,20 @@ def _fmt_f1(f1):
 
 
 def _period(split, key, months):
-    """The months of period ``split[key]``, which must hold a dataset month."""
+    """The dataset ``months`` in period ``split[key]``, which must hold one.
+    Checked YYYY-MM strings sort in calendar order, so the bounds compare as text."""
+    text = typed(split[key], f"split.{key}", str)
+    start, dots, end = text.partition("..")
+    end = end if dots else start
     try:
-        period = dio.parse_period(typed(split[key], f"split.{key}", str))
+        ordered = dio.check_month(start) <= dio.check_month(end)
     except dio.DataError:
+        ordered = False
+    if not ordered:
         raise ConfigError(f"split.{key}: expected YYYY-MM or an ordered "
-                          f"YYYY-MM..YYYY-MM, got {split[key]!r}") from None
-    if not set(period) & set(months):
+                          f"YYYY-MM..YYYY-MM, got {split[key]!r}")
+    period = [m for m in months if start <= m <= end]
+    if not period:
         raise ConfigError(f"split.{key}: no month of the dataset is in {split[key]!r}")
     return period
 
@@ -150,6 +157,8 @@ def setup_from_config(config, streams=True):
                      "generator")
         dataset = dio.synth_drift_generate(gen)
     split = _section(config, "split")
+    if {"train", "train_months"} <= split.keys():
+        raise ConfigError("split: expected 'train' or 'train_months', not both")
     months = dataset.months()
     if "train" in split:
         train_months = _period(split, "train", months)
@@ -157,6 +166,7 @@ def setup_from_config(config, streams=True):
         k = typed(split.get("train_months", 2), "split.train_months", int, minimum=1)
         train_months = months[:k]
     # test-then-train: every stream month comes after the last training month
+    # (both lists hold only months with rows)
     last = train_months[-1]
     if "stream" in split:
         stream_months = _period(split, "stream", months)

@@ -105,31 +105,6 @@ def check_month(month, key="month"):
     raise DataError(f"{key}: expected YYYY-MM, got {month!r}")
 
 
-def month_range(start, end):
-    """All YYYY-MM strings from start to end inclusive."""
-    y0, m0 = check_month(start)
-    y1, m1 = check_month(end)
-    if (y0, m0) > (y1, m1):
-        raise DataError(f"month range {start}..{end} is reversed")
-    out = []
-    y, m = y0, m0
-    while (y, m) <= (y1, m1):
-        out.append(f"{y:04d}-{m:02d}")
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return out
-
-
-def parse_period(period):
-    """Parse 'YYYY-MM..YYYY-MM' (or a single 'YYYY-MM') into a month list."""
-    if ".." in period:
-        start, end = period.split("..", 1)
-        return month_range(start, end)
-    check_month(period)
-    return [period]
-
-
 # ---------------------------------------------------------------------------
 # on-disk format
 # ---------------------------------------------------------------------------

@@ -16,10 +16,6 @@ import numpy as np
 from .config import check_fields, checked, entry, typed_list
 
 
-class ShapeError(ValueError):
-    """Input or parameter shapes do not chain consistently."""
-
-
 class NumericError(FloatingPointError):
     """Non-finite value encountered in parameters or gradients."""
 
@@ -43,9 +39,9 @@ def _relu(x):
 
 def _widths(architecture):
     """``architecture`` as a tuple ``(input_dim, *hidden, 2)`` of ints >= 1."""
-    widths = tuple(typed_list(architecture, "architecture", int, ShapeError, minimum=1))
+    widths = tuple(typed_list(architecture, "architecture", int, ValueError, minimum=1))
     if len(widths) < 2 or widths[-1] != 2:
-        raise ShapeError(f"architecture: expected (input_dim, *hidden, 2), got {widths}")
+        raise ValueError(f"architecture: expected (input_dim, *hidden, 2), got {widths}")
     return widths
 
 
@@ -106,7 +102,7 @@ class Classifier:
     def _check_input(self, X, dtype=None):
         X = np.asarray(X, dtype=dtype)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise ShapeError(f"input has shape {X.shape}, model expects (n, {self.input_dim})")
+            raise ValueError(f"input has shape {X.shape}, model expects (n, {self.input_dim})")
         return X
 
     def forward_batch(self, X):
@@ -206,9 +202,10 @@ class Classifier:
             meta = json.loads(bytes(_array(data, "meta", path)).decode())
             where = f"checkpoint {path} meta"
             entry(meta, "version", where, int, ValueError, choices=(cls.CHECKPOINT_VERSION,))
+            architecture = entry(meta, "architecture", where, list, ValueError)
             try:
-                widths = _widths(entry(meta, "architecture", where, list, ValueError))
-            except ShapeError as e:
+                widths = _widths(architecture)
+            except ValueError as e:
                 raise ValueError(f"{where}: {e}") from None
             # every stored shape is checked before theta is allocated, so a width
             # the file holds no array of is never allocated
@@ -255,7 +252,7 @@ class Optimizer:
         ``theta -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, with bias corrections
         ``c = 1 - b**t``."""
         if np.shape(grad) != model.theta.shape:
-            raise ShapeError(f"gradient {np.shape(grad)} != theta {model.theta.shape}")
+            raise ValueError(f"gradient {np.shape(grad)} != theta {model.theta.shape}")
         if not np.abs(grad).max() <= _MAX_GRAD:
             raise NumericError("gradient entry not finite or too large for Adam to square")
         if self.m is None:

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftal import data as dio
 from driftal.cli import (
@@ -138,6 +141,27 @@ class TestStream:
         result = json.loads((out / "seed0" / "result.json").read_text())
         assert [m["month"] for m in result["monthly"]] == ["2020-05", "2020-06"]
 
+    def test_periods_may_overlap_in_a_month_without_rows(self, tmp_path):
+        # 2020-03 holds no row, so none can leak from training into the stream
+        gen = dio.DriftGeneratorConfig(**{**base_config()["generator"], "months": 5})
+        dataset = dio.synth_drift_generate(gen)
+        dio.save_dataset(dataset.take(np.array(dataset.row_months) != "2020-03"),
+                         tmp_path / "gap")
+        saved = {k: v for k, v in base_config().items() if k != "generator"}
+        results = []
+        for train, stream in (("2020-01..2020-03", "2020-03..2020-05"),
+                              ("2020-01..2020-02", "2020-04..2020-05")):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({**saved, "dataset": str(tmp_path / "gap"),
+                                       "split": {"train": train, "stream": stream}}))
+            out = tmp_path / stream
+            assert main(["stream", "--config", str(cfg), "--out", str(out),
+                         "--seed", "0"]) == EXIT_OK
+            results.append((out / "seed0" / "result.csv").read_bytes())
+        assert [line.split(",")[0] for line in results[0].decode().splitlines()[1:]] == [
+            "2020-04", "2020-05"]
+        assert results[0] == results[1]
+
 
 class TestAblate:
     def test_grid(self, tmp_path):
@@ -252,6 +276,94 @@ class TestLibrary:
                      "--out", str(tmp_path / "out"), "--seed", "0"]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {e.value}\n"
         assert str(e.value) == "stream: unknown keys ['retrain_epoch']"
+
+
+def month_name(index):
+    """The YYYY-MM of integer month ``index = 12 * year + month``."""
+    return f"{(index - 1) // 12:04d}-{(index - 1) % 12 + 1:02d}"
+
+
+FIRST_MONTH = 12 * 2019 + 1  # every dataset's months lie in 2019-01..2021-12
+MALFORMED_PERIODS = ["2020-13", "2020-00", "202001", "2020-1", "2020-03..", "..2020-03",
+                     "2020-01..2020-02..2020-03", "2020-01...2020-02", ""]
+
+
+@st.composite
+def periods(draw, low, high):
+    """(text, bounds) of a split period whose bounds lie in integer months
+    [low, high]: its (start, end), or None when the text is malformed. The end
+    of a range may come before its start."""
+    form = draw(st.sampled_from(["month", "range", "range", "range", "reversed",
+                                 "malformed"]))
+    if form == "malformed":
+        return draw(st.sampled_from(MALFORMED_PERIODS)), None
+    start, end = sorted(draw(st.lists(st.integers(low, high), min_size=2, max_size=2)))
+    if form == "month":
+        return month_name(start), (start, start)
+    if form == "reversed":
+        start, end = end, start
+    return f"{month_name(start)}..{month_name(end)}", (start, end)
+
+
+def split_oracle(months, train, stream):
+    """(training months, stream months) of periods with bounds ``train`` and
+    ``stream`` (None for a malformed text; ``stream`` is "absent" when not given)
+    on a dataset of integer ``months``, in order; or the start of the error."""
+    def period(bounds, key):
+        if bounds is None or bounds[0] > bounds[1]:
+            return f"{key}: expected YYYY-MM or an ordered YYYY-MM..YYYY-MM"
+        within = [m for m in months if bounds[0] <= m <= bounds[1]]
+        return within or f"{key}: no month of the dataset is in"
+
+    train_months = period(train, "split.train")
+    if isinstance(train_months, str):
+        return train_months
+    if stream == "absent":
+        stream_months = [m for m in months if m > train_months[-1]]
+        if not stream_months:
+            return "split.train: no month of the dataset is left to stream"
+        return train_months, stream_months
+    stream_months = period(stream, "split.stream")
+    if isinstance(stream_months, str):
+        return stream_months
+    if stream_months[0] <= train_months[-1]:
+        return (f"split.stream: month {month_name(stream_months[0])} is not after "
+                f"the last training month {month_name(train_months[-1])}")
+    return train_months, stream_months
+
+
+class TestSplitPeriods:
+    @settings(max_examples=150, deadline=None)
+    # bit i of ``held`` is set when the dataset holds month FIRST_MONTH + i; five
+    # drawn bytes set about half of the 36 bits
+    @given(held=st.binary(min_size=5, max_size=5)
+           .map(lambda b: int.from_bytes(b, "little") % 2**36).filter(bool),
+           # bounds reach six months past the datasets' window, and a training
+           # period leans early and a stream period late
+           train=periods(FIRST_MONTH - 6, FIRST_MONTH + 29),
+           stream=st.none() | periods(FIRST_MONTH + 6, FIRST_MONTH + 41))
+    def test_split_matches_integer_months(self, held, train, stream):
+        months = [FIRST_MONTH + i for i in range(36) if held >> i & 1]
+        n = len(months)
+        dataset = dio.Dataset.from_arrays("gaps", 1, np.zeros((n, 1)), np.zeros(n),
+                                          [f"r{i}" for i in range(n)],
+                                          list(map(month_name, months)))
+        split = {"train": train[0]}
+        if stream is not None:
+            split["stream"] = stream[0]
+        expected = split_oracle(months, train[1], "absent" if stream is None else stream[1])
+        with tempfile.TemporaryDirectory() as tmp:
+            dio.save_dataset(dataset, tmp)
+            try:
+                exp = setup_from_config({"dataset": tmp, "split": split})
+            except ConfigError as e:
+                assert isinstance(expected, str) and str(e).startswith(expected), (
+                    str(e), expected)
+                return
+        got = tuple([12 * int(m[:4]) + int(m[5:]) for m in part]
+                    for part in (exp.train_months, exp.stream_months))
+        assert got == expected
+        assert max(got[0]) < min(got[1])
 
 
 class TestRunJson:
@@ -792,10 +904,17 @@ class TestErrorPaths:
         ("stream", "train.loss.contrastive_temperature", math.inf),
         ("stream", "stream.selector.alpha", math.inf),
         ("stream", "stream.selector.gamma", math.nan),
+        # more malformed split periods, and a training period beside a count of
+        # training months
+        ("train", "split.train", "202001"),
+        ("train", "split.train", "2020-03.."),
+        ("stream", "split", {"train": "2020-01..2020-02", "train_months": -7}),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
                                            value):
         cfg = base_config(bench={"sizes": [30], "budget": 3})
+        if key == "split.train":  # a training period takes the place of the count
+            del cfg["split"]["train_months"]
         *sections, name = key.split(".")
         entry = cfg
         for part in sections:
@@ -820,7 +939,7 @@ class TestErrorPaths:
     ])
     def test_split_period_without_dataset_month(self, tmp_path, capsys, command,
                                                 key, period):
-        cfg = write_config(tmp_path, split={"train_months": 2, key: period})
+        cfg = write_config(tmp_path, split={key: period})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == EXIT_CONFIG
         assert f"split.{key}: no month of the dataset" in capsys.readouterr().err

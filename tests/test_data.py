@@ -606,18 +606,6 @@ class TestDriftGenerator:
             dio.DriftGeneratorConfig(**{name: value})
 
 
-class TestMonthParsing:
-    def test_parse_period_range(self):
-        months = dio.parse_period("2019-11..2020-02")
-        assert months == ["2019-11", "2019-12", "2020-01", "2020-02"]
-
-    def test_bad_month_rejected(self):
-        with pytest.raises(dio.DataError):
-            dio.parse_period("2020-13")
-        with pytest.raises(dio.DataError):
-            dio.parse_period("202001")
-
-
 def columns(ds):
     """Everything a Dataset holds, in a form ``==`` compares exactly."""
     return (ds.name, ds.feature_dim, ds.ids, ds.row_months, ds.y.dtype, ds.y.tolist(),
