@@ -291,14 +291,16 @@ SHARD_FORMATS = {
 def save_dataset(dataset, path, fmt="binary"):
     """Write manifest + per-month shards under ``path``.
 
-    Every shard is encoded before anything is written, so a row that the
-    format cannot carry raises ``DataError`` and leaves ``path`` untouched.
+    Every month is checked and every shard encoded before anything is
+    written, so a month that is not ``YYYY-MM`` or a row that the format
+    cannot carry raises ``DataError`` and leaves ``path`` untouched.
     """
     if fmt not in SHARD_FORMATS:
         raise DataError(f"unknown shard format {fmt!r}")
     suffix, write, _ = SHARD_FORMATS[fmt]
     encoded = []
     for month, rows in dataset.month_rows().items():
+        check_month(month)
         ids, labels = list(map(dataset.ids.__getitem__, rows.tolist())), dataset.y[rows]
         encoded.append((month, labels, write(ids, labels, dataset.X[rows])))
     path = Path(path)
@@ -421,7 +423,7 @@ def inject_label_noise(labeled, noise_rate, seed):
 @dataclass
 class DriftGeneratorConfig:
     dim: int = checked(200, int, minimum=1)
-    months: int = checked(12, int, minimum=1)
+    months: int = checked(12, int, minimum=1, maximum=95_760)  # through 9999-12
     samples_per_month_per_class: int = checked(500, int, minimum=1)
     # per-month chance a feature's rate is resampled
     drift_rate: float = checked(0.15, float, minimum=0, maximum=1)

@@ -126,13 +126,6 @@ def score_pool(pool_X, model, labeled_X, cfg):
     return SelectionScore(m, d, c, h)
 
 
-def _top_k(keys, k, eligible=None):
-    """Indices of the k largest keys; ties broken by lower index."""
-    idx = np.arange(len(keys)) if eligible is None else np.flatnonzero(eligible)
-    order = idx[np.lexsort((idx, -np.asarray(keys)[idx]))]
-    return list(order[:k])
-
-
 def select(pool_X, model, labeled_X, cfg, budget, rng=None):
     """Pick up to ``budget`` pool indices with the configured strategy.
 
@@ -150,12 +143,9 @@ def select(pool_X, model, labeled_X, cfg, budget, rng=None):
         chosen = rng.choice(n, size=min(k, n), replace=False)
         return list(np.asarray(chosen, dtype=int)), None
     scores = score_pool(pool_X, model, labeled_X, cfg)
-    if cfg.kind == "margin_only":
-        return _top_k(-scores.margin, k), scores
-    if cfg.kind == "lp_only":
-        return _top_k(scores.lp_distance, k), scores
-    if cfg.kind == "low_confidence_only":
-        eligible = scores.confidence < cfg.low_confidence_cutoff
-        return _top_k(-scores.confidence, k, eligible=eligible), scores
-    return _top_k(scores.hybrid, k), scores  # multi_criteria
-
+    # one cost per row; the k lowest are picked, ties going to the lower pool index
+    cost = {"multi_criteria": -scores.hybrid, "margin_only": scores.margin,
+            "lp_only": -scores.lp_distance, "low_confidence_only": scores.confidence}[cfg.kind]
+    rows = (np.flatnonzero(cost < cfg.low_confidence_cutoff)
+            if cfg.kind == "low_confidence_only" else np.arange(n))
+    return list(rows[np.argsort(cost[rows], kind="stable")[:k]]), scores

@@ -909,6 +909,8 @@ class TestErrorPaths:
         ("train", "split.train", "202001"),
         ("train", "split.train", "2020-03.."),
         ("stream", "split", {"train": "2020-01..2020-02", "train_months": -7}),
+        # generated months end at 9999-12; month 95,761 would be 10000-01
+        ("synth", "generator.months", 95_761),
     ])
     def test_bad_config_value_exits_config(self, tmp_path, capsys, command, key,
                                            value):

@@ -16,7 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftal.augment import MODES, AugmentConfig
@@ -28,8 +28,8 @@ from driftal.selection import SELECTOR_KINDS, SelectorConfig, select
 from driftal.trainer import TrainConfig
 
 
-def integer(low):
-    return lambda v: type(v) is int and v >= low
+def integer(low, high=math.inf):
+    return lambda v: type(v) is int and low <= v <= high
 
 
 def number(low, high=None, low_open=False):
@@ -55,7 +55,7 @@ def widths(v):
 # (class, field, accepts, other fields that keep the rules between fields true)
 TABLE = [
     (DriftGeneratorConfig, "dim", integer(1), {}),
-    (DriftGeneratorConfig, "months", integer(1), {}),
+    (DriftGeneratorConfig, "months", integer(1, 95_760), {}),  # 2020-01 to 9999-12
     (DriftGeneratorConfig, "samples_per_month_per_class", integer(1), {}),
     (DriftGeneratorConfig, "drift_rate", number(0, 1), {}),
     (DriftGeneratorConfig, "overlap", number(0, 1), {}),
@@ -86,7 +86,7 @@ NESTED = {"loss", "augment", "selector"}
 
 NEAR_BOUNDS = st.sampled_from([
     -1, 0, 1, 2, 64, -0.5, -0.0, 0.0, 1e-3, 0.5, 1.0, 1.5, math.inf, -math.inf, math.nan,
-    10**400, *MODES, *SELECTOR_KINDS,
+    10**400, 95_760, 95_761, *MODES, *SELECTOR_KINDS,
 ])
 SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
            | NEAR_BOUNDS)
@@ -102,6 +102,8 @@ def test_table_covers_every_field(cls):
 
 @settings(max_examples=600, deadline=None)
 @given(row=st.sampled_from(TABLE), value=VALUES)
+@example(row=TABLE[1], value=95_760)  # the months row at its last month, 9999-12
+@example(row=TABLE[1], value=95_761)
 def test_field_accepts_exactly_its_range(row, value):
     cls, name, accepts, others = row
     try:

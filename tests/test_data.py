@@ -355,6 +355,19 @@ class TestManifestValidation:
         with pytest.raises(dio.DataError, match="'CSV'"):
             dio.save_dataset(make_dataset(), tmp_path / "ds", fmt="CSV")
 
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("month", ["2020-1", "a/b", "../escape"])
+    def test_save_rejects_a_month_load_would_reject(self, tmp_path, fmt, month):
+        # each would name a shard file that load_dataset rejects, that cannot be
+        # made, or that lies outside the target
+        ds = make_dataset(months=("2020-01", month))
+        target = tmp_path / "parent" / "ds"
+        target.parent.mkdir()
+        with pytest.raises(dio.DataError,
+                           match=re.escape(f"month: expected YYYY-MM, got {month!r}")):
+            dio.save_dataset(ds, target, fmt=fmt)
+        assert list(tmp_path.rglob("*")) == [target.parent]
+
 
 def per_cell_csv(records, dim):
     """CSV shard bytes formatted one cell at a time: the writer's reference."""

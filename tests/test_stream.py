@@ -64,11 +64,12 @@ def with_ids(block, ids):
 
 
 def record_train_calls(monkeypatch):
-    """Replace the stream's ``train`` with one that records each call's inputs."""
+    """Replace the stream's ``train`` with one that records each call's inputs
+    and seed."""
     calls = []
 
     def recording_train(model, labeled_xy, unlabeled_x, cfg, seed):
-        calls.append((labeled_xy, unlabeled_x))
+        calls.append((labeled_xy, unlabeled_x, seed))
         return train(model, labeled_xy, unlabeled_x, cfg, seed)
 
     monkeypatch.setattr(stream, "train", recording_train)
@@ -201,7 +202,7 @@ class TestRunStream:
         result = run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
         assert len(retrains) == len(months)
         ids_l = list(labeled.ids)
-        for ids, ((_, yl), _) in zip(result.selected_ids, retrains):
+        for ids, ((_, yl), _, _) in zip(result.selected_ids, retrains):
             ids_l += ids
             assert yl.tolist() == [truth[i] for i in ids_l]
 
@@ -216,7 +217,7 @@ class TestRunStream:
         [month] = months.values()
         pool_X = np.concatenate([unlabeled.X, month.X])
         pool_y = np.concatenate([unlabeled.y, month.y])
-        (Xl, yl), Xu = retrains[0]
+        (Xl, yl), Xu, _ = retrains[0]
         assert np.array_equal(Xl, np.concatenate([labeled.X, pool_X[[3, 1]]]))
         assert np.array_equal(yl, np.concatenate([labeled.y, pool_y[[3, 1]]]))
         assert np.array_equal(Xu, pool_X[[0, 2, 4]])
@@ -366,6 +367,96 @@ def cached_world(seed):
     return make_world(seed=seed)
 
 
+def bits(a):
+    """Equal for two arrays exactly when they are equal bit for bit."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def run_recorded(world, cfg, seed):
+    """``stream.run_stream``'s result on ``world``, and the inputs and seed of
+    each retrain."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_train_calls(mp)
+        return stream.run_stream(*world, *cfg, seed), calls
+
+
+def check_no_future_leak(kind, budget, seed, k, extra, rows_seed):
+    """Replacing every row after month k of a ``cached_world`` stream (other
+    features, flipped labels, ``extra`` more rows a month, fresh ids) leaves
+    months 1..k as they were: their metrics, their selected ids, and the inputs
+    and seed of every retrain through month k, bit for bit."""
+    model, labeled, unlabeled, months = world = cached_world(seed)
+    rng, future = np.random.default_rng(rows_seed), {}
+    for t, (month, block) in enumerate(months.items(), start=1):
+        if t > k:
+            n = len(block) + extra
+            X = (rng.random((n, block.feature_dim)) < 0.5).astype(np.uint8)
+            y = (X[:, :3].sum(axis=1) < 2).astype(np.int64)  # make_world's rule, flipped
+            block = Dataset.from_arrays("future", block.feature_dim, X, y,
+                                        [f"future{t}_{i}" for i in range(n)], [month] * n)
+        future[month] = block
+    cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind))
+    a, a_calls = run_recorded(world, cfg, seed)
+    b, b_calls = run_recorded((model, labeled, unlabeled, future), cfg, seed)
+    assert [m.to_dict() for m in a.monthly[:k]] == [m.to_dict() for m in b.monthly[:k]]
+    assert a.selected_ids[:k] == b.selected_ids[:k]
+
+    def retrains(calls):  # retrain seeds are the run seed + months evaluated
+        return [(bits(Xl), bits(yl), bits(Xu), s) for (Xl, yl), Xu, s in calls
+                if s <= seed + k]
+
+    assert retrains(a_calls) == retrains(b_calls)
+
+
+def check_no_label_leak(kind, budget, seed):
+    """Flipping the label of every pool and month row of a ``cached_world``
+    stream that the run never selects leaves every selection, and every
+    month's predictions (``tp + fp``), as they were."""
+    model, labeled, unlabeled, months = world = cached_world(seed)
+    cfg = small_cfg(budget=budget, selector=SelectorConfig(kind=kind))
+    a = stream.run_stream(*world, *cfg, seed)
+    chosen = {i for ids in a.selected_ids for i in ids}
+
+    def flipped(block):
+        y = np.where([i in chosen for i in block.ids], block.y, 1 - block.y)
+        return Dataset.from_arrays(block.name, block.feature_dim, block.X, y, block.ids,
+                                   block.row_months)
+
+    b = stream.run_stream(model, labeled, flipped(unlabeled),
+                          {m: flipped(block) for m, block in months.items()}, *cfg, seed)
+    assert b.selected_ids == a.selected_ids
+    assert [m.tp + m.fp for m in b.monthly] == [m.tp + m.fp for m in a.monthly]
+
+
+def peeking_run_stream(model, labeled, unlabeled, months, *args):
+    """A mutant ``run_stream`` that leaks the future: each month's pool is
+    ranked with the next month's rows in it, and a pick among those is dropped."""
+    upcoming, real = iter([b.X for b in list(months.values())[1:]]), stream.sel.select
+
+    def select(pool_X, *rest, **kw):
+        chosen, scores = real(np.concatenate([pool_X, next(upcoming, pool_X[:0])]),
+                              *rest, **kw)
+        return [j for j in chosen if j < len(pool_X)], scores
+
+    with mock.patch.object(stream.sel, "select", select):
+        return run_stream(model, labeled, unlabeled, months, *args)
+
+
+def label_reading_run_stream(model, labeled, unlabeled, months, *args):
+    """A mutant ``run_stream`` whose ``train`` is handed the pool's labels: it
+    trains on each unlabeled row as labeled, with the label of a pool or month
+    row of the same features."""
+    label = {x.tobytes(): c for b in (unlabeled, *months.values()) for x, c in zip(b.X, b.y)}
+
+    def leaky_train(model, labeled_xy, unlabeled_x, cfg, seed):
+        (Xl, yl), yu = labeled_xy, np.array([label[x.tobytes()] for x in unlabeled_x])
+        return train(model, (np.concatenate([Xl, unlabeled_x]), np.concatenate([yl, yu])),
+                     unlabeled_x, cfg, seed)
+
+    with mock.patch.object(stream, "train", leaky_train):
+        return run_stream(model, labeled, unlabeled, months, *args)
+
+
 class TestStreamProperties:
     """Hypothesis properties of ``run_stream`` on small ``make_world`` streams."""
 
@@ -439,6 +530,32 @@ class TestStreamProperties:
             if label is not None:  # no row of the other class: its rate is undefined
                 assert (mm.fnr if label == 0 else mm.fpr) is None
         json.dumps(result.to_dict(), allow_nan=False)
+
+    # budgets run from 0 to a whole pool: 30 unlabeled rows and three months of 20
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(SELECTOR_KINDS), budget=st.integers(0, 90),
+           seed=st.integers(0, 2), k=st.integers(1, 2), extra=st.integers(1, 20),
+           rows_seed=st.integers(0, 2**32 - 1))
+    def test_no_leak_from_the_future(self, kind, budget, seed, k, extra, rows_seed):
+        check_no_future_leak(kind, budget, seed, k, extra, rows_seed)
+
+    @pytest.mark.parametrize("kind", SELECTOR_KINDS)
+    def test_future_leak_is_caught(self, monkeypatch, kind):
+        monkeypatch.setattr(stream, "run_stream", peeking_run_stream)
+        with pytest.raises(AssertionError):
+            check_no_future_leak(kind, 20, 1, 1, 5, 0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(SELECTOR_KINDS), budget=st.integers(0, 90),
+           seed=st.integers(0, 2))
+    def test_no_read_of_an_unrevealed_label(self, kind, budget, seed):
+        check_no_label_leak(kind, budget, seed)
+
+    @pytest.mark.parametrize("kind", SELECTOR_KINDS)
+    def test_label_leak_is_caught(self, monkeypatch, kind):
+        monkeypatch.setattr(stream, "run_stream", label_reading_run_stream)
+        with pytest.raises(AssertionError):
+            check_no_label_leak(kind, 20, 1)
 
 
 class TestExperimentLabels:
