@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: synth | train | stream | ablate | bench | noise | report.
+Subcommands: synth | train | stream | ablate | bench | noise.
 Configuration comes from a JSON file (--config); each flag overrides
 the config key that COMMANDS names. main writes each command's outputs,
 then a run.json with that config (the file with flag overrides applied),
@@ -22,7 +22,7 @@ from pathlib import Path
 from . import data as dio
 from . import metrics as met
 from .augment import AugmentConfig
-from .config import ConfigError, entry, read_json, typed, typed_list
+from .config import ConfigError, read_json, typed, typed_list
 from .experiment import Experiment
 from .losses import LossConfig
 from .outputs import write_outputs
@@ -51,8 +51,7 @@ def _load_config(path):
 # builds a config object holds that object's fields
 SECTION_KEYS = {
     "": {"dataset", "generator", "split", "label_ratio", "noise_rate", "noise_rates",
-         "train", "stream", "ablate", "bench", "seed", "seeds", "out", "format",
-         "result"},
+         "train", "stream", "ablate", "bench", "seed", "seeds", "out", "format"},
     "split": {"train", "stream", "train_months"},
     "stream": {"budget", "selector", "retrain_epochs"},
     "ablate": {"selectors", "budgets"},
@@ -287,37 +286,6 @@ def cmd_noise(args, config, out_dir):
     return seeds, {"noise_sweep.json": rows}, None
 
 
-def _check_result(payload, where):
-    """A ``StreamResult.to_dict()`` payload: one id list per monthly entry, whose
-    counts are ints >= 0 and whose ratios are those of its counts (null where
-    undefined). Returns its monthly metrics and id lists as checked."""
-    monthly = entry(payload, "monthly", where, list, dio.DataError)
-    selected = entry(payload, "selected_ids", where, list, dio.DataError)
-    if len(monthly) != len(selected):
-        raise dio.DataError(f"{where}: {len(monthly)} 'monthly' entries but "
-                            f"{len(selected)} 'selected_ids' lists")
-    checked = []
-    for i, (row, ids) in enumerate(zip(monthly, selected)):
-        at = f"{where}: monthly[{i}]"
-        month = entry(row, "month", at, str, dio.DataError)
-        dio.check_month(month, f"{at}: 'month'")
-        counts = [entry(row, key, at, int, dio.DataError, minimum=0)
-                  for key in ("tp", "fp", "tn", "fn")]
-        ratios = met.from_counts(month, *counts)
-        for key in ("f1", "fnr", "fpr"):
-            entry(row, key, at, float, dio.DataError, choices=(getattr(ratios, key),))
-        typed(ids, f"{where}: selected_ids[{i}]", list, dio.DataError)
-        checked.append(ratios.to_dict())
-    return {"monthly": checked, "selected_ids": selected}
-
-
-def cmd_report(args, config, out_dir):
-    src = Path(typed(config.get("result"), "result", str))
-    payload = read_json(src, "result file", dio.DataError)
-    checked = _check_result(payload, f"result file {src}")
-    return [], {"result.csv": met.report_rows(checked)}, f"wrote {out_dir / 'result.csv'}"
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -329,7 +297,6 @@ FLAGS = {
     "--label-ratio": {"type": float},
     "--budgets": {"type": int, "nargs": "*", "help": "ablation budgets"},
     "--sizes": {"type": int, "nargs": "*", "help": "bench pool sizes"},
-    "--result": {"help": "result.json to convert"},
 }
 
 # command -> (function, {flag: the config key it overrides}); each command
@@ -346,7 +313,6 @@ COMMANDS = {
                           "--sizes": "bench.sizes"}),
     "noise": (cmd_noise, {"--seed": None, "--budget": "stream.budget",
                           "--selector": "stream.selector.kind"}),
-    "report": (cmd_report, {"--result": "result"}),
 }
 
 

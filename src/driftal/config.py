@@ -1,9 +1,9 @@
 """Typed values read from a file: ``read_json`` reads a JSON file, ``checked``
 declares a dataclass field's kind and range once, ``check_fields`` checks every
 such field, the CLI checks its own keys with the same ``typed``, and ``entry``
-reads a key of a JSON object (a manifest, a ``result.json``, a checkpoint's
-``meta``) the same way. A bad value raises ``error("<key>: expected ...")``, a
-``ConfigError`` by default."""
+reads a key of a JSON object (a manifest, a checkpoint's ``meta``) the same
+way. A bad value raises ``error("<key>: expected ...")``, a ``ConfigError`` by
+default."""
 
 from __future__ import annotations
 
@@ -31,13 +31,10 @@ def typed(value, key, kind, error=ConfigError, minimum=None, maximum=None, above
           choices=None):
     """Value ``key`` as ``kind`` (int, float, str or list) within its bounds.
 
-    ``minimum`` and ``maximum`` are inclusive, ``above`` is exclusive, and
-    ``choices`` may hold None to admit a JSON null. A float key also takes an
-    integer, and is finite unless ``maximum`` is ``math.inf``; booleans are
-    never numbers here.
+    ``minimum`` and ``maximum`` are inclusive and ``above`` is exclusive. A float
+    key also takes an integer, and is finite unless ``maximum`` is ``math.inf``;
+    booleans are never numbers here.
     """
-    if value is None and choices is not None and None in choices:
-        return None
     accepted = (int, float) if kind is float else kind
     if not (isinstance(value, bool) or not isinstance(value, accepted)
             or (minimum is not None and not value >= minimum)

@@ -36,12 +36,6 @@ def compute_metrics(predictions, truths, month=""):
     fp = int(((predictions == 1) & (truths == 0)).sum())
     tn = int(((predictions == 0) & (truths == 0)).sum())
     fn = int(((predictions == 0) & (truths == 1)).sum())
-    return from_counts(month, tp, fp, tn, fn)
-
-
-def from_counts(month, tp, fp, tn, fn):
-    """The MonthlyMetrics of confusion counts: F1, FNR and FPR, each None where
-    its denominator is 0."""
     f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else None
     fnr = fn / (fn + tp) if (fn + tp) > 0 else None
     fpr = fp / (fp + tn) if (fp + tn) > 0 else None

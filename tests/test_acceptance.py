@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from driftal import stream
 from driftal.augment import AugmentConfig, bernoulli_bit_flip, bernoulli_mask, weak_view
 from driftal.data import DriftGeneratorConfig, synth_drift_generate
 from driftal.experiment import Experiment
@@ -24,6 +25,7 @@ from driftal.metrics import bench, bench_rows, compute_metrics
 from driftal.net import Classifier, softmax
 from driftal.outputs import write_outputs
 from driftal.selection import SelectorConfig, lp_distances, select
+from driftal.stream import check_pools
 from driftal.trainer import TrainConfig, build_model, step_loss_and_grads, train
 
 from test_selection import brute_force_nn, selection_oracle
@@ -56,20 +58,33 @@ def mean_f1(runs):
 
 
 @pytest.fixture(scope="module")
-def drift_runs():
+def pool_checks():
+    """One entry per ``check_pools`` call that the ``drift_runs`` grid made."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def drift_runs(pool_checks):
     """Shared 12-month stream runs: selector x budget grid over 5 seeds."""
     names = ["static", "mc_50", "mc_200", "mc_400", "margin_only", "lp_only",
              "low_confidence_only", "random", "mc_nocon"]
     runs = {name: [] for name in names}
-    for seed in SEEDS:
-        exp = drift_experiment(seed)
-        runs["static"].append(exp.run(SelectorConfig(), 0, seed))
-        for budget in (50, 200, 400):
-            runs[f"mc_{budget}"].append(exp.run(SelectorConfig(), budget, seed))
-        for kind in ("margin_only", "lp_only", "low_confidence_only", "random"):
-            runs[kind].append(exp.run(SelectorConfig(kind=kind), 50, seed))
-        nocon = drift_experiment(seed, loss=LossConfig(lambda_con=0.0))
-        runs["mc_nocon"].append(nocon.run(SelectorConfig(), 50, seed))
+
+    def counted(lab, unl, revealed):
+        pool_checks.append(revealed)
+        check_pools(lab, unl, revealed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream, "check_pools", counted)
+        for seed in SEEDS:
+            exp = drift_experiment(seed)
+            runs["static"].append(exp.run(SelectorConfig(), 0, seed))
+            for budget in (50, 200, 400):
+                runs[f"mc_{budget}"].append(exp.run(SelectorConfig(), budget, seed))
+            for kind in ("margin_only", "lp_only", "low_confidence_only", "random"):
+                runs[kind].append(exp.run(SelectorConfig(kind=kind), 50, seed))
+            nocon = drift_experiment(seed, loss=LossConfig(lambda_con=0.0))
+            runs["mc_nocon"].append(nocon.run(SelectorConfig(), 50, seed))
     return runs
 
 
@@ -354,14 +369,14 @@ class TestCriterion7:
 
 
 class TestCriterion8:
-    def test_stream_invariants(self, criterion, drift_runs):
+    def test_stream_invariants(self, criterion, drift_runs, pool_checks):
         # pool-conservation and leakage checks run inside every stream
-        # month and raise immediately; completing the whole grid means
-        # zero violations
+        # month and raise immediately; completing the whole grid, with one
+        # check per month, means zero violations
         months_checked = sum(
             len(r.monthly) for runs in drift_runs.values() for r in runs
         )
-        ok = months_checked > 0
+        ok = months_checked > 0 and len(pool_checks) == months_checked
         criterion(8, ok, f"stream invariants: {months_checked} month "
                          f"transitions checked in-process, zero violations")
         assert ok

@@ -234,19 +234,6 @@ class TestNoise:
                      "--seed", "0"]) == EXIT_OK
 
 
-class TestReport:
-    def test_json_to_csv(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "stream"
-        main(["stream", "--config", cfg, "--out", str(out), "--seed", "0"])
-        rout = tmp_path / "report"
-        assert main(["report", "--result", str(out / "seed0" / "result.json"),
-                     "--out", str(rout)]) == EXIT_OK
-        converted = (rout / "result.csv").read_bytes()
-        original = (out / "seed0" / "result.csv").read_bytes()
-        assert converted == original
-
-
 # each command's flags for one run on the tiny config
 RUN_FLAGS = {
     "synth": [],
@@ -255,7 +242,6 @@ RUN_FLAGS = {
     "ablate": ["--seed", "0"],
     "bench": ["--seed", "0"],
     "noise": ["--seed", "0"],
-    "report": ["--result", "result.json"],
 }
 
 
@@ -371,7 +357,6 @@ class TestRunJson:
     def test_artifacts_hash_every_output(self, tmp_path, monkeypatch, command):
         """run.json hashes exactly the files the command wrote, as they are on disk."""
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "result.json").write_text('{"monthly": [], "selected_ids": []}')
         cfg = write_config(tmp_path, noise_rates=[0.0],
                            ablate={"selectors": ["random"], "budgets": [3]},
                            bench={"sizes": [30], "budget": 3})
@@ -394,12 +379,10 @@ class TestRunJson:
          {"stream.budget": 2, "stream.selector.kind": "margin_only",
           "label_ratio": 0.3, "stream.retrain_epochs": 1}),
         (["synth", "--seed", "7"], {"format": "csv", "generator.seed": 7}),
-        (["report", "--result", "result.json"], {"result": "result.json"}),
     ])
     def test_records_config_with_flag_overrides(self, tmp_path, monkeypatch, argv,
                                                 recorded):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "result.json").write_text('{"monthly": [], "selected_ids": []}')
         cfg = write_config(tmp_path, format="csv",
                            ablate={"selectors": ["random"], "budgets": [3]},
                            bench={"sizes": [30], "budget": 3})
@@ -469,14 +452,13 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command,output", [
         ("stream", "seed0/result.json"),
-        ("report", "result.csv"),
+        ("stream", "seed0/result.csv"),
         ("train", "checkpoint_seed0.npz"),
         ("synth", "run.json"),
     ])
     def test_output_file_a_directory_exits_config(self, tmp_path, monkeypatch, capsys,
                                                   command, output):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "result.json").write_text('{"monthly": [], "selected_ids": []}')
         (tmp_path / "out" / output).mkdir(parents=True)
         assert main([command, *RUN_FLAGS[command], "--config", write_config(tmp_path),
                      "--out", "out"]) == EXIT_CONFIG
@@ -666,119 +648,6 @@ class TestErrorPaths:
                      "--seed", "0"]) == EXIT_NUMERIC
         assert "non-finite labeled embedding" in capsys.readouterr().err
 
-    def test_report_missing_result(self, tmp_path, capsys):
-        assert main(["report", "--result", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)]) == EXIT_DATA
-
-    def test_report_result_directory_exits_data(self, tmp_path, capsys):
-        (tmp_path / "result.json").mkdir()
-        assert main(["report", "--result", str(tmp_path / "result.json"),
-                     "--out", str(tmp_path / "out")]) == EXIT_DATA
-        assert "cannot read result file" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text,problem", [
-        ("{not json", "not valid JSON"),
-        ("{}", "has no 'monthly'"),
-        ('{"monthly": []}', "has no 'selected_ids'"),
-        ("[]", "has no 'monthly'"),
-        pytest.param('{"monthly": {}, "selected_ids": []}', "'monthly': expected list, got {}",
-                     id="""{"monthly": {}, "selected_ids": []}-'monthly' must be of type list"""),
-        ("\udcff", "not valid JSON"),
-        pytest.param("[" + "1" * 5000 + "]", "not valid JSON", id="int-digit-limit"),
-        ('{"monthly": [{}], "selected_ids": [[]]}', "monthly[0] has no 'month'"),
-        ('{"monthly": [], "selected_ids": [[]]}',
-         "0 'monthly' entries but 1 'selected_ids' lists"),
-    ])
-    def test_report_bad_result(self, tmp_path, capsys, text, problem):
-        src = tmp_path / "result.json"
-        src.write_bytes(text.encode(errors="surrogateescape"))
-        assert main(["report", "--result", str(src),
-                     "--out", str(tmp_path / "out")]) == EXIT_DATA
-        assert problem in capsys.readouterr().err
-
-    @staticmethod
-    def _month(**edit):
-        entry = {"month": "2020-03", "tp": 1, "fp": 0, "tn": 2, "fn": 0,
-                 "f1": 1.0, "fnr": 0.0, "fpr": 0.0}
-        entry.update(edit)
-        return entry
-
-    @pytest.mark.parametrize("key", ["month", "tp", "fp", "tn", "fn",
-                                     "f1", "fnr", "fpr"])
-    def test_report_monthly_entry_missing_key(self, tmp_path, capsys, key):
-        second = self._month()
-        del second[key]
-        src = tmp_path / "result.json"
-        src.write_text(json.dumps({"monthly": [self._month(), second],
-                                   "selected_ids": [[], ["a"]]}))
-        assert main(["report", "--result", str(src),
-                     "--out", str(tmp_path / "out")]) == EXIT_DATA
-        assert f"monthly[1] has no '{key}'" in capsys.readouterr().err
-
-    # (monthly, selected, the rule that the entry breaks or None, the message);
-    # a test's id names the rule, or else the message
-    BAD_ENTRIES = [
-        ([[]], [[]], None, "monthly[0] has no 'month'"),
-        ([None], [[]], None, "monthly[0] has no 'month'"),
-        (["x"], [[]], None, "monthly[0] has no 'month'"),
-        ([{"month": 3}], [[]], "monthly[0]: 'month' must be of type str",
-         "monthly[0]: 'month': expected str, got 3"),
-        ([{"fpr": "x"}], [[]], "'fpr' must be of type int or float or NoneType",
-         "monthly[0]: 'fpr': expected one of [0.0], got 'x'"),
-        ([{"tp": 1.5}], [[]], "monthly[0]: 'tp' must be of type int",
-         "monthly[0]: 'tp': expected int >= 0, got 1.5"),
-        ([{}, {}], [[], 3], "selected_ids[1] must be of type list",
-         "selected_ids[1]: expected list, got 3"),
-        # JSON true and false are not counts or ratios
-        ([{"tp": True}], [[]], "monthly[0]: 'tp' must be of type int",
-         "monthly[0]: 'tp': expected int >= 0, got True"),
-        ([{"fpr": False}], [[]], "'fpr' must be of type int or float or NoneType",
-         "'fpr': expected one of [0.0], got False"),
-        # a ratio is the ratio of its counts: finite, in [0, 1]
-        ([{"f1": float("nan")}], [[]], "'f1' must be a number in [0, 1] or null, got nan",
-         "'f1': expected one of [1.0], got nan"),
-        ([{"fnr": float("inf")}], [[]], "'fnr' must be a number in [0, 1] or null",
-         "'fnr': expected one of [0.0], got inf"),
-        ([{"fpr": 1.5}], [[]], "'fpr' must be a number in [0, 1] or null",
-         "'fpr': expected one of [0.0], got 1.5"),
-        ([{"f1": -1}], [[]], "'f1' must be a number in [0, 1] or null",
-         "'f1': expected one of [1.0], got -1"),
-        ([{}, {"month": "2020-13"}], [[], []], None, "monthly[1]: 'month': expected YYYY-MM"),
-        # a count is an int >= 0, and a ratio must agree with the counts
-        ([{"tp": -3}], [[]], None, "monthly[0]: 'tp': expected int >= 0, got -3"),
-        ([{"f1": 0.5}], [[]], None, "'f1': expected one of [1.0], got 0.5"),
-        ([{"fnr": None}], [[]], None, "'fnr': expected one of [0.0], got None"),
-        # with no positive row F1 and FNR are undefined, so they must be null
-        ([{"tp": 0}], [[]], None, "'f1': expected one of [None], got 1.0"),
-        ([{"tp": 0, "f1": None}], [[]], None, "'fnr': expected one of [None], got 0.0"),
-    ]
-
-    @pytest.mark.parametrize("monthly,selected,problem", [
-        pytest.param(monthly, selected, problem,
-                     id=f"monthly{i}-selected{i}-{rule or problem}")
-        for i, (monthly, selected, rule, problem) in enumerate(BAD_ENTRIES)])
-    def test_report_bad_entry(self, tmp_path, capsys, monthly, selected, problem):
-        monthly = [self._month(**m) if isinstance(m, dict) else m
-                   for m in monthly]
-        src = tmp_path / "result.json"
-        src.write_text(json.dumps({"monthly": monthly, "selected_ids": selected}))
-        assert main(["report", "--result", str(src),
-                     "--out", str(tmp_path / "out")]) == EXIT_DATA
-        assert problem in capsys.readouterr().err
-
-    def test_report_valid_entries(self, tmp_path):
-        src = tmp_path / "result.json"
-        no_positive = dict(tp=0, f1=None, fnr=None)
-        src.write_text(json.dumps({
-            "monthly": [self._month(), self._month(month="2020-04", **no_positive)],
-            "selected_ids": [["a", "b"], []],
-        }))
-        assert main(["report", "--result", str(src),
-                     "--out", str(tmp_path / "out")]) == EXIT_OK
-        assert (tmp_path / "out" / "result.csv").read_text().splitlines()[1:] == [
-            "2020-03,1,0,2,0,100.0,0.0,0.0,2", "2020-04,0,0,2,0,,,0.0,0",
-        ]
-
     @pytest.mark.parametrize("command", ["train", "stream"])
     def test_train_seed_rejected(self, tmp_path, capsys, command):
         cfg = base_config()
@@ -853,7 +722,7 @@ class TestErrorPaths:
         ("stream", "stream.selector", 5),
         ("ablate", "ablate.selectors", 5),
         ("bench", "bench.sizes", 5),
-        ("report", "result", 5),
+        ("bench", "bench.budget", -1),
         ("synth", "format", []),
         # [0, 1] values are range-checked before any training starts
         ("train", "label_ratio", 1.5),
@@ -980,6 +849,7 @@ class TestErrorPaths:
         ("ablate", "budget", [3]),
         ("bench", "budgets", [3]),
         ("", "label_ration", 0.9),  # the top level
+        ("", "result", "result.json"),  # no command converts a result.json
         # a key that driftal no longer reads fails loudly instead of being ignored
         ("stream.selector", "intersection_quantile", 0.5),
         ("bench", "dim", 8),
@@ -1010,7 +880,7 @@ class TestFlags:
         ["train", "--budget", "5"],
         ["bench", "--selector", "random"],
         ["noise", "--label-ratio", "0.5"],
-        ["report", "--seed", "0"],
+        ["stream", "--sizes", "10"],
     ])
     def test_unread_flag_rejected(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -104,6 +104,14 @@ class TestEmitReport:
         assert rows[0]["n_selected"] == "1"
         assert rows[1]["n_selected"] == "2"
 
+    def test_undefined_ratios_are_empty_cells(self, tmp_path):
+        # with no positive row F1 and FNR are undefined: empty cells, not 0.0
+        no_positive = compute_metrics([0, 0], [0, 0], month="2020-04")
+        result = StreamResult([no_positive], [[]], None, None, None, None, 0.0, 0.0,
+                              seed=0)
+        [_, path] = write_outputs(tmp_path, emit_report(result))
+        assert path.read_text().splitlines()[1:] == ["2020-04,0,0,2,0,,,0.0,0"]
+
     def test_both_writes_two_files(self, tmp_path):
         paths = write_outputs(tmp_path, emit_report(fake_result()))
         assert paths == [tmp_path / "result.json", tmp_path / "result.csv"]

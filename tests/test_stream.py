@@ -155,6 +155,19 @@ class TestRunStream:
         with pytest.raises(NumericError, match="^month 2020-01: non-finite model output$"):
             run_stream(model, labeled, unlabeled, months, *small_cfg(budget=0), 0)
 
+    def test_pools_checked_once_per_month(self, monkeypatch):
+        model, labeled, unlabeled, months = make_world()
+        revealed = []
+
+        def spy(lab, unl, n):
+            revealed.append(n)
+            check_pools(lab, unl, n)
+
+        monkeypatch.setattr(stream, "check_pools", spy)
+        run_stream(model, labeled, unlabeled, months, *small_cfg(), 0)
+        sizes = np.cumsum([len(b) for b in months.values()])
+        assert revealed == (len(labeled) + len(unlabeled) + sizes).tolist()
+
     def test_input_model_not_mutated(self):
         model, labeled, unlabeled, months = make_world()
         before = model.theta.copy()

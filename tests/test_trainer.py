@@ -50,6 +50,16 @@ class TestMinibatches:
         for _, u in sample_minibatches(10, 4, self.cfg(ub=6), rng):
             assert len(u) == 6
 
+    def test_unlabeled_order_reshuffled_on_wrap(self):
+        # 4 batches of 6 draws from 4 unlabeled rows: 6 full passes, wrapping
+        # mid-batch, each a fresh permutation
+        rng = np.random.default_rng(3)
+        drawn = np.concatenate([u for _, u in
+                                sample_minibatches(12, 4, self.cfg(ub=6), rng)])
+        passes = drawn.reshape(6, 4).tolist()
+        assert all(sorted(p) == [0, 1, 2, 3] for p in passes)
+        assert any(p != q for p, q in zip(passes, passes[1:]))
+
 
 class TestTrain:
     def small_cfg(self, **kw):
